@@ -15,11 +15,30 @@ own node, the remainder demoted to an extension of it) until neither fires.
 Every presentation contributes exactly one unit of occurrence mass and both
 rules conserve it, so the tree can always be audited against the number of
 presentations.
+
+Presentation never walks the forest. The store keeps a private index with
+three parts: a dict from each pattern to the first node in walk order that
+holds it, per-variable postings listing the nodes whose pattern holds that
+variable, and each node's walk-order key, its path tuple ``(root index,
+extension index, ...)``. Path tuples compare in the order ``walk`` visits
+nodes, and appending a root or an extension gives the new node a fresh path
+without moving any other, so presentation extends the index in place. An
+event is looked up in the dict first; otherwise counting its members
+through the postings gives every node's overlap with it, a node being
+covered when the overlap is its whole pattern. Nodes the event does not
+touch have zero overlap and cannot reach ``theta_new``, so skipping them
+picks the same node the full walk would. The index is built from ``walk``
+on the first presentation, so hand-built stores work too, and
+``consolidate`` drops it, to be rebuilt on the next presentation. Code that
+changes ``roots``, ``extensions`` or a node's pattern by hand after
+presenting must set ``store._index = None`` the same way.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .model import ConfigError, Event
@@ -63,6 +82,7 @@ class HierarchyStore:
     theta_split: float = 2.0
     theta_new: float = 0.5
     presentations: int = 0
+    _index: _Index | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.theta_merge > 1:
@@ -73,14 +93,52 @@ class HierarchyStore:
             raise ConfigError("theta_new must be in (0, 1]")
 
 
+@dataclass(slots=True)
+class _Index:
+    """Presentation lookup over a store's nodes; see the module docstring.
+
+    Nodes are numbered by slot in the order they were indexed, which is not
+    walk order once presentation has added nodes; ``paths`` holds walk
+    order.
+    """
+
+    exact: dict[frozenset[int], int] = field(default_factory=dict)
+    postings: dict[int, list[int]] = field(default_factory=dict)
+    nodes: list[PatternNode] = field(default_factory=list)
+    paths: list[tuple[int, ...]] = field(default_factory=list)
+
+    def add(self, node: PatternNode, path: tuple[int, ...]) -> None:
+        slot = len(self.nodes)
+        self.nodes.append(node)
+        self.paths.append(path)
+        self.exact.setdefault(node.pattern, slot)
+        for v in node.pattern:
+            self.postings.setdefault(v, []).append(slot)
+
+
 def walk(store: HierarchyStore) -> Iterator[PatternNode]:
     """All nodes, depth first, roots in creation order. This is the tie
-    order everywhere a best node is chosen."""
+    order everywhere a best node is chosen.
+
+    A node's path tuple ``(root index, extension index, ...)`` sorts in this
+    order, which is how the presentation index breaks ties without walking.
+    That index is rebuilt from this walk after ``consolidate``.
+    """
     stack = list(reversed(store.roots))
     while stack:
         node = stack.pop()
         yield node
         stack.extend(reversed([e.node for e in node.extensions]))
+
+
+def _build_index(store: HierarchyStore) -> _Index:
+    index = _Index()
+    stack = [((i,), root) for i, root in reversed(list(enumerate(store.roots)))]
+    while stack:
+        path, node = stack.pop()
+        index.add(node, path)
+        stack.extend(((*path, j), e.node) for j, e in reversed(list(enumerate(node.extensions))))
+    return index
 
 
 def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
@@ -93,31 +151,41 @@ def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
     """
     members = event.member_set()
     store.presentations += 1
-    nodes = list(walk(store))
+    index = store._index
+    if index is None:
+        index = store._index = _build_index(store)
+    nodes, paths = index.nodes, index.paths
 
-    covered = [n for n in nodes if n.pattern <= members]
+    slot = index.exact.get(members)
+    if slot is not None:
+        nodes[slot].occurrences += 1
+        return store
+
+    overlap = Counter(chain.from_iterable(index.postings.get(v, ()) for v in members))
+    covered = [s for s, k in overlap.items() if k == len(nodes[s].pattern)]
     if covered:
-        best = max(covered, key=lambda n: len(n.pattern))
-        if best.pattern == members:
-            best.occurrences += 1
-            return store
+        # a covered node's overlap is its size: largest pattern, then walk order
+        slot = min(covered, key=lambda s: (-overlap[s], paths[s]))
+        best = nodes[slot]
         adds = frozenset(members - best.pattern)
         for ext in best.extensions:
             if ext.adds == adds:
                 ext.node.occurrences += 1
                 return store
         best.extensions.append(Extension(adds, PatternNode(members, 1)))
+        index.add(best.extensions[-1].node, (*paths[slot], len(best.extensions) - 1))
         return store
 
-    if nodes:
-        best = max(nodes, key=lambda n: len(n.pattern & members) / len(members))
-        fraction = len(best.pattern & members) / len(members)
-        if fraction >= store.theta_new:
+    if overlap:
+        slot = min(overlap, key=lambda s: (-overlap[s], paths[s]))
+        if overlap[slot] / len(members) >= store.theta_new:
+            best = nodes[slot]
             key = frozenset(best.pattern & members)
             best.subset_counts[key] = best.subset_counts.get(key, 0) + 1
             return store
 
     store.roots.append(PatternNode(frozenset(members), 1))
+    index.add(store.roots[-1], (len(store.roots) - 1,))
     return store
 
 
@@ -145,14 +213,14 @@ def _find_merge(store: HierarchyStore) -> tuple[PatternNode, Extension] | None:
 
 
 def _find_split(store: HierarchyStore) -> tuple[PatternNode | None, PatternNode, frozenset[int]] | None:
-    parents: dict[int, PatternNode] = {}
+    """First node in walk order with a dominant subset, and its smallest
+    such subset in sorted-member order."""
     for node in walk(store):
-        for ext in node.extensions:
-            parents[id(ext.node)] = node
-    for node in walk(store):
-        for subset in sorted(node.subset_counts, key=sorted):
-            if node.subset_counts[subset] >= store.theta_split * node.occurrences:
-                return parents.get(id(node)), node, subset
+        limit = store.theta_split * node.occurrences
+        hits = [subset for subset, count in node.subset_counts.items() if count >= limit]
+        if hits:
+            parents = {id(e.node): parent for parent in walk(store) for e in parent.extensions}
+            return parents.get(id(node)), node, min(hits, key=sorted)
     return None
 
 
@@ -205,8 +273,10 @@ def consolidate(store: HierarchyStore) -> HierarchyStore:
     Each pass applies the first candidate in walk order and rescans, so the
     result is order deterministic. Terminates because a split always retires
     one tracked subset entry and a merge always retires one node while
-    creating no subset entries.
+    creating no subset entries. Drops the presentation index, since both
+    rules move nodes.
     """
+    store._index = None
     while True:
         merge = _find_merge(store)
         if merge is not None:

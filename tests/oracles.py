@@ -2,13 +2,14 @@
 
 Everything here is written the slow, obvious way on purpose: membership
 tests over whole event lists, pair loops, and exhaustive enumeration. None
-of it shares code with the engines.
+of it shares code with the engines beyond their data types.
 """
 
 from __future__ import annotations
 
 import random
 
+from patterngrid.hierarchy import Extension, PatternNode
 from patterngrid.model import Dataset, Event, Variable
 
 
@@ -106,6 +107,68 @@ def lexmin_selection_oracle(patterns: list[frozenset[int]], key) -> list[frozens
             best, best_keys = members, keys
     assert best is not None
     return best
+
+
+def _preorder(store) -> list:
+    """Every hierarchy node, roots in order, each followed by its extension
+    subtrees in order."""
+    nodes = []
+
+    def visit(node):
+        nodes.append(node)
+        for ext in node.extensions:
+            visit(ext.node)
+
+    for root in store.roots:
+        visit(root)
+    return nodes
+
+
+def hierarchy_walk_oracle(store, event):
+    """One hierarchy presentation by scanning every stored node: the best
+    covered node by size, else the best overlap, ties to walk order."""
+    members = event.member_set()
+    store.presentations += 1
+    nodes = _preorder(store)
+
+    covered = [n for n in nodes if n.pattern <= members]
+    if covered:
+        best = max(covered, key=lambda n: len(n.pattern))
+        if best.pattern == members:
+            best.occurrences += 1
+            return store
+        adds = frozenset(members - best.pattern)
+        for ext in best.extensions:
+            if ext.adds == adds:
+                ext.node.occurrences += 1
+                return store
+        best.extensions.append(Extension(adds, PatternNode(members, 1)))
+        return store
+
+    if nodes:
+        best = max(nodes, key=lambda n: len(n.pattern & members) / len(members))
+        fraction = len(best.pattern & members) / len(members)
+        if fraction >= store.theta_new:
+            key = frozenset(best.pattern & members)
+            best.subset_counts[key] = best.subset_counts.get(key, 0) + 1
+            return store
+
+    store.roots.append(PatternNode(frozenset(members), 1))
+    return store
+
+
+def find_split_oracle(store):
+    """The hierarchy split candidate by sorting every node's subsets and
+    scanning in walk order: (parent or None, node, subset) or None."""
+    parents = {}
+    for node in _preorder(store):
+        for ext in node.extensions:
+            parents[id(ext.node)] = node
+    for node in _preorder(store):
+        for subset in sorted(node.subset_counts, key=sorted):
+            if node.subset_counts[subset] >= store.theta_split * node.occurrences:
+                return parents.get(id(node)), node, subset
+    return None
 
 
 def random_dataset(seed: int, max_vars: int = 12, max_events: int = 50) -> Dataset:

@@ -3,14 +3,16 @@
 One test per contract line, in order, so a verbose run reads as a checklist:
 exact worked-example tables, oracle equivalence on random data, ordering
 invariance, corpus-scale performance, reference agreement, hierarchy fixed
-point, and byte determinism.
+point, byte determinism, and corpus-scale hierarchy performance.
 """
 
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import patterngrid
 from patterngrid import counting, grid, hierarchy, reinforce
 from patterngrid.evaluate import pairwise_agreement
 from patterngrid.ingest import load_fixture, parse_transactions_path
@@ -218,11 +220,14 @@ def test_09_byte_identical_output(tmp_path):
         ["hierarchy", "--input", str(corpus), "--format", "json"],
     ]
 
+    # the package under test, whether installed or run from the source tree
+    package_root = str(Path(patterngrid.__file__).resolve().parents[1])
+
     def run(argv, hashseed):
         proc = subprocess.run(
             [sys.executable, "-m", "patterngrid", *argv],
             capture_output=True,
-            env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
@@ -238,3 +243,14 @@ def test_09_byte_identical_output(tmp_path):
     for argv in sharded:
         base = run(argv + ["--shards", "1"], "1")
         assert run(argv + ["--shards", "4"], "2") == base, f"shards changed output for {argv}"
+
+
+def test_10_corpus_hierarchy_under_one_second(plants_path):
+    dataset = parse_transactions_path(plants_path)
+    started = time.perf_counter()
+    store = hierarchy.present_all(hierarchy.HierarchyStore(), dataset.events)
+    hierarchy.consolidate(store)
+    elapsed = time.perf_counter() - started
+
+    assert elapsed < 1.0, f"present+consolidate took {elapsed:.2f}s"
+    assert hierarchy.total_mass(store) == len(dataset.events)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from patterngrid import hierarchy
 from patterngrid.hierarchy import (
     Extension,
     HierarchyStore,
@@ -16,7 +17,7 @@ from patterngrid.hierarchy import (
 )
 from patterngrid.model import ConfigError, Event
 
-from .oracles import random_dataset
+from .oracles import find_split_oracle, hierarchy_walk_oracle, random_dataset
 
 A, B, C, D, E, F, G = range(7)
 LABELS = ["A", "B", "C", "D", "E", "F", "G"]
@@ -220,6 +221,117 @@ class TestInvariants:
             for ext in node.extensions:
                 assert ext.node.pattern == node.pattern | ext.adds
                 assert node.pattern < ext.node.pattern
+
+
+def _oracle_present_all(store: HierarchyStore, events) -> HierarchyStore:
+    for event in events:
+        hierarchy_walk_oracle(store, event)
+    return store
+
+
+def _oracle_consolidate(store: HierarchyStore) -> HierarchyStore:
+    while True:
+        merge = hierarchy._find_merge(store)
+        if merge is not None:
+            hierarchy._merge(store, *merge)
+            continue
+        split = find_split_oracle(store)
+        if split is not None:
+            hierarchy._split(store, *split)
+            continue
+        return store
+
+
+def _hand_built_store() -> HierarchyStore:
+    # extension links, bookkeeping and two roots sharing a pattern, which
+    # presentation alone never produces
+    deep = PatternNode(frozenset({0, 1, 2, 3}), 1, subset_counts={frozenset({0, 1, 2}): 2})
+    top = PatternNode(frozenset({0, 1}), 5, [Extension(frozenset({2, 3}), deep)])
+    twin = PatternNode(frozenset({4, 5}), 1)
+    again = PatternNode(
+        frozenset({4, 5}), 2, [Extension(frozenset({0}), PatternNode(frozenset({0, 4, 5}), 1))]
+    )
+    return HierarchyStore(roots=[top, twin, again], presentations=13)
+
+
+events_over_six = st.lists(
+    st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True).map(
+        lambda members: Event(tuple(members))
+    ),
+    max_size=40,
+)
+
+
+class TestIndexMatchesWalk:
+    """The indexed presentation and split search against the full scans in
+    tests/oracles.py."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.25, 0.5, 1.0]))
+    def test_random_datasets(self, seed, theta_new):
+        dataset = random_dataset(seed, max_vars=8, max_events=60)
+        fast = present_all(HierarchyStore(theta_new=theta_new), dataset.events)
+        slow = _oracle_present_all(HierarchyStore(theta_new=theta_new), dataset.events)
+        assert tree_json(fast) == tree_json(slow)
+        assert fast.presentations == slow.presentations == len(dataset.events)
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.floats(0.0, 1.0),
+    )
+    def test_present_consolidate_present(self, seed, theta_new, cut):
+        # consolidate moves nodes, so the second round runs on a rebuilt
+        # index over a forest that may hold one pattern twice
+        dataset = random_dataset(seed, max_vars=8, max_events=60)
+        head = dataset.events[: int(cut * len(dataset.events))]
+        tail = dataset.events[len(head) :]
+        fast = present_all(HierarchyStore(theta_new=theta_new), head)
+        slow = _oracle_present_all(HierarchyStore(theta_new=theta_new), head)
+        consolidate(fast)
+        _oracle_consolidate(slow)
+        assert tree_json(fast) == tree_json(slow)
+        present_all(fast, tail)
+        _oracle_present_all(slow, tail)
+        assert tree_json(fast) == tree_json(slow)
+        assert fast.presentations == slow.presentations == len(dataset.events)
+        consolidate(fast)
+        _oracle_consolidate(slow)
+        assert tree_json(fast) == tree_json(slow)
+
+    @given(events_over_six)
+    def test_hand_built_store(self, events):
+        fast = present_all(_hand_built_store(), events)
+        slow = _oracle_present_all(_hand_built_store(), events)
+        assert tree_json(fast) == tree_json(slow)
+        assert fast.presentations == slow.presentations == 13 + len(events)
+
+    @given(st.integers(0, 10_000))
+    def test_split_candidate_on_every_pass(self, seed):
+        dataset = random_dataset(seed, max_vars=8, max_events=60)
+        store = present_all(HierarchyStore(), dataset.events)
+        while True:
+            merge = hierarchy._find_merge(store)
+            if merge is not None:
+                hierarchy._merge(store, *merge)
+                continue
+            split = hierarchy._find_split(store)
+            expected = find_split_oracle(store)
+            if expected is None:
+                assert split is None
+                return
+            assert split[0] is expected[0]
+            assert split[1] is expected[1]
+            assert split[2] == expected[2]
+            hierarchy._split(store, *split)
+
+    def test_index_rebuilt_after_consolidate(self):
+        store = _store(*([(A, B, C, D)] * 2 + [(A, B, C, D, E)] * 6))
+        assert store._index is not None
+        consolidate(store)
+        assert store._index is None
+        present_pattern(store, Event((A, B, C, D, E)))
+        (root,) = store.roots
+        assert root.occurrences == 9
 
 
 def test_seven_event_fixture_tree(seven):
