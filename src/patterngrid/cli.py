@@ -5,6 +5,10 @@ or more engines against a reference clustering, ``tables`` renders the
 three worked-example tables from the built-in fixture, and ``hierarchy``
 builds and consolidates a pattern hierarchy.
 
+Each engine run yields one ``EngineRun`` record, rendered once and in the
+requested format only: a text body, a JSON ``detail`` or CSV sections.
+``compare`` scores the partitions and renders no engine result.
+
 Output determinism is a hard contract: the same command on the same input
 produces byte-identical standard output, whatever the shard count. Timing
 always goes to standard error; ``--timing`` additionally embeds the
@@ -19,9 +23,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import counting, grid, hierarchy, reinforce
@@ -140,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     tables = sub.add_parser("tables", help="render the worked-example tables")
-    tables.set_defaults(func=cmd_tables)
+    # the worked example runs every engine at its defaults
+    tables.set_defaults(func=cmd_tables, shards=1, tau_link=2, gap_ties="high")
 
     hier = sub.add_parser("hierarchy", help="build and consolidate a pattern hierarchy")
     _add_input_flags(hier)
@@ -173,43 +180,17 @@ def _load_dataset(args) -> tuple[Dataset, float, str]:
     return dataset, ms, source
 
 
-def _chunks(events: tuple, shards: int) -> list[tuple]:
+def _count(count, merge, events: tuple, shards: int):
+    """``count(events)``, or with more than one shard, ``count`` over
+    contiguous chunks on a thread pool, the partial states merged in chunk
+    order. The chunking depends only on the shard count, so the output
+    does too; the pool never has more threads than there are CPUs."""
+    if shards == 1:
+        return count(events)
     size = math.ceil(len(events) / shards)
-    return [events[i : i + size] for i in range(0, len(events), size)]
-
-
-def _count_reinforce(dataset: Dataset, weights: Weights, shards: int) -> reinforce.ReinforceState:
-    if shards <= 1:
-        return reinforce.count_events(reinforce.ReinforceState.empty(dataset.n), dataset.events, weights)
-    if weights.delta:
-        raise ConfigError("sharded counting needs delta=0; the absence decrement is order sensitive")
-    chunks = _chunks(dataset.events, shards)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        states = list(
-            pool.map(
-                lambda chunk: reinforce.count_events(
-                    reinforce.ReinforceState.empty(dataset.n), chunk, weights
-                ),
-                chunks,
-            )
-        )
-    return functools.reduce(reinforce.merge, states)
-
-
-def _count_grid(dataset: Dataset, weights: Weights, shards: int) -> grid.CountMatrix:
-    if shards <= 1:
-        return grid.count_events(grid.CountMatrix.zeros(dataset.n), dataset.events, weights.omega_i)
-    chunks = _chunks(dataset.events, shards)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        matrices = list(
-            pool.map(
-                lambda chunk: grid.count_events(
-                    grid.CountMatrix.zeros(dataset.n), chunk, weights.omega_i
-                ),
-                chunks,
-            )
-        )
-    return functools.reduce(grid.grid_merge, matrices)
+    chunks = [events[i : i + size] for i in range(0, len(events), size)]
+    with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        return functools.reduce(merge, list(pool.map(count, chunks)))
 
 
 def _cluster_section(partition: Partition, labels: Sequence[str]) -> list[str]:
@@ -251,35 +232,79 @@ def _instances_text(store: counting.InstanceStore, labels) -> list[str]:
     return lines
 
 
-def _run_method(method: str, dataset: Dataset, weights: Weights, args):
-    """Count and extract with one engine.
+@dataclass(frozen=True, slots=True)
+class EngineRun:
+    """One engine's count and extract: what it found, the engine's own
+    result for the renderers to read, and the two stage times. ``result``
+    is ``(ReinforceState, bands)`` for reinforce, the ``InstanceStore``
+    for cm and the ``CountMatrix`` for grid."""
 
-    Returns (partition, links, text body lines, detail payload, count ms,
-    extract ms)."""
-    labels = dataset.labels
+    method: str
+    partition: Partition
+    links: tuple
+    result: object
+    count_ms: float
+    extract_ms: float
+
+
+def _run_method(method: str, dataset: Dataset, weights: Weights, args) -> EngineRun:
+    """Count and extract with one engine. Renders nothing."""
+    if args.shards < 1:
+        raise ConfigError(f"--shards must be at least 1, got {args.shards}")
     started = time.perf_counter()
+    links: tuple = ()
+    n = dataset.n
     if method == "reinforce":
-        state = _count_reinforce(dataset, weights, args.shards)
+        if args.shards > 1 and weights.delta:
+            raise ConfigError("sharded counting needs delta=0; the absence decrement is order sensitive")
+        state = _count(
+            lambda events: reinforce.count_events(reinforce.ReinforceState.empty(n), events, weights),
+            reinforce.merge,
+            dataset.events, args.shards,
+        )
         counted = time.perf_counter()
         bands = reinforce.band_clusters(state)
         partition = reinforce.bands_to_partition(bands, state.n)
-        extracted = time.perf_counter()
-        text = _reinforce_text(state, bands, labels)
-        detail = {
+        result = (state, bands)
+    elif method == "cm":
+        result = counting.present_all(counting.InstanceStore.empty(n), dataset.events, weights)
+        counted = time.perf_counter()
+        partition = counting.select_clusters(result)
+    elif method == "grid":
+        result = _count(
+            lambda events: grid.count_events(grid.CountMatrix.zeros(n), events, weights.omega_i),
+            grid.grid_merge,
+            dataset.events, args.shards,
+        )
+        counted = time.perf_counter()
+        extracted = grid.extract_clusters(result, args.tau_link, ties=args.gap_ties)
+        partition, links = extracted.partition, extracted.links
+    else:
+        raise ConfigError(f"unknown method {method!r}")
+    extract_ms = (time.perf_counter() - counted) * 1000
+    return EngineRun(method, partition, links, result, (counted - started) * 1000, extract_ms)
+
+
+def _text_body(run: EngineRun, labels) -> list[str]:
+    if run.method == "reinforce":
+        return _reinforce_text(*run.result, labels)
+    if run.method == "cm":
+        return _instances_text(run.result, labels)
+    return grid.matrix_text(run.result, labels).splitlines()
+
+
+def _detail_json(run: EngineRun, labels) -> dict:
+    if run.method == "reinforce":
+        state, bands = run.result
+        return {
             "counts": {labels[v]: state.counts[v] for v in range(state.n)},
             "bands": [
                 {"count": value, "members": sorted(labels[v] for v in members)}
                 for value, members in bands
             ],
         }
-        links: tuple = ()
-    elif method == "cm":
-        store = counting.present_all(counting.InstanceStore.empty(dataset.n), dataset.events, weights)
-        counted = time.perf_counter()
-        partition = counting.select_clusters(store)
-        extracted = time.perf_counter()
-        text = _instances_text(store, labels)
-        detail = {
+    if run.method == "cm":
+        return {
             "instances": [
                 {
                     "pattern": sorted(labels[v] for v in r.pattern),
@@ -287,21 +312,25 @@ def _run_method(method: str, dataset: Dataset, weights: Weights, args):
                     "global": r.global_count,
                     "coherence": counting.coherence(r),
                 }
-                for r in store.records
+                for r in run.result.records
             ]
         }
-        links = ()
-    elif method == "grid":
-        matrix = _count_grid(dataset, weights, args.shards)
-        counted = time.perf_counter()
-        result = grid.extract_clusters(matrix, args.tau_link, ties=args.gap_ties)
-        extracted = time.perf_counter()
-        partition, links = result.partition, result.links
-        text = grid.matrix_text(matrix, labels).splitlines()
-        detail = {"matrix": grid.matrix_json(matrix, labels)}
+    return {"matrix": grid.matrix_json(run.result, labels)}
+
+
+def _csv_sections(run: EngineRun, partition: Partition, labels) -> list[list[str]]:
+    if run.method == "reinforce":
+        sections = [_counts_csv(run.result[0], labels)]
+    elif run.method == "cm":
+        sections = [_instances_csv(run.result, labels)]
     else:
-        raise ConfigError(f"unknown method {method!r}")
-    return partition, links, text, detail, (counted - started) * 1000, (extracted - counted) * 1000
+        sections = [grid.matrix_csv(run.result, labels).removesuffix("\n").split("\n")]
+    sections.append(_assignment_csv(partition, labels))
+    if run.method == "grid":
+        sections.append(
+            ["a,b,strength"] + [f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in run.links]
+        )
+    return sections
 
 
 def _links_json(links, labels) -> list[dict]:
@@ -332,25 +361,15 @@ def _parameters(args, source: str) -> dict:
     return params
 
 
-def _counts_csv(detail: dict) -> list[str]:
-    return ["variable,count"] + [f"{label},{count}" for label, count in detail["counts"].items()]
+def _counts_csv(state: reinforce.ReinforceState, labels) -> list[str]:
+    return ["variable,count"] + [f"{labels[v]},{state.counts[v]}" for v in range(state.n)]
 
 
-def _matrix_csv(detail: dict) -> list[str]:
-    payload = detail["matrix"]
-    labels, cells = payload["labels"], payload["cells"]
-    rows = ["," + ",".join(labels)]
-    for i, label in enumerate(labels):
-        rows.append(
-            label + "," + ",".join("x" if i == j else str(cells[i][j]) for j in range(len(labels)))
-        )
-    return rows
-
-
-def _instances_csv(detail: dict) -> list[str]:
+def _instances_csv(store: counting.InstanceStore, labels) -> list[str]:
     rows = ["pattern,local,global,coherence"]
-    for inst in detail["instances"]:
-        rows.append(f"{';'.join(inst['pattern'])},{inst['local']},{inst['global']},{inst['coherence']}")
+    for r in store.records:
+        pattern = ";".join(sorted(labels[v] for v in r.pattern))
+        rows.append(f"{pattern},{r.local_count},{r.global_count},{counting.coherence(r)}")
     return rows
 
 
@@ -369,17 +388,15 @@ def cmd_cluster(args) -> int:
     weights = Weights(args.omega_i, args.omega_g, args.delta)
     dataset, parse_ms, source = _load_dataset(args)
     labels = dataset.labels
-    partition, links, text, detail, count_ms, extract_ms = _run_method(
-        args.method, dataset, weights, args
-    )
+    run = _run_method(args.method, dataset, weights, args)
+    partition = run.partition
     if args.singletons == "clusters":
         partition = partition.with_singleton_clusters()
 
-    timing = {"parse": parse_ms, "count": count_ms, "extract": extract_ms}
-    print(
-        f"timing: parse={parse_ms:.1f}ms count={count_ms:.1f}ms extract={extract_ms:.1f}ms",
-        file=sys.stderr,
+    timing_line = (
+        f"timing: parse={parse_ms:.1f}ms count={run.count_ms:.1f}ms extract={run.extract_ms:.1f}ms"
     )
+    print(timing_line, file=sys.stderr)
 
     if args.format == "json":
         payload = {
@@ -387,34 +404,21 @@ def cmd_cluster(args) -> int:
             "parameters": _parameters(args, source),
             "clusters": partition.label_clusters(labels),
             "unassigned": partition.label_unassigned(labels),
-            "links": _links_json(links, labels),
-            "detail": detail,
+            "links": _links_json(run.links, labels),
+            "detail": _detail_json(run, labels),
         }
         if args.timing:
-            payload["timing_ms"] = timing
+            payload["timing_ms"] = {"parse": parse_ms, "count": run.count_ms, "extract": run.extract_ms}
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        if args.method == "reinforce":
-            sections = [_counts_csv(detail)]
-        elif args.method == "cm":
-            sections = [_instances_csv(detail)]
-        else:
-            sections = [_matrix_csv(detail)]
-        sections.append(_assignment_csv(partition, labels))
-        if args.method == "grid":
-            sections.append(
-                ["a,b,strength"] + [f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in links]
-            )
-        print("\n\n".join("\n".join(s) for s in sections))
+        print("\n\n".join("\n".join(s) for s in _csv_sections(run, partition, labels)))
     else:
         lines = [f"method: {args.method}", f"variables: {dataset.n}", f"events: {len(dataset.events)}"]
-        lines += text
+        lines += _text_body(run, labels)
         lines += _cluster_section(partition, labels)
-        lines += _link_section(links, labels)
+        lines += _link_section(run.links, labels)
         if args.timing:
-            lines.append(
-                f"timing: parse={parse_ms:.1f}ms count={count_ms:.1f}ms extract={extract_ms:.1f}ms"
-            )
+            lines.append(timing_line)
         print("\n".join(lines))
     return 0
 
@@ -446,10 +450,10 @@ def cmd_compare(args) -> int:
     reports = {}
     timing: dict = {"parse": parse_ms}
     for method in methods:
-        partition, _, _, _, count_ms, extract_ms = _run_method(method, dataset, weights, args)
-        reports[method] = pairwise_agreement(partition, reference_partition)
-        timing[method] = {"count": count_ms, "extract": extract_ms}
-        print(f"timing[{method}]: count={count_ms:.1f}ms extract={extract_ms:.1f}ms", file=sys.stderr)
+        run = _run_method(method, dataset, weights, args)
+        reports[method] = pairwise_agreement(run.partition, reference_partition)
+        timing[method] = {"count": run.count_ms, "extract": run.extract_ms}
+        print(f"timing[{method}]: count={run.count_ms:.1f}ms extract={run.extract_ms:.1f}ms", file=sys.stderr)
 
     if args.format == "json":
         payload = {
@@ -474,29 +478,20 @@ def cmd_tables(args) -> int:
     dataset = load_fixture("seven_event")
     assert isinstance(dataset, Dataset)
     labels = dataset.labels
-    weights = Weights()
-
-    state = reinforce.count_events(reinforce.ReinforceState.empty(dataset.n), dataset.events)
-    bands = reinforce.band_clusters(state)
-
-    store = counting.present_all(counting.InstanceStore.empty(dataset.n), dataset.events, weights)
-    selected = counting.select_clusters(store)
-
-    matrix = grid.count_events(grid.CountMatrix.zeros(dataset.n), dataset.events)
-    extracted = grid.extract_clusters(matrix, 2)
+    runs = {m: _run_method(m, dataset, Weights(), args) for m in METHODS}
 
     lines = ["== variable counts =="]
-    lines += _reinforce_text(state, bands, labels)
+    lines += _text_body(runs["reinforce"], labels)
     lines.append("")
     lines.append("== unique instances ==")
-    lines += _instances_text(store, labels)
+    lines += _text_body(runs["cm"], labels)
     lines.append("selected:")
-    lines.extend(f"  {','.join(group)}" for group in selected.label_clusters(labels))
+    lines.extend(f"  {','.join(group)}" for group in runs["cm"].partition.label_clusters(labels))
     lines.append("")
     lines.append("== co-occurrence grid ==")
-    lines += grid.matrix_text(matrix, labels).splitlines()
-    lines += _cluster_section(extracted.partition, labels)
-    lines += _link_section(extracted.links, labels)
+    lines += _text_body(runs["grid"], labels)
+    lines += _cluster_section(runs["grid"].partition, labels)
+    lines += _link_section(runs["grid"].links, labels)
     print("\n".join(lines))
     return 0
 

@@ -93,14 +93,14 @@ def parse_transactions(
         rows.append((label, members))
 
     if transpose:
-        by_member: dict[str, list[str]] = {}
+        # each member's records, first appearance first; a dict dedupes a
+        # repeated record label in constant time
+        by_member: dict[str, dict[str, None]] = {}
         for label, members in rows:
             assert label is not None
             for m in members:
-                group = by_member.setdefault(m, [])
-                if label not in group:
-                    group.append(label)
-        raw = list(by_member.values())
+                by_member.setdefault(m, {})[label] = None
+        raw = [list(group) for group in by_member.values()]
     else:
         raw = [members for _, members in rows]
 

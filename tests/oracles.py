@@ -171,6 +171,20 @@ def find_split_oracle(store):
     return None
 
 
+def transpose_oracle(records: list[list[str]]) -> list[list[str]]:
+    """The transpose pivot the obvious way: for each member in first-seen
+    order, the record labels it appears under, a repeated label dropped
+    after a scan of the labels kept so far. Each record is
+    ``[label, member, ...]``."""
+    by_member: dict[str, list[str]] = {}
+    for label, *members in records:
+        for m in members:
+            group = by_member.setdefault(m, [])
+            if label not in group:
+                group.append(label)
+    return list(by_member.values())
+
+
 def random_dataset(seed: int, max_vars: int = 12, max_events: int = 50) -> Dataset:
     """A small random dataset; sizes and members drawn only via random()."""
     rng = random.Random(seed)

@@ -1,10 +1,12 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from patterngrid import cli, grid
 from patterngrid.cli import entry
 from patterngrid.synth import synthetic_plants_text
 
@@ -48,10 +50,54 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / f"cluster_{method}.txt").read_text()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
+    def test_cluster_formats(self, capsys, method, fmt):
+        code, out, _ = run(
+            capsys, "cluster", "--method", method, "--fixture", "seven_event", "--format", fmt
+        )
+        assert code == 0
+        assert out == (GOLDEN / f"cluster_{method}.{fmt}").read_text()
+
     def test_hierarchy_text(self, capsys):
         code, out, _ = run(capsys, "hierarchy", "--fixture", "seven_event")
         assert code == 0
         assert out == (GOLDEN / "hierarchy.txt").read_text()
+
+
+class TestRenderOnce:
+    """Each engine result is rendered only in the format asked for."""
+
+    @staticmethod
+    def refuse(monkeypatch, *targets):
+        def refused(*args, **kwargs):
+            raise AssertionError("renderer called for a format nobody asked for")
+
+        for module, name in targets:
+            monkeypatch.setattr(module, name, refused)
+
+    TEXT = ((grid, "matrix_text"), (cli, "_reinforce_text"), (cli, "_instances_text"))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
+    def test_cluster_renders_no_text(self, capsys, monkeypatch, method, fmt):
+        self.refuse(monkeypatch, *self.TEXT)
+        code, out, _ = run(
+            capsys, "cluster", "--method", method, "--fixture", "seven_event", "--format", fmt
+        )
+        assert code == 0
+        assert out == (GOLDEN / f"cluster_{method}.{fmt}").read_text()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_compare_renders_no_engine_result(self, capsys, monkeypatch, small_corpus, fmt):
+        argv = (
+            "compare", "--input", small_corpus, "--method", "reinforce,cm,grid",
+            "--reference", "plants_reference", "--format", fmt,
+        )
+        expected = run(capsys, *argv)[:2]
+        self.refuse(monkeypatch, *self.TEXT, (grid, "matrix_json"))
+        assert run(capsys, *argv)[:2] == expected
+        assert expected[0] == 0
 
 
 class TestJson:
@@ -211,6 +257,24 @@ class TestDeterminism:
         assert base[0] == sharded[0] == 0
         assert base[1] == sharded[1]
 
+    @pytest.mark.parametrize("method", ["grid", "reinforce"])
+    def test_shard_threads_capped_at_cpu_count(self, capsys, monkeypatch, small_corpus, method):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ("cluster", "--method", method, "--input", small_corpus, "--format", "json")
+        base = run(capsys, *argv)
+        sharded = run(capsys, *argv, "--shards", "16")
+        assert pools == [2]
+        assert base[0] == sharded[0] == 0
+        assert base[1] == sharded[1]
+
     def test_repeat_runs_identical(self, capsys, small_corpus):
         first = run(capsys, "cluster", "--method", "grid", "--input", small_corpus)
         second = run(capsys, "cluster", "--method", "grid", "--input", small_corpus)
@@ -285,6 +349,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert "delta" in err
+
+    @pytest.mark.parametrize("method,shards", [("grid", "0"), ("reinforce", "-1"), ("cm", "0")])
+    def test_shards_below_one_rejected(self, capsys, method, shards):
+        code, _, err = run(
+            capsys,
+            "cluster", "--method", method, "--fixture", "seven_event", "--shards", shards,
+        )
+        assert code == 2
+        assert "--shards must be at least 1" in err
 
     def test_bad_weight_rejected(self, capsys):
         code, _, err = run(

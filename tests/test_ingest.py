@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from patterngrid.ingest import (
     FIXTURES,
@@ -15,7 +17,9 @@ from patterngrid.ingest import (
     reference_from_clusters,
     serialize_transactions,
 )
-from patterngrid.model import ConfigError, DataError, Dataset
+from patterngrid.model import ConfigError, DataError, Dataset, build_vocabulary
+
+from .oracles import transpose_oracle
 
 MEMBERS = TransactionFormat(label_policy=LabelPolicy.MEMBERS)
 
@@ -94,6 +98,28 @@ class TestTranspose:
         dataset = _parse("s1,al,ak\ns2,al\n", transpose=True)
         assert dataset.labels == ("s1", "s2")
         assert [e.members for e in dataset.events] == [(0, 1), (0,)]
+
+    def test_repeated_record_labels_listed_once(self):
+        dataset = _parse("s1,al,ak\ns2,al\ns1,ak,fl\ns2,al,fl\n", transpose=True)
+        assert dataset.labels == ("s1", "s2")
+        assert [e.members for e in dataset.events] == [(0, 1), (0,), (0, 1)]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["s1", "s2", "s3"]),
+                st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, unique=True),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_pivot_matches_list_scan(self, records):
+        rows = [[label, *members] for label, members in records]
+        dataset = _parse("".join(",".join(row) + "\n" for row in rows), transpose=True)
+        expected = build_vocabulary(transpose_oracle(rows))
+        assert dataset.variables == expected.variables
+        assert dataset.events == expected.events
 
     def test_requires_record_labels(self):
         with pytest.raises(ConfigError):
