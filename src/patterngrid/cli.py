@@ -10,9 +10,9 @@ requested format only: a text body, a JSON ``detail`` or CSV sections.
 ``compare`` scores the partitions and renders no engine result.
 
 Output determinism is a hard contract: the same command on the same input
-produces byte-identical standard output, whatever the shard count. Timing
-always goes to standard error; ``--timing`` additionally embeds the
-(necessarily unstable) numbers in the payload for whoever asks for them.
+produces byte-identical standard output. Timing always goes to standard
+error; ``--timing`` additionally embeds the (necessarily unstable) numbers
+in the payload for whoever asks for them.
 
 Exit codes: 0 success, 1 input error, 2 configuration error.
 """
@@ -20,13 +20,9 @@ Exit codes: 0 success, 1 input error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,15 +90,6 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shard_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard reinforce/grid counting and merge; cm always runs sequentially",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patterngrid",
@@ -116,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--format", choices=["text", "json", "csv"], default="text")
     _add_weight_flags(cluster)
     _add_grid_flags(cluster)
-    _add_shard_flag(cluster)
     cluster.add_argument(
         "--singletons",
         choices=["unassigned", "clusters"],
@@ -141,13 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--format", choices=["text", "json"], default="text")
     _add_weight_flags(compare)
     _add_grid_flags(compare)
-    _add_shard_flag(compare)
     compare.add_argument("--timing", action="store_true", help="embed timing in the output")
     compare.set_defaults(func=cmd_compare)
 
     tables = sub.add_parser("tables", help="render the worked-example tables")
     # the worked example runs every engine at its defaults
-    tables.set_defaults(func=cmd_tables, shards=1, tau_link=2, gap_ties="high")
+    tables.set_defaults(func=cmd_tables, tau_link=2, gap_ties="high")
 
     hier = sub.add_parser("hierarchy", help="build and consolidate a pattern hierarchy")
     _add_input_flags(hier)
@@ -178,19 +163,6 @@ def _load_dataset(args) -> tuple[Dataset, float, str]:
     if dataset.diagnostics:
         print(f"diagnostics: {len(dataset.diagnostics)} lines skipped", file=sys.stderr)
     return dataset, ms, source
-
-
-def _count(count, merge, events: tuple, shards: int):
-    """``count(events)``, or with more than one shard, ``count`` over
-    contiguous chunks on a thread pool, the partial states merged in chunk
-    order. The chunking depends only on the shard count, so the output
-    does too; the pool never has more threads than there are CPUs."""
-    if shards == 1:
-        return count(events)
-    size = math.ceil(len(events) / shards)
-    chunks = [events[i : i + size] for i in range(0, len(events), size)]
-    with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-        return functools.reduce(merge, list(pool.map(count, chunks)))
 
 
 def _cluster_section(partition: Partition, labels: Sequence[str]) -> list[str]:
@@ -249,19 +221,11 @@ class EngineRun:
 
 def _run_method(method: str, dataset: Dataset, weights: Weights, args) -> EngineRun:
     """Count and extract with one engine. Renders nothing."""
-    if args.shards < 1:
-        raise ConfigError(f"--shards must be at least 1, got {args.shards}")
     started = time.perf_counter()
     links: tuple = ()
     n = dataset.n
     if method == "reinforce":
-        if args.shards > 1 and weights.delta:
-            raise ConfigError("sharded counting needs delta=0; the absence decrement is order sensitive")
-        state = _count(
-            lambda events: reinforce.count_events(reinforce.ReinforceState.empty(n), events, weights),
-            reinforce.merge,
-            dataset.events, args.shards,
-        )
+        state = reinforce.count_events(reinforce.ReinforceState.empty(n), dataset.events, weights)
         counted = time.perf_counter()
         bands = reinforce.band_clusters(state)
         partition = reinforce.bands_to_partition(bands, state.n)
@@ -271,11 +235,7 @@ def _run_method(method: str, dataset: Dataset, weights: Weights, args) -> Engine
         counted = time.perf_counter()
         partition = counting.select_clusters(result)
     elif method == "grid":
-        result = _count(
-            lambda events: grid.count_events(grid.CountMatrix.zeros(n), events, weights.omega_i),
-            grid.grid_merge,
-            dataset.events, args.shards,
-        )
+        result = grid.count_events(grid.CountMatrix.zeros(n), dataset.events, weights.omega_i)
         counted = time.perf_counter()
         extracted = grid.extract_clusters(result, args.tau_link, ties=args.gap_ties)
         partition, links = extracted.partition, extracted.links
@@ -338,9 +298,7 @@ def _links_json(links, labels) -> list[dict]:
 
 
 def _parameters(args, source: str) -> dict:
-    """Result-shaping parameters only: the shard count is deliberately not
-    echoed, because counting shards then merging must not change a single
-    output byte."""
+    """Result-shaping parameters only."""
     params = {"source": source}
     for name in (
         "label_policy",

@@ -236,14 +236,6 @@ def test_09_byte_identical_output(tmp_path):
         outputs = {run(argv, "1"), run(argv, "2"), run(argv, "1")}
         assert len(outputs) == 1, f"unstable output for {argv}"
 
-    sharded = [
-        ["cluster", "--method", "grid", "--input", str(corpus), "--format", "json"],
-        ["cluster", "--method", "reinforce", "--input", str(corpus), "--format", "text"],
-    ]
-    for argv in sharded:
-        base = run(argv + ["--shards", "1"], "1")
-        assert run(argv + ["--shards", "4"], "2") == base, f"shards changed output for {argv}"
-
 
 def test_10_corpus_hierarchy_under_one_second(plants_path):
     dataset = parse_transactions_path(plants_path)

@@ -1,11 +1,13 @@
 import json
-from concurrent.futures import ThreadPoolExecutor
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import patterngrid
 from patterngrid import cli, grid
 from patterngrid.cli import entry
 from patterngrid.synth import synthetic_plants_text
@@ -111,7 +113,6 @@ class TestJson:
         assert payload["links"] == [{"a": "A", "b": "E", "strength": 2}]
         assert payload["detail"]["matrix"]["cells"][0][1] == 4
         assert payload["parameters"]["source"] == "seven_event"
-        assert "shards" not in payload["parameters"]
         assert "timing_ms" not in payload
 
     def test_reinforce(self, capsys):
@@ -243,38 +244,6 @@ class TestComparisons:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("method", ["grid", "reinforce"])
-    def test_shards_do_not_change_output(self, capsys, small_corpus, method):
-        base = run(
-            capsys,
-            "cluster", "--method", method, "--input", small_corpus, "--format", "json",
-        )
-        sharded = run(
-            capsys,
-            "cluster", "--method", method, "--input", small_corpus, "--format", "json",
-            "--shards", "4",
-        )
-        assert base[0] == sharded[0] == 0
-        assert base[1] == sharded[1]
-
-    @pytest.mark.parametrize("method", ["grid", "reinforce"])
-    def test_shard_threads_capped_at_cpu_count(self, capsys, monkeypatch, small_corpus, method):
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        argv = ("cluster", "--method", method, "--input", small_corpus, "--format", "json")
-        base = run(capsys, *argv)
-        sharded = run(capsys, *argv, "--shards", "16")
-        assert pools == [2]
-        assert base[0] == sharded[0] == 0
-        assert base[1] == sharded[1]
-
     def test_repeat_runs_identical(self, capsys, small_corpus):
         first = run(capsys, "cluster", "--method", "grid", "--input", small_corpus)
         second = run(capsys, "cluster", "--method", "grid", "--input", small_corpus)
@@ -341,23 +310,25 @@ class TestExitCodes:
         assert code == 2
         assert "bogus" in err
 
-    def test_sharded_delta_rejected(self, capsys):
-        code, _, err = run(
-            capsys,
-            "cluster", "--method", "reinforce", "--fixture", "seven_event",
-            "--delta", "1", "--shards", "4",
-        )
-        assert code == 2
-        assert "delta" in err
-
-    @pytest.mark.parametrize("method,shards", [("grid", "0"), ("reinforce", "-1"), ("cm", "0")])
-    def test_shards_below_one_rejected(self, capsys, method, shards):
-        code, _, err = run(
-            capsys,
-            "cluster", "--method", method, "--fixture", "seven_event", "--shards", shards,
-        )
-        assert code == 2
-        assert "--shards must be at least 1" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cluster", "--method", "grid", "--input", "/nope/missing.data", "--shards", "4"),
+            ("cluster", "--method", "reinforce", "--fixture", "seven_event",
+             "--delta", "1", "--shards", "4"),
+            ("compare", "--input", "/nope/missing.data", "--reference", "plants_reference",
+             "--shards", "2"),
+            # seven_event does not align with plants_reference: exit 1 once read
+            ("compare", "--fixture", "seven_event", "--reference", "plants_reference",
+             "--shards", "0"),
+        ],
+        ids=["cluster-missing-input", "cluster-delta", "compare-missing-input", "compare-unaligned"],
+    )
+    def test_shards_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            entry(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
     def test_bad_weight_rejected(self, capsys):
         code, _, err = run(
@@ -369,3 +340,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             entry(["cluster", "--method", "nonsense", "--fixture", "seven_event"])
         assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # every CLI process pays for what importing the CLI loads
+    package_root = str(Path(patterngrid.__file__).resolve().parents[1])
+    probe = (
+        "import sys, patterngrid.cli; patterngrid.cli.build_parser(); "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
