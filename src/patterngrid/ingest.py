@@ -162,17 +162,23 @@ def reference_from_clusters(cluster_label_sets) -> ReferenceClusters:
     """Build a ReferenceClusters whose universe is exactly the labels the
     clusters mention, in first-mention order."""
     clusters = tuple(tuple(c) for c in cluster_label_sets)
-    seen: list[str] = []
+    labels: list[str] = []
+    seen: set[str] = set()
     for cluster in clusters:
         if not cluster:
             raise DataError("reference contains an empty cluster")
         for label in cluster:
-            if label in seen:
+            try:
+                repeated = label in seen
+            except TypeError:
+                raise DataError(f"reference label {label!r} is not hashable") from None
+            if repeated:
                 raise DataError(f"label {label!r} appears in two reference clusters")
-            seen.append(label)
+            seen.add(label)
+            labels.append(label)
     if not clusters:
         raise DataError("reference contains no clusters")
-    return ReferenceClusters(tuple(seen), clusters)
+    return ReferenceClusters(tuple(labels), clusters)
 
 
 def load_reference_path(path: str) -> ReferenceClusters:

@@ -6,6 +6,12 @@ does not. Grouping variables into bands of equal count is kept as the
 comparison baseline; it deliberately ignores any structure inside the
 events, which is exactly why its clusters come out wrong on structured
 input.
+
+``update`` applies one event eagerly and is the reference. ``count_events``
+applies absence decrements late: a variable's missed steps are applied when
+it next appears and once at the end, so absent variables are never visited
+per event. The counts equal the fold of ``update``, value and type, for
+integer and float weights alike.
 """
 
 from __future__ import annotations
@@ -51,9 +57,52 @@ def update(state: ReinforceState, event: Event, weights: Weights = Weights()) ->
     return state
 
 
+def _decay(count: int | float, steps: int, delta: int | float) -> int | float:
+    """Apply ``steps >= 1`` eager absence steps, stopping once floored.
+
+    ``max(0, x)`` returns the int 0 whenever ``x <= 0``, and every later
+    step leaves that 0 unchanged, so the early stop is exact.
+    """
+    count = max(0, count - delta)
+    while steps > 1 and count > 0:
+        count = max(0, count - delta)
+        steps -= 1
+    return count
+
+
 def count_events(state: ReinforceState, events, weights: Weights = Weights()) -> ReinforceState:
-    for event in events:
-        update(state, event, weights)
+    """Fold ``events`` into ``state``; equal to calling ``update`` on each.
+
+    Absence decrements are applied late: ``seen[v]`` is how many events have
+    been applied to ``v``, and its pending steps run when it next appears
+    and, for every variable, once after the loop. That last step is in a
+    ``finally``, so a DataError part-way through leaves the state the eager
+    fold over the events before the bad one would.
+    """
+    counts = state.counts
+    n = state.n
+    omega_i, delta = weights.omega_i, weights.delta
+    if not delta:
+        for event in events:
+            validate_event(event, n)
+            for v in event.members:
+                counts[v] += omega_i
+        return state
+    seen = [0] * n
+    applied = 0
+    try:
+        for t, event in enumerate(events):
+            validate_event(event, n)
+            for v in event.members:
+                if seen[v] < t:
+                    counts[v] = _decay(counts[v], t - seen[v], delta)
+                counts[v] += omega_i
+                seen[v] = t + 1
+            applied = t + 1
+    finally:
+        for v in range(n):
+            if seen[v] < applied:
+                counts[v] = _decay(counts[v], applied - seen[v], delta)
     return state
 
 

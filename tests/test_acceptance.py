@@ -3,7 +3,8 @@
 One test per contract line, in order, so a verbose run reads as a checklist:
 exact worked-example tables, oracle equivalence on random data, ordering
 invariance, corpus-scale performance, reference agreement, hierarchy fixed
-point, byte determinism, and corpus-scale hierarchy performance.
+point, byte determinism, corpus-scale hierarchy performance, and
+corpus-scale reinforcement with the absence decrement.
 """
 
 import json
@@ -246,3 +247,17 @@ def test_10_corpus_hierarchy_under_one_second(plants_path):
 
     assert elapsed < 1.0, f"present+consolidate took {elapsed:.2f}s"
     assert hierarchy.total_mass(store) == len(dataset.events)
+
+
+def test_11_corpus_reinforce_with_delta_under_point_two_seconds(plants_path):
+    dataset = parse_transactions_path(plants_path)
+    weights = Weights(delta=1)
+    started = time.perf_counter()
+    state = reinforce.count_events(reinforce.ReinforceState.empty(dataset.n), dataset.events, weights)
+    elapsed = time.perf_counter() - started
+
+    assert elapsed < 0.2, f"count_events with delta=1 took {elapsed:.2f}s"
+    eager = reinforce.ReinforceState.empty(dataset.n)
+    for event in dataset.events:
+        reinforce.update(eager, event, weights)
+    assert [repr(c) for c in state.counts] == [repr(c) for c in eager.counts]

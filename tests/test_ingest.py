@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 from hypothesis import given
@@ -147,8 +148,24 @@ class TestReference:
         assert ref.partition.unassigned == frozenset()
 
     def test_duplicate_label_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^label 'b' appears in two reference clusters$"):
             reference_from_clusters([("a", "b"), ("b",)])
+
+    def test_unhashable_label_rejected(self):
+        with pytest.raises(DataError, match="not hashable"):
+            reference_from_clusters([("a", ["b"])])
+
+    def test_full_size_reference_is_linear(self):
+        # one label per record of the full-size corpus, as --transpose makes them
+        labels = [f"r{i}" for i in range(34_781)]
+        clusters = [labels[i : i + 7] for i in range(0, len(labels), 7)]
+        started = time.perf_counter()
+        ref = reference_from_clusters(clusters)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"building the reference took {elapsed:.2f}s"
+        assert ref.labels == tuple(labels)
+        with pytest.raises(DataError, match="^label 'r0' appears in two reference clusters$"):
+            reference_from_clusters(clusters + [["r0"]])
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(DataError):

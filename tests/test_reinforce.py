@@ -14,6 +14,28 @@ from patterngrid.reinforce import (
 
 from .oracles import frequency_oracle, random_dataset, sort_group_oracle
 
+# integers and non-integral floats, so an int count turning into a float
+# (0 into 0.0) shows up in a repr comparison
+_fractions = st.floats(0.05, 3.0).filter(lambda x: not x.is_integer())
+_omega_i = st.one_of(st.integers(1, 3), _fractions)
+_delta = st.one_of(st.just(0), st.integers(1, 3), _fractions)
+_hand_built_count = st.one_of(st.integers(-2, 4), st.sampled_from([0.0, -0.5, 0.25, 2.5]))
+
+
+@st.composite
+def _events(draw):
+    n = draw(st.integers(1, 8))
+    members = st.permutations(range(n)).flatmap(
+        lambda order: st.integers(1, n).map(lambda size: Event(tuple(order[:size])))
+    )
+    return n, draw(st.lists(members, max_size=40))
+
+
+def _eager(state, events, weights):
+    for event in events:
+        update(state, event, weights)
+    return state
+
 
 def test_seven_event_counts(seven):
     state = count_events(ReinforceState.empty(seven.n), seven.events)
@@ -117,3 +139,40 @@ def test_merge_commutes(seed_a, seed_b):
     a = count_events(ReinforceState.empty(6), random_dataset(seed_a, max_vars=6).events[:5])
     b = count_events(ReinforceState.empty(6), random_dataset(seed_b, max_vars=6).events[:5])
     assert merge(a, b).counts == merge(b, a).counts
+
+
+@given(_events(), _omega_i, _delta)
+def test_lazy_decrement_matches_eager_fold(drawn, omega_i, delta):
+    n, events = drawn
+    weights = Weights(omega_i=omega_i, delta=delta)
+    lazy = count_events(ReinforceState.empty(n), events, weights).counts
+    eager = _eager(ReinforceState.empty(n), events, weights).counts
+    oracle = frequency_oracle(events, n, omega_i=omega_i, delta=delta)
+    assert [repr(c) for c in lazy] == [repr(c) for c in eager]
+    assert [repr(c) for c in lazy] == [repr(c) for c in oracle]
+
+
+@given(_events(), _omega_i, st.one_of(_delta, st.just(0.0)), st.data())
+def test_lazy_decrement_from_any_start(drawn, omega_i, delta, data):
+    # a state built by hand may hold 0.0 or negative counts; the first
+    # absence step turns those into the int 0, as the eager loop does, and
+    # a delta of 0.0 applies no step at all
+    n, events = drawn
+    start = data.draw(st.lists(_hand_built_count, min_size=n, max_size=n))
+    weights = Weights(omega_i=omega_i, delta=delta)
+    lazy = count_events(ReinforceState(list(start)), events, weights).counts
+    eager = _eager(ReinforceState(list(start)), events, weights).counts
+    assert [repr(c) for c in lazy] == [repr(c) for c in eager]
+
+
+@given(_events(), _omega_i, _delta, st.data())
+def test_bad_event_leaves_eager_prefix(drawn, omega_i, delta, data):
+    n, events = drawn
+    cut = data.draw(st.integers(0, len(events)))
+    bad = Event((data.draw(st.integers(0, n - 1)), n))
+    weights = Weights(omega_i=omega_i, delta=delta)
+    lazy = ReinforceState.empty(n)
+    with pytest.raises(DataError):
+        count_events(lazy, [*events[:cut], bad, *events[cut:]], weights)
+    eager = _eager(ReinforceState.empty(n), events[:cut], weights)
+    assert [repr(c) for c in lazy.counts] == [repr(c) for c in eager.counts]
