@@ -6,6 +6,13 @@ a record label (the species name in the plants file, dropped from
 membership) or an ordinary member. Malformed lines are collected as
 diagnostics and skipped, never silently repaired; only a file with zero
 parseable records is fatal.
+
+Parsing is one pass: each line is tokenised, checked and encoded to dense
+ids in the same loop, and the Dataset is built once. The checks happen at
+this boundary, so the parser builds its Events and Dataset through the
+trusted constructors in ``model``; the public ``Event(...)``,
+``Dataset(...)`` and ``build_vocabulary`` keep every check for all other
+callers.
 """
 
 from __future__ import annotations
@@ -15,14 +22,16 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 from .model import (
     ConfigError,
     DataError,
     Dataset,
     Partition,
-    build_vocabulary,
+    Variable,
+    _trusted_events,
+    build_vocabulary,  # noqa: F401  re-exported; perfbench traces ingest.build_vocabulary
     partition_from_label_sets,
 )
 
@@ -61,6 +70,13 @@ def parse_transactions(
 ) -> Dataset:
     """Parse a byte stream of transaction lines into a Dataset.
 
+    One pass over the lines tokenises each one, rejects it with a
+    diagnostic (empty field, no members, duplicate member) or hands its
+    members dense ids in first-seen order. Rows are checked here, at the
+    boundary, so the Events and the Dataset are built without checking
+    them again; ``Event(...)``, ``Dataset(...)`` and ``build_vocabulary``
+    keep their own checks for every other caller.
+
     With ``transpose`` the file is flipped before encoding: record labels
     become the vocabulary and each member token becomes one event listing
     the records it appeared in (cluster species by state instead of states
@@ -70,44 +86,51 @@ def parse_transactions(
         raise ConfigError("transpose needs a record label to pivot on")
 
     text = source.read().decode(fmt.encoding, fmt.errors)
+    delimiter = fmt.delimiter
+    labelled = fmt.label_policy is LabelPolicy.RECORD_LABEL
+    ids: dict[str, int] = {}
+    rows: list[tuple[int, ...]] = []
+    # transpose: each member's records, first appearance first; the inner
+    # dict drops a repeated record label in constant time
+    by_member: dict[str, dict[str, None]] = {}
     diagnostics: list[str] = []
-    rows: list[tuple[str | None, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        tokens = [t.strip() for t in line.split(fmt.delimiter)]
-        if any(not t for t in tokens):
+        members = list(map(str.strip, line.split(delimiter)))
+        if "" in members:
             diagnostics.append(f"line {lineno}: empty field")
             continue
-        if fmt.label_policy is LabelPolicy.RECORD_LABEL:
-            label, members = tokens[0], tokens[1:]
-        else:
-            label, members = None, tokens
+        if labelled:
+            label = members.pop(0)
         if not members:
             diagnostics.append(f"line {lineno}: no members")
             continue
         if len(set(members)) != len(members):
             diagnostics.append(f"line {lineno}: duplicate member")
             continue
-        rows.append((label, members))
-
-    if transpose:
-        # each member's records, first appearance first; a dict dedupes a
-        # repeated record label in constant time
-        by_member: dict[str, dict[str, None]] = {}
-        for label, members in rows:
-            assert label is not None
+        if transpose:
             for m in members:
                 by_member.setdefault(m, {})[label] = None
-        raw = [list(group) for group in by_member.values()]
-    else:
-        raw = [members for _, members in rows]
+        else:
+            rows.append(_encode(members, ids))
+    if transpose:
+        rows = [_encode(group, ids) for group in by_member.values()]
 
-    if not raw:
+    if not rows:
         raise IngestError("no parseable records in the source")
-    dataset = build_vocabulary(raw)
-    return Dataset(dataset.variables, dataset.events, tuple(diagnostics) + dataset.diagnostics)
+    variables = tuple(map(Variable, range(len(ids)), ids))
+    return Dataset._trusted(variables, _trusted_events(rows), tuple(diagnostics))
+
+
+def _encode(tokens: Iterable[str], ids: dict[str, int]) -> tuple[int, ...]:
+    """The ids of distinct ``tokens``; a token not in ``ids`` gets the next
+    dense id there, so every id is below ``len(ids)`` by construction."""
+    try:
+        return tuple(map(ids.__getitem__, tokens))
+    except KeyError:
+        return tuple([ids.setdefault(t, len(ids)) for t in tokens])
 
 
 def parse_transactions_path(
@@ -141,10 +164,6 @@ class ReferenceClusters:
 
     labels: tuple[str, ...]
     cluster_label_sets: tuple[tuple[str, ...], ...]
-
-    @property
-    def partition(self) -> Partition:
-        return partition_from_label_sets(self.labels, self.cluster_label_sets)
 
     def align(self, labels) -> Partition:
         """The reference as a Partition over someone else's vocabulary."""

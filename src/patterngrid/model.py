@@ -52,6 +52,22 @@ class Event:
         return frozenset(self.members)
 
 
+def _trusted_events(rows: Iterable[tuple[int, ...]]) -> tuple[Event, ...]:
+    """Events built without ``Event.__post_init__``'s checks.
+
+    The caller guarantees that each row is a non-empty tuple of distinct
+    ints: only a parser that has already rejected empty and duplicate rows
+    may use it, and everyone else calls ``Event(...)``.
+    """
+    new, set_members = object.__new__, Event.members.__set__
+    events = []
+    for members in rows:
+        event = new(Event)
+        set_members(event, members)
+        events.append(event)
+    return tuple(events)
+
+
 def validate_event(event: Event, n: int) -> None:
     """Reject events that mention ids outside the vocabulary 0..n-1."""
     for m in event.members:
@@ -75,6 +91,25 @@ class Dataset:
         for event in self.events:
             validate_event(event, len(self.variables))
 
+    @classmethod
+    def _trusted(
+        cls,
+        variables: tuple[Variable, ...],
+        events: tuple[Event, ...],
+        diagnostics: tuple[str, ...],
+    ) -> Dataset:
+        """A Dataset built without ``__post_init__``'s range check.
+
+        The caller guarantees that every member id of every event lies in
+        ``0..len(variables)-1``, for instance because the ids were handed
+        out by the caller's own label dict, as ``variables`` lists them.
+        """
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "variables", variables)
+        object.__setattr__(dataset, "events", events)
+        object.__setattr__(dataset, "diagnostics", diagnostics)
+        return dataset
+
     @property
     def n(self) -> int:
         return len(self.variables)
@@ -82,12 +117,6 @@ class Dataset:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(v.label for v in self.variables)
-
-    def id_of(self, label: str) -> int:
-        for v in self.variables:
-            if v.label == label:
-                return v.id
-        raise DataError(f"label {label!r} not in the vocabulary")
 
     def decode(self, event: Event) -> list[str]:
         return [self.variables[i].label for i in event.members]

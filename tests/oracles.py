@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way on purpose: membership
 tests over whole event lists, pair loops, and exhaustive enumeration. None
-of it shares code with the engines beyond their data types.
+of it shares code with the engines beyond their data types, and the parse
+oracle's use of the public, fully checked ``build_vocabulary``.
 """
 
 from __future__ import annotations
@@ -10,18 +11,21 @@ from __future__ import annotations
 import random
 
 from patterngrid.hierarchy import Extension, PatternNode
-from patterngrid.model import Dataset, Event, Variable
+from patterngrid.ingest import IngestError, LabelPolicy, TransactionFormat
+from patterngrid.model import ConfigError, Dataset, Event, Variable, build_vocabulary
 
 
 def frequency_oracle(events, n: int, omega_i=1, delta=0) -> list:
-    """Per-variable counts by direct replay, one variable at a time."""
+    """Per-variable counts by direct replay, one variable at a time. The
+    absence decrement is optional: a zero ``delta`` applies no step at all,
+    so counts stay ints when ``delta`` is ``0.0``."""
     counts = []
     for v in range(n):
         value = 0
         for event in events:
             if v in event.members:
                 value += omega_i
-            else:
+            elif delta:
                 value = max(0, value - delta)
         counts.append(value)
     return counts
@@ -183,6 +187,53 @@ def transpose_oracle(records: list[list[str]]) -> list[list[str]]:
             if label not in group:
                 group.append(label)
     return list(by_member.values())
+
+
+def parse_oracle(
+    source, fmt: TransactionFormat = TransactionFormat(), *, transpose: bool = False
+) -> Dataset:
+    """The transaction parser in two passes: tokenise and check every line
+    into rows, pivot them for ``transpose``, then encode the rows with
+    ``build_vocabulary``, whose Events and Dataset check everything again."""
+    if transpose and fmt.label_policy is not LabelPolicy.RECORD_LABEL:
+        raise ConfigError("transpose needs a record label to pivot on")
+
+    text = source.read().decode(fmt.encoding, fmt.errors)
+    diagnostics: list[str] = []
+    rows: list[tuple[str | None, list[str]]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = [t.strip() for t in line.split(fmt.delimiter)]
+        if any(not t for t in tokens):
+            diagnostics.append(f"line {lineno}: empty field")
+            continue
+        if fmt.label_policy is LabelPolicy.RECORD_LABEL:
+            label, members = tokens[0], tokens[1:]
+        else:
+            label, members = None, tokens
+        if not members:
+            diagnostics.append(f"line {lineno}: no members")
+            continue
+        if len(set(members)) != len(members):
+            diagnostics.append(f"line {lineno}: duplicate member")
+            continue
+        rows.append((label, members))
+
+    if transpose:
+        by_member: dict[str, dict[str, None]] = {}
+        for label, members in rows:
+            for m in members:
+                by_member.setdefault(m, {})[label] = None
+        raw = [list(group) for group in by_member.values()]
+    else:
+        raw = [members for _, members in rows]
+
+    if not raw:
+        raise IngestError("no parseable records in the source")
+    dataset = build_vocabulary(raw)
+    return Dataset(dataset.variables, dataset.events, tuple(diagnostics) + dataset.diagnostics)
 
 
 def random_dataset(seed: int, max_vars: int = 12, max_events: int = 50) -> Dataset:

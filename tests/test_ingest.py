@@ -2,9 +2,10 @@ import io
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from patterngrid import ingest, model
 from patterngrid.ingest import (
     FIXTURES,
     IngestError,
@@ -18,9 +19,10 @@ from patterngrid.ingest import (
     reference_from_clusters,
     serialize_transactions,
 )
-from patterngrid.model import ConfigError, DataError, Dataset, build_vocabulary
+from patterngrid.model import ConfigError, DataError, Dataset, Event, Variable, build_vocabulary
+from patterngrid.synth import synthetic_plants_text
 
-from .oracles import transpose_oracle
+from .oracles import parse_oracle, transpose_oracle
 
 MEMBERS = TransactionFormat(label_policy=LabelPolicy.MEMBERS)
 
@@ -94,6 +96,103 @@ class TestParse:
         assert parse_transactions_path(str(path)) == _parse(text)
 
 
+def _outcome(parse, data: bytes, fmt: TransactionFormat, transpose: bool):
+    """The parsed Dataset's repr, or the type and message of the error."""
+    try:
+        return repr(parse(io.BytesIO(data), fmt, transpose=transpose))
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+_PADS = [b"", b"", b" ", b"\t", b"\xc2\xa0"]  # no-break space is whitespace to str.strip
+_TOKENS = [b"a", b"b", b"c", b"s1", b"s2", b"", b"caf\xc3\xa9", b"caf\xe9", b"\xff"]
+_ENDS = [b"\n", b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def _field(draw) -> bytes:
+    pad, token, tail = (draw(st.sampled_from(pieces)) for pieces in (_PADS, _TOKENS, _PADS))
+    return pad + token + tail
+
+
+@st.composite
+def _bad_line(draw, delimiter: bytes) -> bytes:
+    """A line rejected under both label policies: an empty field, or a
+    repeated member after a label."""
+    a, b = draw(st.sampled_from([b"a", b"b", b"s1"])), draw(st.sampled_from([b"a", b"s2"]))
+    empty_last, empty_inside = a + delimiter, a + delimiter + delimiter + b
+    repeated = b"r" + delimiter + a + delimiter + a
+    return draw(st.sampled_from([empty_last, empty_inside, repeated]))
+
+
+@st.composite
+def _transaction_bytes(draw) -> tuple[bytes, str]:
+    delimiter = draw(st.sampled_from([",", ";", "|", "\t"]))
+    sep = delimiter.encode()
+    fields = st.lists(_field(), min_size=1, max_size=5).map(sep.join)
+    blank = st.sampled_from([b"", b"  ", b"\t"])
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.one_of(fields, blank, _bad_line(sep)), max_size=12))
+    else:
+        lines = draw(st.lists(st.one_of(_bad_line(sep), blank), max_size=6))
+    data = b"".join(line + draw(st.sampled_from(_ENDS)) for line in lines)
+    return data, delimiter
+
+
+class TestOnePassMatchesOracle:
+    """The one-pass parser against the two-pass one it replaced."""
+
+    @settings(max_examples=300)
+    @given(_transaction_bytes(), st.sampled_from(list(LabelPolicy)), st.booleans())
+    @example((b"r1,a,a\nr2,,b\nr3\n", ","), LabelPolicy.RECORD_LABEL, False)
+    @example((b"r1,a,a\nr2,,b\nr3\n", ","), LabelPolicy.RECORD_LABEL, True)
+    @example((b"s1, a ,b\r\ns2,a\n\ns1,b,c\n", ","), LabelPolicy.RECORD_LABEL, True)
+    @example((b"a,b\n", ","), LabelPolicy.MEMBERS, True)
+    def test_same_dataset_or_error(self, drawn, policy, transpose):
+        data, delimiter = drawn
+        fmt = TransactionFormat(delimiter=delimiter, label_policy=policy)
+        expected = _outcome(parse_oracle, data, fmt, transpose)
+        assert _outcome(parse_transactions, data, fmt, transpose) == expected
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_synthetic_corpus(self, transpose):
+        data = synthetic_plants_text(500, 11).encode()
+        fmt = TransactionFormat()
+        expected = _outcome(parse_oracle, data, fmt, transpose)
+        assert _outcome(parse_transactions, data, fmt, transpose) == expected
+
+
+class TestValidatedOnce:
+    """A parsed line is checked once, at the boundary: the parser builds its
+    Events and its Dataset without checking them again."""
+
+    def test_parse_runs_no_second_check(self, monkeypatch):
+        data = (synthetic_plants_text(200, 3) + "bad,,line\nlabel-only\nr,a,a\n").encode()
+        fmt = TransactionFormat()
+        expected = {t: _outcome(parse_oracle, data, fmt, t) for t in (False, True)}
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a parsed row was checked a second time")
+
+        monkeypatch.setattr(model, "build_vocabulary", refused)
+        monkeypatch.setattr(ingest, "build_vocabulary", refused)
+        monkeypatch.setattr(model, "validate_event", refused)
+        monkeypatch.setattr(Event, "__post_init__", refused)
+        for transpose in (False, True):
+            assert _outcome(parse_transactions, data, fmt, transpose) == expected[transpose]
+
+    def test_public_constructors_keep_their_checks(self):
+        with pytest.raises(DataError, match="duplicate members"):
+            Event((1, 1))
+        with pytest.raises(DataError, match="outside vocabulary"):
+            Dataset((Variable(0, "a"),), (Event((0, 1)),))
+        dataset = build_vocabulary([["a", "a"], [], ["b"]])
+        assert dataset.diagnostics == (
+            "event 0: duplicate token in ['a', 'a']",
+            "event 1: no tokens",
+        )
+
+
 class TestTranspose:
     def test_pivots_members_into_records(self):
         dataset = _parse("s1,al,ak\ns2,al\n", transpose=True)
@@ -144,8 +243,9 @@ class TestReference:
     def test_universe_is_first_mention_order(self):
         ref = reference_from_clusters([("b", "a"), ("c",)])
         assert ref.labels == ("b", "a", "c")
-        assert ref.partition.clusters == (frozenset({0, 1}), frozenset({2}))
-        assert ref.partition.unassigned == frozenset()
+        partition = ref.align(ref.labels)
+        assert partition.clusters == (frozenset({0, 1}), frozenset({2}))
+        assert partition.unassigned == frozenset()
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(DataError, match="^label 'b' appears in two reference clusters$"):

@@ -54,9 +54,6 @@ class TestBuildVocabulary:
     def test_dataset_helpers(self):
         dataset = build_vocabulary([["x", "y"]])
         assert dataset.n == 2
-        assert dataset.id_of("y") == 1
-        with pytest.raises(DataError):
-            dataset.id_of("z")
         assert dataset.decode(dataset.events[0]) == ["x", "y"]
 
     @given(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patterngrid.model import DataError, Event, Weights
@@ -141,7 +141,8 @@ def test_merge_commutes(seed_a, seed_b):
     assert merge(a, b).counts == merge(b, a).counts
 
 
-@given(_events(), _omega_i, _delta)
+@given(_events(), _omega_i, st.one_of(_delta, st.just(0.0)))
+@example((2, [Event((0,)), Event((1,))]), 1, 0.0)  # a zero float delta keeps int counts
 def test_lazy_decrement_matches_eager_fold(drawn, omega_i, delta):
     n, events = drawn
     weights = Weights(omega_i=omega_i, delta=delta)
