@@ -12,7 +12,6 @@ from .counting import (
     InstanceRecord,
     InstanceStore,
     coherence,
-    coherence_ratio,
     present,
     present_all,
     select_clusters,
@@ -21,7 +20,6 @@ from .evaluate import AgreementReport, pairwise_agreement
 from .grid import (
     CountMatrix,
     GridClusterResult,
-    add_variable,
     extract_clusters,
     grid_merge,
     grid_update,
@@ -35,7 +33,6 @@ from .ingest import (
     load_fixture,
     parse_transactions,
     parse_transactions_path,
-    serialize_transactions,
 )
 from .model import (
     ConfigError,
@@ -73,12 +70,10 @@ __all__ = [
     "TransactionFormat",
     "Variable",
     "Weights",
-    "add_variable",
     "band_clusters",
     "bands_to_partition",
     "build_vocabulary",
     "coherence",
-    "coherence_ratio",
     "consolidate",
     "extract_clusters",
     "grid_merge",
@@ -93,6 +88,5 @@ __all__ = [
     "present_all",
     "present_pattern",
     "select_clusters",
-    "serialize_transactions",
     "total_mass",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -48,11 +49,19 @@ def _number(text: str):
     try:
         return int(text)
     except ValueError:
-        pass
+        return _finite_float(text)
+
+
+def _finite_float(text: str) -> float:
+    """A float flag value; nan and infinities are refused, since no count
+    or threshold can use them and JSON cannot carry them."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -137,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     hier = sub.add_parser("hierarchy", help="build and consolidate a pattern hierarchy")
     _add_input_flags(hier)
     hier.add_argument("--format", choices=["text", "json"], default="text")
-    hier.add_argument("--theta-merge", type=float, default=2.0)
-    hier.add_argument("--theta-split", type=float, default=2.0)
-    hier.add_argument("--theta-new", type=float, default=0.5)
+    hier.add_argument("--theta-merge", type=_finite_float, default=2.0)
+    hier.add_argument("--theta-split", type=_finite_float, default=2.0)
+    hier.add_argument("--theta-new", type=_finite_float, default=0.5)
     hier.add_argument("--timing", action="store_true", help="embed timing in the output")
     hier.set_defaults(func=cmd_hierarchy)
 
@@ -393,9 +402,11 @@ def _load_reference(ref: str) -> ReferenceClusters:
 
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} is repeated")
     if not methods:
         raise ConfigError("no methods requested")
     weights = Weights(args.omega_i, args.omega_g, args.delta)

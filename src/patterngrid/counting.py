@@ -94,24 +94,18 @@ def coherence(record: InstanceRecord) -> int | float:
     return record.global_count - record.local_count
 
 
-def coherence_ratio(record: InstanceRecord) -> float:
-    """Ratio form of the same measure, G/I; 1.0 is perfect. Opt-in alternative."""
-    return record.global_count / record.local_count
-
-
-def selection_key(record: InstanceRecord, *, use_ratio: bool = False):
+def selection_key(record: InstanceRecord):
     """Deterministic sort key: best coherence first, then larger I, smaller
     pattern, and finally the sorted id tuple."""
-    measure = coherence_ratio(record) if use_ratio else coherence(record)
-    return (measure, -record.local_count, len(record.pattern), tuple(sorted(record.pattern)))
+    return (coherence(record), -record.local_count, len(record.pattern), tuple(sorted(record.pattern)))
 
 
-def select_clusters(store: InstanceStore, *, use_ratio: bool = False) -> Partition:
+def select_clusters(store: InstanceStore) -> Partition:
     """Greedy disjoint cover: instances are taken in coherence order and
     accepted when they share no member with anything already accepted."""
     accepted: list[frozenset[int]] = []
     taken: set[int] = set()
-    for record in sorted(store.records, key=lambda r: selection_key(r, use_ratio=use_ratio)):
+    for record in sorted(store.records, key=selection_key):
         if taken.isdisjoint(record.pattern):
             accepted.append(record.pattern)
             taken |= record.pattern

@@ -18,6 +18,7 @@ classification of the categories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,7 +28,6 @@ from .model import (
     Event,
     InterPatternLink,
     Partition,
-    Variable,
     validate_event,
 )
 
@@ -92,20 +92,6 @@ def grid_merge(a: CountMatrix, b: CountMatrix) -> CountMatrix:
     return merged
 
 
-def add_variable(grid: CountMatrix, v: Variable) -> CountMatrix:
-    """Grow the grid by one zero row and column for a newly seen variable.
-
-    Ids are dense, so the new variable's id must equal the current size."""
-    if v.id < grid.n:
-        raise DataError(f"variable id {v.id} already present in the grid")
-    if v.id != grid.n:
-        raise DataError(f"variable id {v.id} would leave a gap (grid size {grid.n})")
-    for row in grid.cells:
-        row.append(0)
-    grid.cells.append([0] * (grid.n + 1))
-    return grid
-
-
 def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]:
     """The variables above the largest gap in row v's sorted nonzero counts.
 
@@ -148,8 +134,8 @@ def extract_clusters(
     attempted). Links are every cross-cluster pair whose cell reaches
     ``tau_link``, reported with the cell value as strength.
     """
-    if tau_link < 1:
-        raise ConfigError("tau_link must be at least 1")
+    if not 1 <= tau_link < math.inf:
+        raise ConfigError("tau_link must be at least 1 and finite")
     n = grid.n
     heads = {v: head_set(grid, v, ties=ties) for v in range(n)}
     neighbours = {v: {w for w in heads[v] if v in heads[w]} for v in range(n)}

@@ -36,6 +36,7 @@ presenting must set ``store._index = None`` the same way.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -85,10 +86,10 @@ class HierarchyStore:
     _index: _Index | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.theta_merge > 1:
-            raise ConfigError("theta_merge must be greater than 1")
-        if not self.theta_split > 1:
-            raise ConfigError("theta_split must be greater than 1")
+        if not 1 < self.theta_merge < math.inf:
+            raise ConfigError("theta_merge must be greater than 1 and finite")
+        if not 1 < self.theta_split < math.inf:
+            raise ConfigError("theta_split must be greater than 1 and finite")
         if not 0 < self.theta_new <= 1:
             raise ConfigError("theta_new must be in (0, 1]")
 

@@ -49,16 +49,10 @@ class LabelPolicy(Enum):
 
 @dataclass(frozen=True, slots=True)
 class TransactionFormat:
-    """How to cut lines into tokens and what the first token means.
-
-    Decoding is tolerant by default because species names in the plants
-    file carry non-ASCII bytes; member tokens are plain ASCII either way.
-    """
+    """How to cut lines into tokens and what the first token means."""
 
     delimiter: str = ","
     label_policy: LabelPolicy = LabelPolicy.RECORD_LABEL
-    encoding: str = "utf-8"
-    errors: str = "replace"
 
     def __post_init__(self) -> None:
         if len(self.delimiter) != 1:
@@ -85,7 +79,9 @@ def parse_transactions(
     if transpose and fmt.label_policy is not LabelPolicy.RECORD_LABEL:
         raise ConfigError("transpose needs a record label to pivot on")
 
-    text = source.read().decode(fmt.encoding, fmt.errors)
+    # tolerant decoding: species names in the plants file carry non-ASCII
+    # bytes; member tokens are plain ASCII either way
+    text = source.read().decode("utf-8", "replace")
     delimiter = fmt.delimiter
     labelled = fmt.label_policy is LabelPolicy.RECORD_LABEL
     ids: dict[str, int] = {}
@@ -140,23 +136,6 @@ def parse_transactions_path(
         return parse_transactions(source, fmt, transpose=transpose)
 
 
-def serialize_transactions(dataset: Dataset, fmt: TransactionFormat = TransactionFormat()) -> str:
-    """Render events back to transaction lines.
-
-    Original record labels are not retained by parsing, so under the
-    record-label policy a synthetic ``r<position>`` label is emitted; the
-    round trip through parse_transactions still restores the same
-    vocabulary and events.
-    """
-    lines = []
-    for pos, event in enumerate(dataset.events):
-        tokens = dataset.decode(event)
-        if fmt.label_policy is LabelPolicy.RECORD_LABEL:
-            tokens = [f"r{pos}"] + tokens
-        lines.append(fmt.delimiter.join(tokens))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True, slots=True)
 class ReferenceClusters:
     """A published reference clustering, kept as label sets so it can be
@@ -204,10 +183,18 @@ def load_reference_path(path: str) -> ReferenceClusters:
     """Read a reference clustering from a JSON file shaped like
     {"clusters": [["label", ...], ...]}."""
     with open(path, "rb") as source:
-        payload = json.loads(source.read().decode("utf-8"))
-    if not isinstance(payload, dict) or "clusters" not in payload:
-        raise DataError(f"{path}: expected a JSON object with a 'clusters' key")
-    return reference_from_clusters(payload["clusters"])
+        raw = source.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a UTF-8 JSON file ({exc})") from None
+    clusters = payload.get("clusters") if isinstance(payload, dict) else None
+    # a string is iterable too, and would split into one-letter labels
+    if not isinstance(clusters, list) or not all(
+        isinstance(c, list) and all(isinstance(label, str) for label in c) for c in clusters
+    ):
+        raise DataError(f'{path}: expected {{"clusters": [["label", ...], ...]}}')
+    return reference_from_clusters(clusters)
 
 
 def load_fixture(name: str) -> Dataset | ReferenceClusters:

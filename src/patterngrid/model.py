@@ -7,6 +7,7 @@ kept only on the Dataset so results can be rendered back as text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -164,12 +165,12 @@ class Weights:
     delta: int | float = 0
 
     def __post_init__(self) -> None:
-        if self.omega_i <= 0:
-            raise ConfigError("omega_i must be positive")
-        if self.omega_g <= 0:
-            raise ConfigError("omega_g must be positive")
-        if self.delta < 0:
-            raise ConfigError("delta must be non-negative")
+        if not 0 < self.omega_i < math.inf:
+            raise ConfigError("omega_i must be positive and finite")
+        if not 0 < self.omega_g < math.inf:
+            raise ConfigError("omega_g must be positive and finite")
+        if not 0 <= self.delta < math.inf:
+            raise ConfigError("delta must be non-negative and finite")
 
 
 @dataclass(frozen=True, slots=True)

@@ -198,7 +198,7 @@ def parse_oracle(
     if transpose and fmt.label_policy is not LabelPolicy.RECORD_LABEL:
         raise ConfigError("transpose needs a record label to pivot on")
 
-    text = source.read().decode(fmt.encoding, fmt.errors)
+    text = source.read().decode("utf-8", "replace")  # as parse_transactions decodes
     diagnostics: list[str] = []
     rows: list[tuple[str | None, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -243,6 +244,56 @@ class TestComparisons:
         assert code == 0
 
 
+class TestTimingFormat:
+    """The stderr timing lines and the ``--timing`` payload, numbers masked."""
+
+    @staticmethod
+    def masked(text: str) -> str:
+        return re.sub(r"\d+\.\d(?=ms)", "N", text)
+
+    def test_cluster_stderr_line(self, capsys):
+        _, _, err = run(capsys, "cluster", "--method", "grid", "--fixture", "seven_event")
+        assert self.masked(err) == "timing: parse=Nms count=Nms extract=Nms\n"
+
+    def test_hierarchy_stderr_line(self, capsys):
+        _, _, err = run(capsys, "hierarchy", "--fixture", "seven_event")
+        assert self.masked(err) == "timing: parse=Nms present=Nms consolidate=Nms\n"
+
+    def test_compare_stderr_lines_follow_method_order(self, capsys, small_corpus):
+        _, _, err = run(
+            capsys,
+            "compare", "--input", small_corpus, "--method", "reinforce,grid,cm",
+            "--reference", "plants_reference",
+        )
+        assert self.masked(err) == (
+            "timing: parse=Nms\n"
+            "timing[reinforce]: count=Nms extract=Nms\n"
+            "timing[grid]: count=Nms extract=Nms\n"
+            "timing[cm]: count=Nms extract=Nms\n"
+        )
+
+    def test_compare_json_nests_timing_by_method(self, capsys, small_corpus):
+        payload = run_json(
+            capsys,
+            "compare", "--input", small_corpus, "--method", "cm,grid",
+            "--reference", "plants_reference", "--format", "json", "--timing",
+        )
+        timing = payload["timing_ms"]
+        assert list(timing) == ["parse", "cm", "grid"]
+        assert isinstance(timing["parse"], float)
+        for method in ("cm", "grid"):
+            assert list(timing[method]) == ["count", "extract"]
+            assert all(isinstance(ms, float) for ms in timing[method].values())
+
+    def test_cluster_text_timing_repeats_stderr_line(self, capsys):
+        code, out, err = run(
+            capsys, "cluster", "--method", "cm", "--fixture", "seven_event", "--timing"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == err.rstrip("\n")
+        assert self.masked(out.splitlines()[-1]) == "timing: parse=Nms count=Nms extract=Nms"
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self, capsys, small_corpus):
         first = run(capsys, "cluster", "--method", "grid", "--input", small_corpus)
@@ -340,6 +391,55 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             entry(["cluster", "--method", "nonsense", "--fixture", "seven_event"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cluster", "--method", "reinforce", "--omega-i", "nan"),
+            ("cluster", "--method", "cm", "--omega-g", "inf"),
+            ("cluster", "--method", "reinforce", "--delta=-inf"),
+            ("cluster", "--method", "grid", "--tau-link", "1e999"),
+            ("compare", "--reference", "plants_reference", "--omega-i", "NaN"),
+            ("hierarchy", "--theta-merge", "inf"),
+            ("hierarchy", "--theta-split", "Infinity"),
+            ("hierarchy", "--theta-new", "nan"),
+        ],
+        ids=[
+            "omega-i-nan", "omega-g-inf", "delta-minus-inf", "tau-link-overflow",
+            "compare-omega-i-nan", "theta-merge-inf", "theta-split-inf", "theta-new-nan",
+        ],
+    )
+    def test_non_finite_number_refused_before_input_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            entry([*argv, "--input", "/nope/missing.data"])
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_theta_flags_stay_floats(self, capsys):
+        code, out, _ = run(
+            capsys, "hierarchy", "--fixture", "seven_event", "--format", "json",
+            "--theta-merge", "3",
+        )
+        assert code == 0
+        assert '"theta_merge": 3.0,' in out
+
+    def test_repeated_compare_method(self, capsys, small_corpus):
+        code, out, err = run(
+            capsys,
+            "compare", "--input", small_corpus, "--method", "grid,cm,grid",
+            "--reference", "plants_reference",
+        )
+        assert (code, out) == (2, "")
+        assert err == "config error: method 'grid' is repeated\n"
+
+    def test_bad_reference_shape_is_an_input_error(self, capsys, small_corpus, tmp_path):
+        ref = tmp_path / "ref.json"
+        ref.write_text('{"clusters": null}')
+        code, out, err = run(
+            capsys, "compare", "--input", small_corpus, "--reference", str(ref)
+        )
+        assert (code, out) == (1, "")
+        assert f"input error: {ref}: " in err
 
 
 def test_cli_import_loads_no_thread_pool_or_logging():

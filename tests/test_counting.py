@@ -6,7 +6,6 @@ from patterngrid.counting import (
     InstanceRecord,
     InstanceStore,
     coherence,
-    coherence_ratio,
     present,
     present_all,
     select_clusters,
@@ -107,7 +106,6 @@ def test_coherence_measures():
     present_all(store, [Event((0, 1)), Event((1, 2))])
     record = store.records[0]
     assert coherence(record) == 1
-    assert coherence_ratio(record) == 2.0
 
 
 def test_selection_is_lexmin_maximal_family():

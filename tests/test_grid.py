@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from patterngrid.grid import (
     CountMatrix,
-    add_variable,
     count_events,
     extract_clusters,
     grid_merge,
@@ -14,7 +13,7 @@ from patterngrid.grid import (
     matrix_json,
     matrix_text,
 )
-from patterngrid.model import ConfigError, DataError, Event, Variable
+from patterngrid.model import ConfigError, DataError, Event
 
 from .oracles import cooccurrence_oracle, random_dataset
 
@@ -90,18 +89,6 @@ def test_cells_match_cooccurrence_oracle():
         dataset = random_dataset(seed)
         matrix = count_events(CountMatrix.zeros(dataset.n), dataset.events)
         assert matrix.cells == cooccurrence_oracle(dataset.events, dataset.n), f"seed {seed}"
-
-
-def test_add_variable():
-    matrix = count_events(CountMatrix.zeros(2), [Event((0, 1))])
-    add_variable(matrix, Variable(2, "c"))
-    assert matrix.n == 3
-    assert matrix.cells[2] == [0, 0, 0]
-    assert [row[2] for row in matrix.cells] == [0, 0, 0]
-    with pytest.raises(DataError):
-        add_variable(matrix, Variable(1, "dup"))
-    with pytest.raises(DataError):
-        add_variable(matrix, Variable(5, "gap"))
 
 
 class TestHeadSet:
@@ -183,6 +170,11 @@ class TestExtraction:
     def test_tau_must_be_at_least_one(self, seven):
         with pytest.raises(ConfigError):
             extract_clusters(_seven_matrix(seven), 0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_tau_must_be_finite(self, seven, tau):
+        with pytest.raises(ConfigError):
+            extract_clusters(_seven_matrix(seven), tau)
 
     def test_one_sided_nomination_does_not_cluster(self):
         # 0 nominates 1 (its only partner), but 1's head set is {2} only;

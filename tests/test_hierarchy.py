@@ -357,6 +357,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             HierarchyStore(**bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["theta_merge", "theta_split", "theta_new"])
+    def test_non_finite_thresholds_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            HierarchyStore(**{name: value})
+
     def test_theta_new_covers_interval_edge(self):
         # at theta_new=1 only full-coverage events avoid a new root
         store = HierarchyStore(theta_new=1.0)

@@ -1,4 +1,5 @@
 import io
+import re
 import time
 
 import pytest
@@ -17,7 +18,6 @@ from patterngrid.ingest import (
     parse_transactions,
     parse_transactions_path,
     reference_from_clusters,
-    serialize_transactions,
 )
 from patterngrid.model import ConfigError, DataError, Dataset, Event, Variable, build_vocabulary
 from patterngrid.synth import synthetic_plants_text
@@ -226,19 +226,6 @@ class TestTranspose:
             _parse("a,b\n", MEMBERS, transpose=True)
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("fmt", [TransactionFormat(), MEMBERS])
-    def test_serialize_then_parse_restores_dataset(self, fmt):
-        dataset = _parse("q,al,ak,fl\nw,ak,fl\ne,mi\n", fmt)
-        again = _parse(serialize_transactions(dataset, fmt), fmt)
-        assert again.variables == dataset.variables
-        assert again.events == dataset.events
-
-    def test_synthetic_labels_under_record_policy(self):
-        dataset = _parse("a,b\n", MEMBERS)
-        assert serialize_transactions(dataset) == "r0,a,b\n"
-
-
 class TestReference:
     def test_universe_is_first_mention_order(self):
         ref = reference_from_clusters([("b", "a"), ("c",)])
@@ -295,6 +282,24 @@ class TestReference:
         path = tmp_path / "ref.json"
         path.write_text('[["a"]]')
         with pytest.raises(DataError):
+            load_reference_path(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"clusters": null}',
+            '{"clusters": [["a", "b"], 5]}',
+            '{"clusters": ["ab", "cd"]}',
+            '{"clusters": "abcd"}',
+            '{"clusters": [["a", 1]]}',
+            "not json",
+        ],
+        ids=["null", "non-list-cluster", "string-clusters", "string", "non-string-label", "not-json"],
+    )
+    def test_load_reference_path_rejects_shape(self, tmp_path, text):
+        path = tmp_path / "ref.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             load_reference_path(str(path))
 
 

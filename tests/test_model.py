@@ -80,6 +80,12 @@ class TestWeights:
         with pytest.raises(ConfigError):
             Weights(**bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["omega_i", "omega_g", "delta"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be .* finite$"):
+            Weights(**{name: value})
+
 
 class TestPartition:
     def test_valid(self):
