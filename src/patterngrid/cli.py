@@ -251,7 +251,30 @@ def _run_method(method: str, dataset: Dataset, weights: Weights, args) -> Engine
     else:
         raise ConfigError(f"unknown method {method!r}")
     extract_ms = (time.perf_counter() - counted) * 1000
-    return EngineRun(method, partition, links, result, (counted - started) * 1000, extract_ms)
+    run = EngineRun(method, partition, links, result, (counted - started) * 1000, extract_ms)
+    _refuse_overflow(run, weights)
+    return run
+
+
+def _refuse_overflow(run: EngineRun, weights: Weights) -> None:
+    """Refuse a float weight whose sums overflowed to infinity, which JSON
+    cannot carry. Integer sums are exact and never overflow, so only float
+    weights are checked; each against the counts it was summed into."""
+    if run.method == "reinforce":
+        sums = {"omega_i": iter(run.result[0].counts)}
+    elif run.method == "cm":
+        records = run.result.records
+        sums = {
+            "omega_i": (r.local_count for r in records),
+            "omega_g": (r.global_count for r in records),
+        }
+    else:
+        sums = {"omega_i": map(max, run.result.cells)}
+    for name, counts in sums.items():
+        value = getattr(weights, name)
+        if isinstance(value, float) and math.isinf(max(counts, default=0)):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} {value:g} makes a count overflow to infinity")
 
 
 def _text_body(run: EngineRun, labels) -> list[str]:

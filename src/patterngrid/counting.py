@@ -11,13 +11,28 @@ cluster candidates.
 Presentation is strictly sequential: results depend on event order through
 the creation indices, so the contract is single writer, deterministic given
 the event sequence. Reads are safe once presentation completes.
+
+``present`` applies one event and is the reference. ``present_all`` gives
+the same store for a whole event sequence from a vertical layout, the
+tid bitmaps of Eclat (Zaki, TKDE 2000) and MAFIA (Burdick, Calimlim &
+Gehrke, ICDE 2001): bit t of ``occ[v]`` is set when event t holds v, so the
+events overlapping a pattern created at event c are the set bits of the OR
+of its members' rows from bit c on.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import or_
 
 from .model import Event, Partition, Weights, validate_event
+
+# Bytes of occurrence bitsets ``present_all`` holds at once. Past it, the
+# events are taken in consecutive blocks of at most this many bytes of rows.
+OCCURRENCE_BUDGET = 32 << 20
 
 
 @dataclass(slots=True)
@@ -84,9 +99,102 @@ def present(store: InstanceStore, event: Event, weights: Weights = Weights()) ->
 
 
 def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> InstanceStore:
-    for event in events:
-        present(store, event, weights)
+    """Fold ``events`` into ``store``; equal to calling ``present`` on each.
+
+    One pass over the events creates records as ``present`` does, tallies
+    each record's exact repeats and sets bit t of ``rows[v]`` for every
+    member v of block event t. Each block then adds to a record's overlap
+    count the popcount of its members' rows ORed, shifted past its
+    creation if that lies in the block. Counters are written last, as left
+    folds of the weight, so float sums round as the per-event ``+=`` does.
+    The write is in a ``finally``: a bad event part-way leaves the store the
+    fold over the events before it. ``events`` is read into a tuple first,
+    so an error raised while reading it leaves the store as it was.
+    """
+    n, records = store.n, store.records
+    by_pattern, postings = store._by_pattern, store._postings
+    omega_i, omega_g = weights.omega_i, weights.omega_g
+    size = max(8, OCCURRENCE_BUDGET // max(n, 1) * 8)  # events per block
+    old = len(records)
+    hits = [0] * old  # exact repeats in this call, per record
+    overlaps = [0] * old  # overlapping events in this call, per record
+    start = store.event_counter  # the current block's first event
+    first = old  # the first record created in the current block
+    rows: list = []
+    t = 0  # events of the current block applied so far
+    events = tuple(events)  # a tuple is not copied, nor is its one-block slice
+    try:
+        for begin in range(0, len(events), size):
+            block = events[begin : begin + size]
+            rows = [bytearray((len(block) + 7) >> 3) for _ in range(n)]
+            for event in block:
+                validate_event(event, n)
+                byte, bit = t >> 3, 1 << (t & 7)
+                for v in event.members:
+                    rows[v][byte] |= bit
+                key = event.member_set()
+                idx = by_pattern.get(key)
+                if idx is None:
+                    idx = len(records)
+                    by_pattern[key] = idx
+                    for v in sorted(key):
+                        postings.setdefault(v, []).append(idx)
+                    records.append(InstanceRecord(key, omega_i, omega_g, start + t))
+                    hits.append(0)
+                    overlaps.append(0)
+                hits[idx] += 1
+                t += 1
+            _count_block(rows, records, overlaps, first, start)
+            # drop this block's rows before the next block's are made
+            start, first, t, rows = start + t, len(records), 0, []
+    finally:
+        if t:  # a DataError cut the block short
+            _count_block(rows, records, overlaps, first, start)
+        store.event_counter = start + t
+        for idx in range(old):
+            record = records[idx]
+            record.local_count = _fold(record.local_count, omega_i, hits[idx])
+            record.global_count = _fold(record.global_count, omega_g, overlaps[idx])
+        # a new record holds one weight already, its creation's
+        local = _folds(omega_i, hits[old:])
+        global_ = _folds(omega_g, overlaps[old:])
+        for record, h, k in zip(records[old:], hits[old:], overlaps[old:]):
+            record.local_count, record.global_count = local[h], global_[k]
     return store
+
+
+def _count_block(
+    rows: list, records: list[InstanceRecord], overlaps: list[int], first: int, start: int
+) -> None:
+    """Add one block's overlapping events to ``overlaps``.
+
+    ``rows[v]`` holds bit t for block event t holding v; each row is turned
+    into an int in place, so the bytes held never double. Records from index
+    ``first`` on were created in this block, at event ``start + shift``.
+    """
+    for v, row in enumerate(rows):
+        rows[v] = int.from_bytes(row, "little")
+    for idx, record in enumerate(records):
+        mask = reduce(or_, map(rows.__getitem__, record.pattern))
+        if idx >= first:
+            mask >>= record.created_at - start
+        overlaps[idx] += mask.bit_count()
+
+
+def _fold(value, step, times: int):
+    """``value`` with ``step`` added ``times`` times, left to right."""
+    return deque(accumulate(repeat(step, times), initial=value), maxlen=1)[0]
+
+
+def _folds(step, counts: list[int]) -> dict:
+    """For each count k, ``step`` added to itself until it holds k steps,
+    the way k ``+=`` of ``step`` onto ``step`` would round. Only the counts
+    that occur are computed, each continuing the fold of the last."""
+    values, value, done = {}, step, 1
+    for k in sorted(set(counts)):
+        value = values[k] = _fold(value, step, k - done)
+        done = k
+    return values
 
 
 def coherence(record: InstanceRecord) -> int | float:

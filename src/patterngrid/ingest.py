@@ -194,7 +194,10 @@ def load_reference_path(path: str) -> ReferenceClusters:
         isinstance(c, list) and all(isinstance(label, str) for label in c) for c in clusters
     ):
         raise DataError(f'{path}: expected {{"clusters": [["label", ...], ...]}}')
-    return reference_from_clusters(clusters)
+    try:
+        return reference_from_clusters(clusters)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_fixture(name: str) -> Dataset | ReferenceClusters:

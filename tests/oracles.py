@@ -57,12 +57,14 @@ def cm_replay_oracle(events, omega_i=1, omega_g=1) -> dict[frozenset[int], tuple
             patterns.append(key)
     result = {}
     for pattern in patterns:
-        local = sum(omega_i for e in events if e.member_set() == pattern)
-        global_ = sum(
-            omega_g
-            for pos, e in enumerate(events)
-            if pos >= first_seen[pattern] and pattern & e.member_set()
-        )
+        # += folds left to right as the engine does; sum() of floats may
+        # round differently (it compensates from Python 3.12 on)
+        local = global_ = 0
+        for pos, e in enumerate(events):
+            if e.member_set() == pattern:
+                local += omega_i
+            if pos >= first_seen[pattern] and pattern & e.member_set():
+                global_ += omega_g
         result[pattern] = (local, global_)
     return result
 

@@ -3,11 +3,13 @@
 One test per contract line, in order, so a verbose run reads as a checklist:
 exact worked-example tables, oracle equivalence on random data, ordering
 invariance, corpus-scale performance, reference agreement, hierarchy fixed
-point, byte determinism, corpus-scale hierarchy performance, and
-corpus-scale reinforcement with the absence decrement.
+point, byte determinism, corpus-scale hierarchy performance,
+corpus-scale reinforcement with the absence decrement, and cm counting
+on a corpus of mostly distinct event sets.
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ import patterngrid
 from patterngrid import counting, grid, hierarchy, reinforce
 from patterngrid.evaluate import pairwise_agreement
 from patterngrid.ingest import load_fixture, parse_transactions_path
-from patterngrid.model import Weights
+from patterngrid.model import Event, Weights
 from patterngrid.synth import synthetic_plants_text
 
 from .oracles import (
@@ -261,3 +263,39 @@ def test_11_corpus_reinforce_with_delta_under_point_two_seconds(plants_path):
     for event in dataset.events:
         reinforce.update(eager, event, weights)
     assert [repr(c) for c in state.counts] == [repr(c) for c in eager.counts]
+
+
+def _block_events(count: int, seed: int, blocks: int = 30, width: int = 12) -> list[Event]:
+    """Events over ``blocks`` blocks of ``width`` ids: each keeps every id
+    of one block with probability 0.55 and adds up to two ids from
+    anywhere, so almost every member set is distinct."""
+    rng = random.Random(seed)
+    n = blocks * width
+    events = []
+    for _ in range(count):
+        home = int(rng.random() * blocks) * width
+        members = [home + c for c in range(width) if rng.random() < 0.55] or [home]
+        for _ in range(int(rng.random() * 3)):
+            extra = int(rng.random() * n)
+            if extra not in members:
+                members.append(extra)
+        events.append(Event(tuple(members)))
+    return events
+
+
+def test_12_low_duplication_cm_under_point_three_seconds():
+    events = _block_events(8000, seed=3)
+    n = 360
+    assert len({e.member_set() for e in events}) > 0.9 * len(events)
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        store = counting.present_all(counting.InstanceStore.empty(n), events)
+        best = min(best, time.perf_counter() - started)
+
+    assert best < 0.3, f"present_all took {best:.2f}s"
+    folded = counting.InstanceStore.empty(n)
+    for event in events:
+        counting.present(folded, event)
+    assert repr(store.records) == repr(folded.records)
+    assert store.event_counter == folded.event_counter == len(events)

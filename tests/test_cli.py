@@ -442,6 +442,50 @@ class TestExitCodes:
         assert f"input error: {ref}: " in err
 
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("cluster", "--method", "cm", "--format", "json", "--omega-g", "1e308"), "--omega-g"),
+            (("cluster", "--method", "cm", "--omega-i", "1e308"), "--omega-i"),
+            (("cluster", "--method", "reinforce", "--format", "json", "--omega-i", "1e308"),
+             "--omega-i"),
+            (("cluster", "--method", "grid", "--format", "csv", "--omega-i", "1e308"), "--omega-i"),
+            (("compare", "--method", "grid,cm", "--omega-g", "1e308"), "--omega-g"),
+            (("compare", "--method", "reinforce", "--format", "json", "--omega-i", "1e308"),
+             "--omega-i"),
+        ],
+        ids=["cluster-cm-omega-g", "cluster-cm-omega-i", "cluster-reinforce", "cluster-grid",
+             "compare-cm-omega-g", "compare-reinforce"],
+    )
+    def test_weight_overflowing_to_infinity_refused(self, capsys, tmp_path, argv, flag):
+        # finite weights whose sums overflow; JSON has no Infinity to print
+        ref = tmp_path / "ref.json"
+        ref.write_text('{"clusters": [["A", "B", "C", "D"], ["E", "F", "G"]]}')
+        extra = ("--reference", str(ref)) if argv[0] == "compare" else ()
+        code, out, err = run(capsys, *argv, *extra, "--fixture", "seven_event")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"config error: {flag} 1e+308 makes a count overflow to infinity\n")
+
+    def test_large_finite_weight_still_runs(self, capsys):
+        payload = run_json(
+            capsys, "cluster", "--method", "cm", "--fixture", "seven_event", "--format", "json",
+            "--omega-g", "1e307",
+        )
+        seven_overlaps = 0.0
+        for _ in range(7):
+            seven_overlaps += 1e307
+        assert max(i["global"] for i in payload["detail"]["instances"]) == seven_overlaps
+
+    def test_reference_content_error_names_the_file(self, capsys, small_corpus, tmp_path):
+        ref = tmp_path / "ref.json"
+        ref.write_text('{"clusters": []}')
+        code, out, err = run(
+            capsys, "compare", "--input", small_corpus, "--reference", str(ref)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"input error: {ref}: reference contains no clusters\n"
+
+
 def test_cli_import_loads_no_thread_pool_or_logging():
     # every CLI process pays for what importing the CLI loads
     package_root = str(Path(patterngrid.__file__).resolve().parents[1])

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from patterngrid import counting
 from patterngrid.counting import (
     InstanceRecord,
     InstanceStore,
@@ -166,3 +169,83 @@ def test_validates_event_range():
     store = InstanceStore.empty(2)
     with pytest.raises(DataError):
         present(store, Event((5,)))
+
+
+def _store_state(store: InstanceStore) -> str:
+    return repr((store.records, store._by_pattern, store._postings, store.event_counter))
+
+
+@st.composite
+def _batch_cases(draw):
+    """A vocabulary size, events presented before the batch, the batch
+    (maybe with one out-of-range event in it), events presented after,
+    the weights and a bitset budget, small enough to split the batch into
+    blocks of 8, 16 or 24 events or the default."""
+    n = draw(st.integers(1, 8))
+    event = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(
+        lambda members: Event(tuple(members))
+    )
+    before = draw(st.lists(event, max_size=8))
+    batch = draw(st.lists(event, max_size=60))
+    bad = draw(st.none() | st.integers(0, len(batch)))
+    if bad is not None:
+        batch.insert(bad, Event((n,)))
+    after = draw(st.lists(event, max_size=4))
+    weight = st.integers(1, 4) | st.floats(1e-3, 1e3)
+    weights = Weights(draw(weight), draw(weight))
+    budget = draw(st.sampled_from([counting.OCCURRENCE_BUDGET, n, 2 * n, 3 * n]))
+    return n, before, batch, bad, after, weights, budget
+
+
+@given(_batch_cases())
+def test_present_all_equals_fold_of_present_and_oracle(case):
+    n, before, batch, bad, after, weights, budget = case
+    folded, batched = InstanceStore.empty(n), InstanceStore.empty(n)
+    for event in before:
+        present(folded, event, weights)
+        present(batched, event, weights)
+
+    errors = []
+    try:
+        for event in batch:
+            present(folded, event, weights)
+    except DataError as exc:
+        errors.append(str(exc))
+    with mock.patch.object(counting, "OCCURRENCE_BUDGET", budget):
+        try:
+            present_all(batched, batch, weights)
+        except DataError as exc:
+            errors.append(str(exc))
+    assert len(errors) == (0 if bad is None else 2) and len(set(errors)) <= 1
+    assert _store_state(batched) == _store_state(folded)
+
+    applied = before + batch[:bad]
+    expected = cm_replay_oracle(applied, weights.omega_i, weights.omega_g)
+    got = {r.pattern: (r.local_count, r.global_count) for r in batched.records}
+    assert repr(got) == repr(expected)
+
+    for event in after:
+        present(folded, event, weights)
+        present(batched, event, weights)
+    assert _store_state(batched) == _store_state(folded)
+
+
+def test_bitsets_stay_within_budget():
+    n, budget = 5, 15  # blocks of 15 // 5 * 8 = 24 events
+    events = [Event((t % n, (t + 1) % n)) for t in range(60)]
+    held = []
+
+    def count_block(rows, *args):
+        held.append(sum(len(row) for row in rows))
+        return count(rows, *args)
+
+    count = counting._count_block
+    with mock.patch.object(counting, "OCCURRENCE_BUDGET", budget), mock.patch.object(
+        counting, "_count_block", count_block
+    ):
+        store = present_all(InstanceStore.empty(n), events)
+    assert held == [15, 15, 10]  # 24, 24 and 12 events, one bit each per variable
+    folded = InstanceStore.empty(n)
+    for event in events:
+        present(folded, event)
+    assert _store_state(store) == _store_state(folded)

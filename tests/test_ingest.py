@@ -302,6 +302,21 @@ class TestReference:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             load_reference_path(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"clusters": []}', "reference contains no clusters"),
+            ('{"clusters": [["a"], []]}', "reference contains an empty cluster"),
+            ('{"clusters": [["a", "b"], ["b"]]}', "label 'b' appears in two reference clusters"),
+        ],
+        ids=["no-clusters", "empty-cluster", "repeated-label"],
+    )
+    def test_load_reference_path_names_file_on_content_error(self, tmp_path, text, message):
+        path = tmp_path / "ref.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_reference_path(str(path))
+
 
 class TestFixtures:
     def test_listing(self):
