@@ -269,7 +269,7 @@ def _refuse_overflow(run: EngineRun, weights: Weights) -> None:
             "omega_g": (r.global_count for r in records),
         }
     else:
-        sums = {"omega_i": map(max, run.result.cells)}
+        sums = {"omega_i": (c for row in run.result.rows for c in row.values())}
     for name, counts in sums.items():
         value = getattr(weights, name)
         if isinstance(value, float) and math.isinf(max(counts, default=0)):
@@ -307,7 +307,8 @@ def _detail_json(run: EngineRun, labels) -> dict:
                 for r in run.result.records
             ]
         }
-    return {"matrix": grid.matrix_json(run.result, labels)}
+    # a slot for the matrix, which _json_text fills in as grid.matrix_json writes it
+    return {"matrix": None}
 
 
 def _csv_sections(run: EngineRun, partition: Partition, labels) -> list[list[str]]:
@@ -323,6 +324,17 @@ def _csv_sections(run: EngineRun, partition: Partition, labels) -> list[list[str
             ["a,b,strength"] + [f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in run.links]
         )
     return sections
+
+
+def _json_text(payload: dict, run: EngineRun, labels) -> str:
+    """``json.dumps(payload, indent=2)``, with a grid's matrix written into
+    the ``"matrix": null`` slot of ``detail``. Every ``"`` inside a JSON
+    string is escaped, so the slot's text occurs only as that key."""
+    text = json.dumps(payload, indent=2)
+    if run.method != "grid":
+        return text
+    head, _, tail = text.rpartition('"matrix": null')
+    return "".join([head, '"matrix": ', grid.matrix_json(run.result, labels, level=2), tail])
 
 
 def _links_json(links, labels) -> list[dict]:
@@ -399,7 +411,7 @@ def cmd_cluster(args) -> int:
         }
         if args.timing:
             payload["timing_ms"] = {"parse": parse_ms, "count": run.count_ms, "extract": run.extract_ms}
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload, run, labels))
     elif args.format == "csv":
         print("\n\n".join("\n".join(s) for s in _csv_sections(run, partition, labels)))
     else:

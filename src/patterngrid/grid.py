@@ -7,6 +7,12 @@ stays symmetric; a variable's relation to itself is never written, leaving
 the diagonal empty. Counting is a single pass over the events and is
 order independent, so shards counted separately merge into the same matrix.
 
+The matrix is stored sparse, one dict of nonzero cells per row, since wide
+grids (a ``--transpose`` pivot) are mostly zeros. Counting takes each
+distinct member set once, weighted by how often it occurs, as an FP-tree
+does (Han, Pei & Yin, SIGMOD 2000). Only the renderers lay the matrix out
+densely.
+
 Extraction reads the finished grid. Each row nominates the variables above
 the largest gap in its sorted nonzero counts (the row's head set); clusters
 are the connected components of mutual nominations; and leftover
@@ -18,8 +24,13 @@ classification of the categories.
 
 from __future__ import annotations
 
+import json
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, combinations, repeat
+from operator import itemgetter, sub
 from typing import Sequence
 
 from .model import (
@@ -36,21 +47,42 @@ from .model import (
 class CountMatrix:
     """Symmetric co-occurrence counts with an unused diagonal.
 
-    ``increments`` audits the one-pass cost: every cell write adds one, so
-    after counting events with sizes k_1..k_m it equals the pair work
-    sum(k_i * (k_i - 1)).
+    ``rows[v]`` maps each w != v whose cell (v, w) is positive to its
+    count; every cell missing from it is 0. ``increments`` audits the
+    one-pass cost: every cell write adds one, so after counting events
+    with sizes k_1..k_m it equals the pair work sum(k_i * (k_i - 1)).
     """
 
-    cells: list[list[int | float]]
+    rows: list[dict[int, int | float]]
     increments: int = field(default=0, compare=False)
 
     @classmethod
     def zeros(cls, n: int) -> CountMatrix:
-        return cls([[0] * n for _ in range(n)])
+        return cls([{} for _ in range(n)])
+
+    @classmethod
+    def from_cells(cls, cells: Sequence[Sequence[int | float]]) -> CountMatrix:
+        """The matrix holding the positive off-diagonal cells of a dense
+        n x n layout."""
+        return cls(
+            [{w: c for w, c in enumerate(row) if c > 0 and w != v} for v, row in enumerate(cells)]
+        )
 
     @property
     def n(self) -> int:
-        return len(self.cells)
+        return len(self.rows)
+
+    @property
+    def cells(self) -> list[list[int | float]]:
+        """A dense n x n copy of the counts, built on each access."""
+        n = len(self.rows)
+        dense = []
+        for row in self.rows:
+            line = [0] * n
+            for w, c in row.items():
+                line[w] = c
+            dense.append(line)
+        return dense
 
 
 @dataclass(slots=True)
@@ -63,33 +95,91 @@ class GridClusterResult:
     head_sets: dict[int, frozenset[int]]
 
 
+def _check_weight(weight) -> None:
+    if not 0 < weight < math.inf:
+        raise ConfigError("grid weight must be positive and finite")
+
+
+def _check_ties(ties: str) -> None:
+    if ties not in ("high", "low"):
+        raise ConfigError(f"unknown gap tie rule {ties!r}")
+
+
 def grid_update(grid: CountMatrix, event: Event, weight: int | float = 1) -> CountMatrix:
     """Count one event: each unordered member pair gains ``weight`` in both
     orientations. Singleton events leave the matrix unchanged."""
-    validate_event(event, grid.n)
-    members = event.members
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            a, b = members[i], members[j]
-            grid.cells[a][b] += weight
-            grid.cells[b][a] += weight
-            grid.increments += 2
-    return grid
+    return count_events(grid, (event,), weight)
 
 
 def count_events(grid: CountMatrix, events, weight: int | float = 1) -> CountMatrix:
-    for event in events:
-        grid_update(grid, event, weight)
+    """Count the events in one pass, as the fold of ``grid_update`` would.
+
+    Equal member tuples are grouped first, in first-appearance order, and
+    each distinct one is checked once. A pair's cell then takes the ``+=``
+    fold of ``weight``, once per event holding the pair. An event outside
+    the vocabulary raises ``DataError`` with every event before it counted.
+    """
+    _check_weight(weight)
+    n = grid.n
+    sets: dict[tuple[int, ...], int] = {}
+    try:
+        for event in events:
+            members = event.members
+            if members in sets:
+                sets[members] += 1
+            else:
+                validate_event(event, n)
+                sets[members] = 1
+    finally:
+        _count_sets(grid, sets, weight)
     return grid
+
+
+def _count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> None:
+    """Add each member set's pairs, ``sets`` giving how often it occurs."""
+    # pairs (a, b), a < b -> events holding both; sets seen once are counted in C
+    together = Counter(
+        chain.from_iterable(combinations(sorted(m), 2) for m, times in sets.items() if times == 1)
+    )
+    for members, times in sets.items():
+        if times > 1:
+            for pair in combinations(sorted(members), 2):
+                together[pair] += times
+        grid.increments += times * len(members) * (len(members) - 1)
+    # steps[k]: k folds of weight from 0, for every cell that starts empty
+    steps = list(accumulate(repeat(weight, max(together.values(), default=0)), initial=0))
+    rows = grid.rows
+    if not any(rows):
+        for (a, b), k in together.items():
+            rows[a][b] = rows[b][a] = steps[k]
+        return
+    for (a, b), k in together.items():
+        row_a, row_b = rows[a], rows[b]
+        row_a[b] = _fold(row_a[b], weight, k) if b in row_a else steps[k]
+        row_b[a] = _fold(row_b[a], weight, k) if a in row_b else steps[k]
+
+
+def _fold(value, weight, k: int):
+    """``value`` after ``k`` steps of ``value += weight``. The closed form is
+    used only for ints, where it is exact; floats round at every step."""
+    if type(value) is int and type(weight) is int:
+        return value + k * weight
+    for value in accumulate(repeat(weight, k), initial=value):
+        pass
+    return value
 
 
 def grid_merge(a: CountMatrix, b: CountMatrix) -> CountMatrix:
     """Cellwise sum of two grids over the same vocabulary."""
     if a.n != b.n:
         raise DataError(f"cannot merge grids over {a.n} and {b.n} variables")
-    merged = CountMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.cells, b.cells)])
-    merged.increments = a.increments + b.increments
-    return merged
+    rows = []
+    for row_a, row_b in zip(a.rows, b.rows):
+        row = dict(row_a)
+        for w, c in row_b.items():
+            row[w] = row[w] + c if w in row else c
+        rows.append(row)
+    return CountMatrix(rows, a.increments + b.increments)
 
 
 def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]:
@@ -101,26 +191,25 @@ def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]
     (``ties="low"`` flips that). A row whose nonzero counts are all equal
     keeps all of them; an all-zero row nominates nothing.
     """
-    if ties not in ("high", "low"):
-        raise ConfigError(f"unknown gap tie rule {ties!r}")
-    row = grid.cells[v]
-    entries = sorted(
-        ((row[w], w) for w in range(grid.n) if w != v and row[w] > 0),
-        key=lambda e: (-e[0], e[1]),
-    )
-    if not entries:
-        return frozenset()
-    counts = [c for c, _ in entries]
-    gaps = [counts[k] - counts[k + 1] for k in range(len(counts) - 1)]
-    if not gaps or max(gaps) == 0:
-        return frozenset(w for _, w in entries)
-    best = max(gaps)
+    _check_ties(ties)
+    return _head_set(grid.rows[v], ties)
+
+
+def _head_set(row: dict[int, int | float], ties: str) -> frozenset[int]:
+    # by id, then stably by count descending: equal counts stay in id order
+    ids = sorted(row)
+    ids.sort(key=row.__getitem__, reverse=True)
+    counts = list(map(row.__getitem__, ids))
+    gaps = list(map(sub, counts, counts[1:]))
+    best = max(gaps, default=0)
+    if best == 0:
+        return frozenset(ids)
     if ties == "high":
         cut = gaps.index(best)
     else:
         cut = len(gaps) - 1 - gaps[::-1].index(best)
-    threshold = counts[cut]
-    return frozenset(w for c, w in entries if c >= threshold)
+    # counts fall by best > 0 after the cut, so the head set is a prefix
+    return frozenset(ids[: cut + 1])
 
 
 def extract_clusters(
@@ -132,12 +221,15 @@ def extract_clusters(
     set; clusters are the connected components of that mutual agreement,
     size one components staying unassigned (no fallback reassignment is
     attempted). Links are every cross-cluster pair whose cell reaches
-    ``tau_link``, reported with the cell value as strength.
+    ``tau_link``, reported with the cell value as strength, in (a, b)
+    order with a < b.
     """
     if not 1 <= tau_link < math.inf:
         raise ConfigError("tau_link must be at least 1 and finite")
+    _check_ties(ties)
     n = grid.n
-    heads = {v: head_set(grid, v, ties=ties) for v in range(n)}
+    rows = grid.rows
+    heads = {v: _head_set(rows[v], ties) for v in range(n)}
     neighbours = {v: {w for w in heads[v] if v in heads[w]} for v in range(n)}
 
     component_of: dict[int, int] = {}
@@ -166,41 +258,71 @@ def extract_clusters(
         for v in cluster:
             cluster_of[v] = ci
     links = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if a in cluster_of and b in cluster_of and cluster_of[a] != cluster_of[b]:
-                if grid.cells[a][b] >= tau_link:
-                    links.append(InterPatternLink(a, b, grid.cells[a][b]))
+    for a in sorted(cluster_of):
+        ca, row = cluster_of[a], rows[a]
+        ids = sorted(row)
+        links.extend(
+            InterPatternLink(a, b, row[b])
+            for b in ids[bisect_right(ids, a) :]
+            if row[b] >= tau_link and cluster_of.get(b, ca) != ca
+        )
     return GridClusterResult(partition, tuple(links), heads)
+
+
+def _rendered_rows(grid: CountMatrix, render=str, diagonal: str = "x"):
+    """Each row as a dense list of cell texts: ``render`` of the nonzero
+    cells, "0" elsewhere and ``diagonal`` on the diagonal."""
+    zeros = ["0"] * grid.n
+    for i, row in enumerate(grid.rows):
+        cells = zeros.copy()
+        for w, c in row.items():
+            cells[w] = render(c)
+        cells[i] = diagonal
+        yield cells
 
 
 def matrix_csv(grid: CountMatrix, labels: Sequence[str]) -> str:
     """CSV rendering with a label header row and column; the empty diagonal
     is shown as "x"."""
     lines = ["," + ",".join(labels)]
-    for i, label in enumerate(labels):
-        cells = [label]
-        for j in range(grid.n):
-            cells.append("x" if i == j else str(grid.cells[i][j]))
-        lines.append(",".join(cells))
+    for label, cells in zip(labels, _rendered_rows(grid)):
+        lines.append(label + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def matrix_json(grid: CountMatrix, labels: Sequence[str]) -> dict:
-    """Dense JSON form; diagonal cells are structural zeros (never written)."""
-    return {"labels": list(labels), "cells": [list(row) for row in grid.cells]}
+def matrix_json(grid: CountMatrix, labels: Sequence[str], level: int = 0) -> str:
+    """The matrix as the JSON object ``{"labels": [...], "cells": [[...]]}``,
+    in the text ``json.dumps(..., indent=2)`` gives for it as a value on a
+    line indented ``level`` steps (0 for a document of its own).
+
+    Only the labels pass through ``json``. Its indenting encoder is pure
+    Python and would visit all n x n cells, so each row is instead a
+    template of "0" with the row's nonzero cells patched in as ``repr``,
+    which is ``json``'s own text for the finite int and float counts a
+    grid holds. Diagonal cells are structural zeros (never written).
+    """
+    pad = "\n" + "  " * level
+    shell = json.dumps({"labels": list(labels), "cells": []}, indent=2).replace("\n", pad)
+    head, _, tail = shell.rpartition('"cells": []')
+    if not grid.n:
+        return shell
+    row_pad = pad + "    "
+    cell_sep = "," + row_pad + "  "
+    open_row, close_row = row_pad + "[" + cell_sep[1:], row_pad + "]"
+    rows = (cell_sep.join(cells) for cells in _rendered_rows(grid, repr, "0"))
+    cells = (close_row + "," + open_row).join(rows)
+    return "".join([head, '"cells": [', open_row, cells, close_row, pad, "  ]", tail])
 
 
 def matrix_text(grid: CountMatrix, labels: Sequence[str]) -> str:
     """Aligned text rendering for terminals, "x" on the diagonal."""
-    rendered = [
-        ["x" if i == j else str(grid.cells[i][j]) for j in range(grid.n)] for i in range(grid.n)
-    ]
+    rendered = list(_rendered_rows(grid))
     label_w = max((len(l) for l in labels), default=0)
-    col_w = [
-        max([len(labels[j])] + [len(rendered[i][j]) for i in range(grid.n)])
-        for j in range(grid.n)
-    ]
+    # "0" and "x" are one character wide; only nonzero cells can be wider
+    col_w = [max(len(label), 1) for label in labels]
+    for i, row in enumerate(grid.rows):
+        for w in row:
+            col_w[w] = max(col_w[w], len(rendered[i][w]))
     lines = [" " * label_w + "  " + "  ".join(labels[j].rjust(col_w[j]) for j in range(grid.n))]
     for i in range(grid.n):
         cells = "  ".join(rendered[i][j].rjust(col_w[j]) for j in range(grid.n))

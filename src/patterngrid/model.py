@@ -42,6 +42,10 @@ class Event:
     def __post_init__(self) -> None:
         if not self.members:
             raise DataError("event has no members")
+        for m in self.members:
+            # exactly int: a float or bool id would hash equal to an int one
+            if type(m) is not int:
+                raise DataError(f"event member {m!r} is not an int id")
         if len(set(self.members)) != len(self.members):
             raise DataError(f"duplicate members in event {self.members!r}")
 

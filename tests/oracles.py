@@ -8,11 +8,23 @@ oracle's use of the public, fully checked ``build_vocabulary``.
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass, field
 
+from patterngrid.grid import GridClusterResult
 from patterngrid.hierarchy import Extension, PatternNode
 from patterngrid.ingest import IngestError, LabelPolicy, TransactionFormat
-from patterngrid.model import ConfigError, Dataset, Event, Variable, build_vocabulary
+from patterngrid.model import (
+    ConfigError,
+    Dataset,
+    Event,
+    InterPatternLink,
+    Partition,
+    Variable,
+    build_vocabulary,
+    validate_event,
+)
 
 
 def frequency_oracle(events, n: int, omega_i=1, delta=0) -> list:
@@ -42,6 +54,119 @@ def cooccurrence_oracle(events, n: int, weight=1) -> list[list]:
                 if a in event.members and b in event.members:
                     cells[a][b] += weight
     return cells
+
+
+@dataclass(slots=True)
+class DenseGrid:
+    """The co-occurrence grid as a dense n x n list of lists, with the
+    ``increments`` audit of ``grid.CountMatrix``."""
+
+    cells: list[list[int | float]]
+    increments: int = field(default=0, compare=False)
+
+    @classmethod
+    def zeros(cls, n: int) -> DenseGrid:
+        return cls([[0] * n for _ in range(n)])
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
+
+
+def dense_grid_update(grid: DenseGrid, event: Event, weight: int | float = 1) -> DenseGrid:
+    """Count one event: each unordered member pair gains ``weight`` in both
+    orientations. Singleton events leave the matrix unchanged."""
+    validate_event(event, grid.n)
+    members = event.members
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            a, b = members[i], members[j]
+            grid.cells[a][b] += weight
+            grid.cells[b][a] += weight
+            grid.increments += 2
+    return grid
+
+
+def dense_count_events(grid: DenseGrid, events, weight: int | float = 1) -> DenseGrid:
+    """The fold of ``dense_grid_update`` over the events, one at a time."""
+    for event in events:
+        dense_grid_update(grid, event, weight)
+    return grid
+
+
+def dense_head_set(grid: DenseGrid, v: int, *, ties: str = "high") -> frozenset[int]:
+    """The variables above the largest gap in row v's sorted nonzero counts,
+    scanning every cell of the row."""
+    if ties not in ("high", "low"):
+        raise ConfigError(f"unknown gap tie rule {ties!r}")
+    row = grid.cells[v]
+    entries = sorted(
+        ((row[w], w) for w in range(grid.n) if w != v and row[w] > 0),
+        key=lambda e: (-e[0], e[1]),
+    )
+    if not entries:
+        return frozenset()
+    counts = [c for c, _ in entries]
+    gaps = [counts[k] - counts[k + 1] for k in range(len(counts) - 1)]
+    if not gaps or max(gaps) == 0:
+        return frozenset(w for _, w in entries)
+    best = max(gaps)
+    if ties == "high":
+        cut = gaps.index(best)
+    else:
+        cut = len(gaps) - 1 - gaps[::-1].index(best)
+    threshold = counts[cut]
+    return frozenset(w for c, w in entries if c >= threshold)
+
+
+def dense_extract_clusters(
+    grid: DenseGrid, tau_link: int | float = 2, *, ties: str = "high"
+) -> GridClusterResult:
+    """Clusters and links from a dense grid: head sets from full row scans,
+    links from a scan of every cell above the diagonal."""
+    if not 1 <= tau_link < math.inf:
+        raise ConfigError("tau_link must be at least 1 and finite")
+    n = grid.n
+    heads = {v: dense_head_set(grid, v, ties=ties) for v in range(n)}
+    neighbours = {v: {w for w in heads[v] if v in heads[w]} for v in range(n)}
+
+    component_of: dict[int, int] = {}
+    components: list[list[int]] = []
+    for start in range(n):
+        if start in component_of:
+            continue
+        comp = [start]
+        component_of[start] = len(components)
+        queue = [start]
+        while queue:
+            node = queue.pop()
+            for w in sorted(neighbours[node]):
+                if w not in component_of:
+                    component_of[w] = len(components)
+                    comp.append(w)
+                    queue.append(w)
+        components.append(sorted(comp))
+
+    clusters = tuple(frozenset(c) for c in components if len(c) >= 2)
+    unassigned = frozenset(c[0] for c in components if len(c) == 1)
+    partition = Partition(n, clusters, unassigned)
+
+    cluster_of: dict[int, int] = {}
+    for ci, cluster in enumerate(clusters):
+        for v in cluster:
+            cluster_of[v] = ci
+    links = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if a in cluster_of and b in cluster_of and cluster_of[a] != cluster_of[b]:
+                if grid.cells[a][b] >= tau_link:
+                    links.append(InterPatternLink(a, b, grid.cells[a][b]))
+    return GridClusterResult(partition, tuple(links), heads)
+
+
+def dense_matrix_json(grid: DenseGrid, labels) -> dict:
+    """Dense JSON form; diagonal cells are structural zeros (never written)."""
+    return {"labels": list(labels), "cells": [list(row) for row in grid.cells]}
 
 
 def cm_replay_oracle(events, omega_i=1, omega_g=1) -> dict[frozenset[int], tuple]:

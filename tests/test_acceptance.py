@@ -4,10 +4,12 @@ One test per contract line, in order, so a verbose run reads as a checklist:
 exact worked-example tables, oracle equivalence on random data, ordering
 invariance, corpus-scale performance, reference agreement, hierarchy fixed
 point, byte determinism, corpus-scale hierarchy performance,
-corpus-scale reinforcement with the absence decrement, and cm counting
-on a corpus of mostly distinct event sets.
+corpus-scale reinforcement with the absence decrement, cm counting
+on a corpus of mostly distinct event sets, and the grid on a wide sparse
+transposed corpus.
 """
 
+import io
 import json
 import random
 import subprocess
@@ -18,13 +20,16 @@ from pathlib import Path
 import patterngrid
 from patterngrid import counting, grid, hierarchy, reinforce
 from patterngrid.evaluate import pairwise_agreement
-from patterngrid.ingest import load_fixture, parse_transactions_path
+from patterngrid.ingest import load_fixture, parse_transactions, parse_transactions_path
 from patterngrid.model import Event, Weights
 from patterngrid.synth import synthetic_plants_text
 
 from .oracles import (
+    DenseGrid,
     cm_replay_oracle,
     cooccurrence_oracle,
+    dense_count_events,
+    dense_extract_clusters,
     frequency_oracle,
     permute_events,
     relabel_dataset,
@@ -299,3 +304,22 @@ def test_12_low_duplication_cm_under_point_three_seconds():
         counting.present(folded, event)
     assert repr(store.records) == repr(folded.records)
     assert store.event_counter == folded.event_counter == len(events)
+
+
+def test_13_transposed_grid_count_and_extract_under_one_second():
+    # 3,000 variables over 70 long events: 9 M cells, about 4% of them nonzero
+    text = synthetic_plants_text(3000).encode()
+    dataset = parse_transactions(io.BytesIO(text), transpose=True)
+    assert dataset.n == 3000
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        matrix = grid.count_events(grid.CountMatrix.zeros(dataset.n), dataset.events)
+        result = grid.extract_clusters(matrix, 2)
+        best = min(best, time.perf_counter() - started)
+
+    assert best < 1.0, f"count and extract took {best:.2f}s"
+    dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events)
+    assert grid.CountMatrix.from_cells(dense.cells) == matrix
+    assert matrix.increments == dense.increments
+    assert repr(result) == repr(dense_extract_clusters(dense, 2))

@@ -67,6 +67,26 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "hierarchy.txt").read_text()
 
+    def test_grid_transpose_json(self, capsys, monkeypatch, tmp_path):
+        # a wide sparse grid with links; the relative path keeps "source" fixed
+        monkeypatch.chdir(tmp_path)
+        Path("transpose80.data").write_text(synthetic_plants_text(80, 4))
+        code, out, _ = run(
+            capsys, "cluster", "--method", "grid", "--transpose", "--input", "transpose80.data",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "cluster_grid_transpose.json").read_text()
+
+    def test_grid_float_json(self, capsys):
+        # float cells beside the int zeros of untouched cells
+        code, out, _ = run(
+            capsys, "cluster", "--method", "grid", "--fixture", "seven_event", "--omega-i", "0.1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "cluster_grid_float.json").read_text()
+
 
 class TestRenderOnce:
     """Each engine result is rendered only in the format asked for."""

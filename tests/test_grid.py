@@ -1,5 +1,8 @@
+import json
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patterngrid.grid import (
@@ -15,7 +18,14 @@ from patterngrid.grid import (
 )
 from patterngrid.model import ConfigError, DataError, Event
 
-from .oracles import cooccurrence_oracle, random_dataset
+from .oracles import (
+    DenseGrid,
+    cooccurrence_oracle,
+    dense_count_events,
+    dense_extract_clusters,
+    dense_matrix_json,
+    random_dataset,
+)
 
 SEVEN_MATRIX = [
     [0, 4, 4, 4, 2, 1, 1],
@@ -101,26 +111,26 @@ class TestHeadSet:
         assert head_set(matrix, label["F"]) == {label["E"], label["G"]}
 
     def test_all_equal_keeps_all(self):
-        matrix = CountMatrix([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        matrix = CountMatrix.from_cells([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
         assert head_set(matrix, 0) == {1, 2}
 
     def test_all_zero_keeps_none(self):
         assert head_set(CountMatrix.zeros(3), 0) == frozenset()
 
     def test_cut_at_largest_gap(self):
-        matrix = CountMatrix([[0, 9, 8, 3, 2], [9, 0, 0, 0, 0], [8, 0, 0, 0, 0], [3, 0, 0, 0, 0], [2, 0, 0, 0, 0]])
+        matrix = CountMatrix.from_cells([[0, 9, 8, 3, 2], [9, 0, 0, 0, 0], [8, 0, 0, 0, 0], [3, 0, 0, 0, 0], [2, 0, 0, 0, 0]])
         assert head_set(matrix, 0) == {1, 2}
 
     def test_gap_tie_high_and_low(self):
         # sorted counts 5,3,1: both gaps are 2
-        matrix = CountMatrix([[0, 5, 3, 1], [5, 0, 0, 0], [3, 0, 0, 0], [1, 0, 0, 0]])
+        matrix = CountMatrix.from_cells([[0, 5, 3, 1], [5, 0, 0, 0], [3, 0, 0, 0], [1, 0, 0, 0]])
         assert head_set(matrix, 0, ties="high") == {1}
         assert head_set(matrix, 0, ties="low") == {1, 2}
 
     def test_equal_counts_never_straddle_the_cut(self):
         # counts 4,2,2,1: the maximal gap is after the 4; the pair of 2s
         # must stay together on the low side
-        matrix = CountMatrix(
+        matrix = CountMatrix.from_cells(
             [
                 [0, 4, 2, 2, 1],
                 [4, 0, 0, 0, 0],
@@ -180,7 +190,7 @@ class TestExtraction:
         # 0 nominates 1 (its only partner), but 1's head set is {2} only;
         # mutual agreement fails so 0 stays out, and links never attach to
         # unclustered variables
-        matrix = CountMatrix([[0, 1, 0], [1, 0, 9], [0, 9, 0]])
+        matrix = CountMatrix.from_cells([[0, 1, 0], [1, 0, 9], [0, 9, 0]])
         result = extract_clusters(matrix, tau_link=1)
         assert result.partition.clusters == (frozenset({1, 2}),)
         assert result.partition.unassigned == frozenset({0})
@@ -229,10 +239,95 @@ class TestRendering:
 
     def test_json(self):
         matrix = count_events(CountMatrix.zeros(2), [Event((0, 1))])
-        assert matrix_json(matrix, ["a", "b"]) == {"labels": ["a", "b"], "cells": [[0, 1], [1, 0]]}
+        expected = {"labels": ["a", "b"], "cells": [[0, 1], [1, 0]]}
+        assert matrix_json(matrix, ["a", "b"]) == json.dumps(expected, indent=2)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_json_nested(self, seven, level):
+        # as json.dumps writes the object as a value on a line `level` steps in
+        matrix = count_events(CountMatrix.zeros(seven.n), seven.events, 0.1)
+        whole = json.dumps({"matrix": {"labels": list(seven.labels), "cells": matrix.cells}}, indent=2)
+        for _ in range(level - 1):
+            whole = json.dumps({"x": json.loads(whole)}, indent=2)
+        if level:
+            assert '"matrix": ' + matrix_json(matrix, seven.labels, level) in whole
+        else:
+            assert matrix_json(matrix, seven.labels) == json.dumps(json.loads(whole)["matrix"], indent=2)
+
+    def test_json_empty(self):
+        assert matrix_json(CountMatrix.zeros(0), []) == json.dumps({"labels": [], "cells": []}, indent=2)
 
     def test_text_has_x_diagonal(self, seven):
         text = matrix_text(_seven_matrix(seven), seven.labels)
         lines = text.splitlines()
         assert lines[0].split() == list(seven.labels)
         assert lines[1].split() == ["A", "x", "4", "4", "4", "2", "1", "1"]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("weight", [0, -1, -0.5, math.nan, math.inf])
+    def test_weight_must_be_positive_and_finite(self, weight):
+        matrix = CountMatrix.zeros(3)
+        with pytest.raises(ConfigError):
+            grid_update(matrix, Event((0, 1)), weight)
+        with pytest.raises(ConfigError):
+            count_events(matrix, [Event((0, 1))], weight)
+        assert matrix == CountMatrix.zeros(3) and matrix.increments == 0
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_ties_checked_up_front(self, n):
+        with pytest.raises(ConfigError):
+            extract_clusters(CountMatrix.zeros(n), ties="sideways")
+
+
+@st.composite
+def _grid_cases(draw):
+    """A vocabulary size and labels, events counted first at one weight,
+    then a batch at another (repeated sets likely, maybe one out-of-range
+    event in it), a link threshold and a gap tie rule."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.text(max_size=4) | st.just('"cells": []'), min_size=n, max_size=n))
+    event = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(
+        lambda members: Event(tuple(members))
+    )
+    pool = draw(st.lists(event, min_size=1, max_size=4))
+    weight = st.integers(1, 4) | st.floats(1e-3, 1e3)
+    before = draw(st.lists(event, max_size=6)), draw(weight)
+    batch = draw(st.lists(event | st.sampled_from(pool), max_size=40))
+    bad = draw(st.none() | st.integers(0, len(batch)))
+    if bad is not None:
+        batch.insert(bad, Event((n,)))
+    tau = draw(st.sampled_from([1, 2, 3, 2.5]) | st.floats(1, 20))
+    ties = draw(st.sampled_from(["high", "low"]))
+    return n, labels, before, (batch, draw(weight)), bad, tau, ties
+
+
+@given(_grid_cases())
+@example((3, ["a", "b", "c"], ([Event((0, 1))], 1), ([Event((0, 1, 2))] * 3, 0.1), None, 1, "high"))
+# ten folds of 0.1 from 0 give 0.9999999999999999, not 10 * 0.1
+@example((2, ["a", "b"], ([], 1), ([Event((0, 1))] * 10, 0.1), None, 1, "high"))
+@example((2, ["a", "b"], ([], 1), ([Event((0, 1)), Event((0, 2)), Event((0, 1))], 1), 1, 2, "low"))
+def test_sparse_grid_equals_dense_oracle(case):
+    n, labels, (before, w0), (batch, w1), bad, tau, ties = case
+    sparse, dense = CountMatrix.zeros(n), DenseGrid.zeros(n)
+    count_events(sparse, before, w0)
+    dense_count_events(dense, before, w0)
+    prefilled = CountMatrix.from_cells(sparse.cells)
+
+    errors = []
+    for count, matrix in ((count_events, sparse), (dense_count_events, dense)):
+        try:
+            count(matrix, batch, w1)
+        except DataError as exc:
+            errors.append(str(exc))
+    assert len(errors) == (0 if bad is None else 2) and len(set(errors)) <= 1
+    assert repr(sparse.cells) == repr(dense.cells)
+    assert sparse.increments == dense.increments
+
+    assert repr(extract_clusters(sparse, tau, ties=ties)) == repr(
+        dense_extract_clusters(dense, tau, ties=ties)
+    )
+    assert matrix_json(sparse, labels) == json.dumps(dense_matrix_json(dense, labels), indent=2)
+
+    merged = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(dense.cells, prefilled.cells)]
+    assert repr(grid_merge(sparse, prefilled).cells) == repr(merged)

@@ -31,6 +31,14 @@ class TestEvent:
         with pytest.raises(DataError):
             Event((1, 2, 1))
 
+    @pytest.mark.parametrize("member", [1.0, "a", True])
+    def test_rejects_non_int_member(self, member):
+        # 1.0 and True would share a dict key with the int id 1
+        with pytest.raises(DataError, match="not an int id"):
+            Event((member, 2))
+        with pytest.raises(DataError, match="not an int id"):
+            Event((0, member))
+
     def test_validate_event_range(self):
         validate_event(Event((0, 2)), 3)
         with pytest.raises(DataError):
