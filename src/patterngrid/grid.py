@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, repeat
-from operator import itemgetter, sub
+from operator import sub
 from typing import Sequence
 
 from .model import (
