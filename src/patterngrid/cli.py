@@ -307,7 +307,7 @@ def _detail_json(run: EngineRun, labels) -> dict:
                 for r in run.result.records
             ]
         }
-    # a slot for the matrix, which _json_text fills in as grid.matrix_json writes it
+    # a slot for the matrix, which _json_text fills with grid.matrix_json's text
     return {"matrix": None}
 
 
@@ -334,7 +334,7 @@ def _json_text(payload: dict, run: EngineRun, labels) -> str:
     if run.method != "grid":
         return text
     head, _, tail = text.rpartition('"matrix": null')
-    return "".join([head, '"matrix": ', grid.matrix_json(run.result, labels, level=2), tail])
+    return "".join([head, '"matrix": ', grid.matrix_json(run.result, labels), tail])
 
 
 def _links_json(links, labels) -> list[dict]:

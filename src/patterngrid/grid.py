@@ -60,14 +60,6 @@ class CountMatrix:
     def zeros(cls, n: int) -> CountMatrix:
         return cls([{} for _ in range(n)])
 
-    @classmethod
-    def from_cells(cls, cells: Sequence[Sequence[int | float]]) -> CountMatrix:
-        """The matrix holding the positive off-diagonal cells of a dense
-        n x n layout."""
-        return cls(
-            [{w: c for w, c in enumerate(row) if c > 0 and w != v} for v, row in enumerate(cells)]
-        )
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -149,10 +141,6 @@ def _count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> 
     # steps[k]: k folds of weight from 0, for every cell that starts empty
     steps = list(accumulate(repeat(weight, max(together.values(), default=0)), initial=0))
     rows = grid.rows
-    if not any(rows):
-        for (a, b), k in together.items():
-            rows[a][b] = rows[b][a] = steps[k]
-        return
     for (a, b), k in together.items():
         row_a, row_b = rows[a], rows[b]
         row_a[b] = _fold(row_a[b], weight, k) if b in row_a else steps[k]
@@ -269,14 +257,14 @@ def extract_clusters(
     return GridClusterResult(partition, tuple(links), heads)
 
 
-def _rendered_rows(grid: CountMatrix, render=str, diagonal: str = "x"):
-    """Each row as a dense list of cell texts: ``render`` of the nonzero
+def _rendered_rows(grid: CountMatrix, diagonal: str = "x"):
+    """Each row as a dense list of cell texts: ``str`` of the nonzero
     cells, "0" elsewhere and ``diagonal`` on the diagonal."""
     zeros = ["0"] * grid.n
     for i, row in enumerate(grid.rows):
         cells = zeros.copy()
         for w, c in row.items():
-            cells[w] = render(c)
+            cells[w] = str(c)
         cells[i] = diagonal
         yield cells
 
@@ -290,28 +278,32 @@ def matrix_csv(grid: CountMatrix, labels: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_json(grid: CountMatrix, labels: Sequence[str], level: int = 0) -> str:
+def matrix_json(grid: CountMatrix, labels: Sequence[str]) -> str:
     """The matrix as the JSON object ``{"labels": [...], "cells": [[...]]}``,
-    in the text ``json.dumps(..., indent=2)`` gives for it as a value on a
-    line indented ``level`` steps (0 for a document of its own).
+    in the text ``json.dumps(payload, indent=2)`` gives for it as the
+    ``detail.matrix`` value of a ``cluster --format json`` payload, two
+    objects deep.
 
     Only the labels pass through ``json``. Its indenting encoder is pure
     Python and would visit all n x n cells, so each row is instead a
-    template of "0" with the row's nonzero cells patched in as ``repr``,
+    template of "0" with the row's nonzero cells patched in as ``str``,
     which is ``json``'s own text for the finite int and float counts a
     grid holds. Diagonal cells are structural zeros (never written).
     """
-    pad = "\n" + "  " * level
-    shell = json.dumps({"labels": list(labels), "cells": []}, indent=2).replace("\n", pad)
-    head, _, tail = shell.rpartition('"cells": []')
-    if not grid.n:
-        return shell
-    row_pad = pad + "    "
-    cell_sep = "," + row_pad + "  "
-    open_row, close_row = row_pad + "[" + cell_sep[1:], row_pad + "]"
-    rows = (cell_sep.join(cells) for cells in _rendered_rows(grid, repr, "0"))
-    cells = (close_row + "," + open_row).join(rows)
-    return "".join([head, '"cells": [', open_row, cells, close_row, pad, "  ]", tail])
+    pad = "\n    "  # the object's own line, two levels in
+    key_pad = pad + "  "
+    labels_text = json.dumps(list(labels), indent=2).replace("\n", key_pad)
+    parts = ["{", key_pad, '"labels": ', labels_text, ",", key_pad, '"cells": ']
+    if grid.n:
+        row_pad = key_pad + "  "
+        cell_sep = "," + row_pad + "  "
+        open_row, close_row = row_pad + "[" + cell_sep[1:], row_pad + "]"
+        rows = (cell_sep.join(cells) for cells in _rendered_rows(grid, "0"))
+        parts += ["[", open_row, (close_row + "," + open_row).join(rows), close_row, key_pad, "]"]
+    else:
+        parts.append("[]")
+    parts += [pad, "}"]
+    return "".join(parts)
 
 
 def matrix_text(grid: CountMatrix, labels: Sequence[str]) -> str:

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from patterngrid.grid import GridClusterResult
+from patterngrid.grid import CountMatrix, GridClusterResult
 from patterngrid.hierarchy import Extension, PatternNode
 from patterngrid.ingest import IngestError, LabelPolicy, TransactionFormat
 from patterngrid.model import (
@@ -71,6 +71,16 @@ class DenseGrid:
     @property
     def n(self) -> int:
         return len(self.cells)
+
+
+def count_matrix(cells) -> CountMatrix:
+    """The sparse ``grid.CountMatrix`` of a dense n x n layout, which must
+    have an empty diagonal and no negative cells."""
+    rows = []
+    for v, row in enumerate(cells):
+        assert row[v] == 0 and min(row) >= 0, f"not a grid row: {row}"
+        rows.append({w: c for w, c in enumerate(row) if c})
+    return CountMatrix(rows)
 
 
 def dense_grid_update(grid: DenseGrid, event: Event, weight: int | float = 1) -> DenseGrid:

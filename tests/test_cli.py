@@ -332,6 +332,21 @@ class TestInputHandling:
         )
         assert payload["detail"]["matrix"]["labels"] == ["s1", "s2"]
 
+    def test_grid_json_with_slot_text_as_a_label(self, capsys, tmp_path):
+        # the matrix is spliced into the "matrix": null slot; a label with
+        # that text is escaped, so the splice still finds the slot
+        path = tmp_path / "t.data"
+        path.write_text('al,"matrix": null\n"matrix": null,ak\n')
+        code, out, _ = run(
+            capsys,
+            "cluster", "--method", "grid", "--input", str(path), "--format", "json",
+            "--label-policy", "members",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["detail"]["matrix"]["labels"] == ["al", '"matrix": null', "ak"]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_members_policy(self, capsys, tmp_path):
         path = tmp_path / "t.data"
         path.write_text("al,ak\nak,fl\n")
