@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,11 +46,16 @@ METHODS = ("reinforce", "cm", "grid")
 
 def _number(text: str):
     """Numeric flag values; integers stay integers so rendered counts do
-    not grow a spurious decimal point."""
+    not grow a spurious decimal point. An integer past the float range is
+    refused as ``inf`` is, so no count nears ``int``'s digit limit for
+    ``str``."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         return _finite_float(text)
+    if abs(value) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _finite_float(text: str) -> float:
@@ -155,23 +161,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(args) -> tuple[Dataset, float, str]:
-    started = time.perf_counter()
-    if args.fixture:
-        loaded = load_fixture(args.fixture)
-        if not isinstance(loaded, Dataset):
-            raise ConfigError(
-                f"fixture {args.fixture!r} is a reference clustering, not an event dataset"
-            )
-        dataset, source = loaded, args.fixture
-    else:
-        fmt = TransactionFormat(label_policy=LabelPolicy(args.label_policy))
-        dataset = parse_transactions_path(args.input, fmt, transpose=args.transpose)
-        source = args.input
-    ms = (time.perf_counter() - started) * 1000
+class Timing(dict):
+    """Wall milliseconds per stage, in run order: the ``timing_ms`` payload
+    as it stands, and the source of every ``timing:`` line. ``compare``
+    nests one record per method under the method's name."""
+
+    @contextmanager
+    def stage(self, name: str):
+        started = time.perf_counter()
+        yield
+        self[name] = (time.perf_counter() - started) * 1000
+
+    def line(self, label: str = "timing") -> str:
+        """``<label>: <stage>=<ms>ms ...``, taken before any record is nested."""
+        return f"{label}: " + " ".join(f"{name}={ms:.1f}ms" for name, ms in self.items())
+
+
+def _load_dataset(args, timing: Timing) -> tuple[Dataset, str]:
+    with timing.stage("parse"):
+        if args.fixture:
+            loaded = load_fixture(args.fixture)
+            if not isinstance(loaded, Dataset):
+                raise ConfigError(
+                    f"fixture {args.fixture!r} is a reference clustering, not an event dataset"
+                )
+            dataset, source = loaded, args.fixture
+        else:
+            fmt = TransactionFormat(label_policy=LabelPolicy(args.label_policy))
+            dataset = parse_transactions_path(args.input, fmt, transpose=args.transpose)
+            source = args.input
     if dataset.diagnostics:
         print(f"diagnostics: {len(dataset.diagnostics)} lines skipped", file=sys.stderr)
-    return dataset, ms, source
+    return dataset, source
 
 
 def _cluster_section(partition: Partition, labels: Sequence[str]) -> list[str]:
@@ -215,66 +236,54 @@ def _instances_text(store: counting.InstanceStore, labels) -> list[str]:
 
 @dataclass(frozen=True, slots=True)
 class EngineRun:
-    """One engine's count and extract: what it found, the engine's own
-    result for the renderers to read, and the two stage times. ``result``
-    is ``(ReinforceState, bands)`` for reinforce, the ``InstanceStore``
-    for cm and the ``CountMatrix`` for grid."""
+    """One engine's count and extract: what it found and the engine's own
+    result for the renderers to read. ``result`` is
+    ``(ReinforceState, bands)`` for reinforce, the ``InstanceStore`` for cm
+    and the ``CountMatrix`` for grid."""
 
     method: str
     partition: Partition
     links: tuple
     result: object
-    count_ms: float
-    extract_ms: float
 
 
-def _run_method(method: str, dataset: Dataset, weights: Weights, args) -> EngineRun:
-    """Count and extract with one engine. Renders nothing."""
-    started = time.perf_counter()
+def _run_method(method: str, dataset: Dataset, weights: Weights, args, timing: Timing) -> EngineRun:
+    """Count and extract with one engine, timing each stage. Renders nothing."""
     links: tuple = ()
     n = dataset.n
     if method == "reinforce":
-        state = reinforce.count_events(reinforce.ReinforceState.empty(n), dataset.events, weights)
-        counted = time.perf_counter()
-        bands = reinforce.band_clusters(state)
-        partition = reinforce.bands_to_partition(bands, state.n)
+        with timing.stage("count"):
+            state = reinforce.count_events(reinforce.ReinforceState.empty(n), dataset.events, weights)
+        _refuse_overflow("omega_i", weights, state.counts)
+        with timing.stage("extract"):
+            bands = reinforce.band_clusters(state)
+            partition = reinforce.bands_to_partition(bands, state.n)
         result = (state, bands)
     elif method == "cm":
-        result = counting.present_all(counting.InstanceStore.empty(n), dataset.events, weights)
-        counted = time.perf_counter()
-        partition = counting.select_clusters(result)
-    elif method == "grid":
-        result = grid.count_events(grid.CountMatrix.zeros(n), dataset.events, weights.omega_i)
-        counted = time.perf_counter()
-        extracted = grid.extract_clusters(result, args.tau_link, ties=args.gap_ties)
+        with timing.stage("count"):
+            result = counting.present_all(counting.InstanceStore.empty(n), dataset.events, weights)
+        _refuse_overflow("omega_i", weights, (r.local_count for r in result.records))
+        _refuse_overflow("omega_g", weights, (r.global_count for r in result.records))
+        with timing.stage("extract"):
+            partition = counting.select_clusters(result)
+    else:
+        with timing.stage("count"):
+            result = grid.count_events(grid.CountMatrix.zeros(n), dataset.events, weights.omega_i)
+        _refuse_overflow("omega_i", weights, (c for row in result.rows for c in row.values()))
+        with timing.stage("extract"):
+            extracted = grid.extract_clusters(result, args.tau_link, ties=args.gap_ties)
         partition, links = extracted.partition, extracted.links
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    extract_ms = (time.perf_counter() - counted) * 1000
-    run = EngineRun(method, partition, links, result, (counted - started) * 1000, extract_ms)
-    _refuse_overflow(run, weights)
-    return run
+    return EngineRun(method, partition, links, result)
 
 
-def _refuse_overflow(run: EngineRun, weights: Weights) -> None:
+def _refuse_overflow(name: str, weights: Weights, counts) -> None:
     """Refuse a float weight whose sums overflowed to infinity, which JSON
-    cannot carry. Integer sums are exact and never overflow, so only float
-    weights are checked; each against the counts it was summed into."""
-    if run.method == "reinforce":
-        sums = {"omega_i": iter(run.result[0].counts)}
-    elif run.method == "cm":
-        records = run.result.records
-        sums = {
-            "omega_i": (r.local_count for r in records),
-            "omega_g": (r.global_count for r in records),
-        }
-    else:
-        sums = {"omega_i": (c for row in run.result.rows for c in row.values())}
-    for name, counts in sums.items():
-        value = getattr(weights, name)
-        if isinstance(value, float) and math.isinf(max(counts, default=0)):
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} {value:g} makes a count overflow to infinity")
+    cannot carry. Integer sums are exact and never overflow, so only a float
+    weight is checked, against the counts it was summed into."""
+    value = getattr(weights, name)
+    if isinstance(value, float) and math.isinf(max(counts, default=0)):
+        flag = "--" + name.replace("_", "-")
+        raise ConfigError(f"{flag} {value:g} makes a count overflow to infinity")
 
 
 def _text_body(run: EngineRun, labels) -> list[str]:
@@ -376,29 +385,22 @@ def _instances_csv(store: counting.InstanceStore, labels) -> list[str]:
 
 
 def _assignment_csv(partition: Partition, labels) -> list[str]:
-    cluster_of: dict[int, int] = {}
-    for ci, cluster in enumerate(partition.clusters):
-        for v in cluster:
-            cluster_of[v] = ci
     rows = ["variable,cluster"]
-    for v in range(partition.n):
-        rows.append(f"{labels[v]},{cluster_of[v] if v in cluster_of else ''}")
+    for label, ci in zip(labels, partition.cluster_ids()):
+        rows.append(f"{label},{ci if ci >= 0 else ''}")
     return rows
 
 
 def cmd_cluster(args) -> int:
     weights = Weights(args.omega_i, args.omega_g, args.delta)
-    dataset, parse_ms, source = _load_dataset(args)
+    timing = Timing()
+    dataset, source = _load_dataset(args, timing)
     labels = dataset.labels
-    run = _run_method(args.method, dataset, weights, args)
+    run = _run_method(args.method, dataset, weights, args, timing)
     partition = run.partition
     if args.singletons == "clusters":
         partition = partition.with_singleton_clusters()
-
-    timing_line = (
-        f"timing: parse={parse_ms:.1f}ms count={run.count_ms:.1f}ms extract={run.extract_ms:.1f}ms"
-    )
-    print(timing_line, file=sys.stderr)
+    print(timing.line(), file=sys.stderr)
 
     if args.format == "json":
         payload = {
@@ -410,7 +412,7 @@ def cmd_cluster(args) -> int:
             "detail": _detail_json(run, labels),
         }
         if args.timing:
-            payload["timing_ms"] = {"parse": parse_ms, "count": run.count_ms, "extract": run.extract_ms}
+            payload["timing_ms"] = timing
         print(_json_text(payload, run, labels))
     elif args.format == "csv":
         print("\n\n".join("\n".join(s) for s in _csv_sections(run, partition, labels)))
@@ -420,7 +422,7 @@ def cmd_cluster(args) -> int:
         lines += _cluster_section(partition, labels)
         lines += _link_section(run.links, labels)
         if args.timing:
-            lines.append(timing_line)
+            lines.append(timing.line())
         print("\n".join(lines))
     return 0
 
@@ -445,19 +447,21 @@ def cmd_compare(args) -> int:
     if not methods:
         raise ConfigError("no methods requested")
     weights = Weights(args.omega_i, args.omega_g, args.delta)
-    dataset, parse_ms, source = _load_dataset(args)
+    timing = Timing()
+    dataset, source = _load_dataset(args, timing)
     labels = dataset.labels
     reference = _load_reference(args.reference)
     reference_partition = reference.align(labels)
 
-    print(f"timing: parse={parse_ms:.1f}ms", file=sys.stderr)
+    timing_lines = [timing.line()]
+    print(timing_lines[0], file=sys.stderr)
     reports = {}
-    timing: dict = {"parse": parse_ms}
     for method in methods:
-        run = _run_method(method, dataset, weights, args)
+        timing[method] = Timing()
+        run = _run_method(method, dataset, weights, args, timing[method])
         reports[method] = pairwise_agreement(run.partition, reference_partition)
-        timing[method] = {"count": run.count_ms, "extract": run.extract_ms}
-        print(f"timing[{method}]: count={run.count_ms:.1f}ms extract={run.extract_ms:.1f}ms", file=sys.stderr)
+        timing_lines.append(timing[method].line(f"timing[{method}]"))
+        print(timing_lines[-1], file=sys.stderr)
 
     if args.format == "json":
         payload = {
@@ -474,6 +478,8 @@ def cmd_compare(args) -> int:
         for method in methods:
             lines.append(f"method: {method}")
             lines.extend("  " + row for row in agreement_text(reports[method], labels).splitlines())
+        if args.timing:
+            lines += timing_lines
         print("\n".join(lines))
     return 0
 
@@ -482,7 +488,7 @@ def cmd_tables(args) -> int:
     dataset = load_fixture("seven_event")
     assert isinstance(dataset, Dataset)
     labels = dataset.labels
-    runs = {m: _run_method(m, dataset, Weights(), args) for m in METHODS}
+    runs = {m: _run_method(m, dataset, Weights(), args, Timing()) for m in METHODS}
 
     lines = ["== variable counts =="]
     lines += _text_body(runs["reinforce"], labels)
@@ -501,23 +507,17 @@ def cmd_tables(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    dataset, parse_ms, source = _load_dataset(args)
+    timing = Timing()
+    dataset, source = _load_dataset(args, timing)
     labels = dataset.labels
     store = hierarchy.HierarchyStore(
         theta_merge=args.theta_merge, theta_split=args.theta_split, theta_new=args.theta_new
     )
-    started = time.perf_counter()
-    hierarchy.present_all(store, dataset.events)
-    presented = time.perf_counter()
-    hierarchy.consolidate(store)
-    consolidated = time.perf_counter()
-    present_ms = (presented - started) * 1000
-    consolidate_ms = (consolidated - presented) * 1000
-    print(
-        f"timing: parse={parse_ms:.1f}ms present={present_ms:.1f}ms"
-        f" consolidate={consolidate_ms:.1f}ms",
-        file=sys.stderr,
-    )
+    with timing.stage("present"):
+        hierarchy.present_all(store, dataset.events)
+    with timing.stage("consolidate"):
+        hierarchy.consolidate(store)
+    print(timing.line(), file=sys.stderr)
 
     if args.format == "json":
         payload = {
@@ -527,11 +527,7 @@ def cmd_hierarchy(args) -> int:
             **hierarchy.tree_json(store, labels),
         }
         if args.timing:
-            payload["timing_ms"] = {
-                "parse": parse_ms,
-                "present": present_ms,
-                "consolidate": consolidate_ms,
-            }
+            payload["timing_ms"] = timing
         print(json.dumps(payload, indent=2))
     else:
         lines = [
@@ -539,6 +535,8 @@ def cmd_hierarchy(args) -> int:
             f"mass: {hierarchy.total_mass(store)}",
         ]
         lines += hierarchy.tree_text(store, labels).splitlines()
+        if args.timing:
+            lines.append(timing.line())
         print("\n".join(lines))
     return 0
 

@@ -22,13 +22,11 @@ of its members' rows from bit c on.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, repeat
 from operator import or_
 
-from .model import Event, Partition, Weights, validate_event
+from .model import Event, Partition, Weights, fold, folds, validate_event
 
 # Bytes of occurrence bitsets ``present_all`` holds at once. Past it, the
 # events are taken in consecutive blocks of at most this many bytes of rows.
@@ -153,11 +151,11 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
         store.event_counter = start + t
         for idx in range(old):
             record = records[idx]
-            record.local_count = _fold(record.local_count, omega_i, hits[idx])
-            record.global_count = _fold(record.global_count, omega_g, overlaps[idx])
-        # a new record holds one weight already, its creation's
-        local = _folds(omega_i, hits[old:])
-        global_ = _folds(omega_g, overlaps[old:])
+            record.local_count = fold(record.local_count, omega_i, hits[idx])
+            record.global_count = fold(record.global_count, omega_g, overlaps[idx])
+        # a new record's counts fold from 0: 0 + w is w, its creation's weight
+        local = folds(omega_i, hits[old:])
+        global_ = folds(omega_g, overlaps[old:])
         for record, h, k in zip(records[old:], hits[old:], overlaps[old:]):
             record.local_count, record.global_count = local[h], global_[k]
     return store
@@ -179,22 +177,6 @@ def _count_block(
         if idx >= first:
             mask >>= record.created_at - start
         overlaps[idx] += mask.bit_count()
-
-
-def _fold(value, step, times: int):
-    """``value`` with ``step`` added ``times`` times, left to right."""
-    return deque(accumulate(repeat(step, times), initial=value), maxlen=1)[0]
-
-
-def _folds(step, counts: list[int]) -> dict:
-    """For each count k, ``step`` added to itself until it holds k steps,
-    the way k ``+=`` of ``step`` onto ``step`` would round. Only the counts
-    that occur are computed, each continuing the fold of the last."""
-    values, value, done = {}, step, 1
-    for k in sorted(set(counts)):
-        value = values[k] = _fold(value, step, k - done)
-        done = k
-    return values
 
 
 def coherence(record: InstanceRecord) -> int | float:

@@ -44,14 +44,6 @@ class AgreementReport:
     per_cluster_table: tuple[MatchRow, ...]
 
 
-def _cluster_ids(partition: Partition) -> list[int]:
-    ids = [-1] * partition.n
-    for ci, cluster in enumerate(partition.clusters):
-        for v in cluster:
-            ids[v] = ci
-    return ids
-
-
 def pairwise_agreement(produced: Partition, reference: Partition) -> AgreementReport:
     """Score a produced partition against a reference over the same
     variable universe."""
@@ -66,8 +58,8 @@ def pairwise_agreement(produced: Partition, reference: Partition) -> AgreementRe
     produced_pairs = sum(len(c) * (len(c) - 1) // 2 for c in prod.clusters)
     reference_pairs = sum(len(c) * (len(c) - 1) // 2 for c in ref.clusters)
 
-    pid = _cluster_ids(prod)
-    rid = _cluster_ids(ref)
+    pid = prod.cluster_ids()
+    rid = ref.cluster_ids()
     contingency: dict[tuple[int, int], int] = {}
     for v in range(n):
         key = (pid[v], rid[v])

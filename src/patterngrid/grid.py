@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations, repeat
+from itertools import chain, combinations
 from operator import sub
 from typing import Sequence
 
@@ -39,6 +39,8 @@ from .model import (
     Event,
     InterPatternLink,
     Partition,
+    fold,
+    folds,
     validate_event,
 )
 
@@ -138,23 +140,13 @@ def _count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> 
             for pair in combinations(sorted(members), 2):
                 together[pair] += times
         grid.increments += times * len(members) * (len(members) - 1)
-    # steps[k]: k folds of weight from 0, for every cell that starts empty
-    steps = list(accumulate(repeat(weight, max(together.values(), default=0)), initial=0))
+    # fresh[k]: k folds of weight from 0, for every cell that starts empty
+    fresh = folds(weight, together.values())
     rows = grid.rows
     for (a, b), k in together.items():
         row_a, row_b = rows[a], rows[b]
-        row_a[b] = _fold(row_a[b], weight, k) if b in row_a else steps[k]
-        row_b[a] = _fold(row_b[a], weight, k) if a in row_b else steps[k]
-
-
-def _fold(value, weight, k: int):
-    """``value`` after ``k`` steps of ``value += weight``. The closed form is
-    used only for ints, where it is exact; floats round at every step."""
-    if type(value) is int and type(weight) is int:
-        return value + k * weight
-    for value in accumulate(repeat(weight, k), initial=value):
-        pass
-    return value
+        row_a[b] = fold(row_a[b], weight, k) if b in row_a else fresh[k]
+        row_b[a] = fold(row_b[a], weight, k) if a in row_b else fresh[k]
 
 
 def grid_merge(a: CountMatrix, b: CountMatrix) -> CountMatrix:
@@ -241,18 +233,17 @@ def extract_clusters(
     unassigned = frozenset(c[0] for c in components if len(c) == 1)
     partition = Partition(n, clusters, unassigned)
 
-    cluster_of: dict[int, int] = {}
-    for ci, cluster in enumerate(clusters):
-        for v in cluster:
-            cluster_of[v] = ci
+    cluster_of = partition.cluster_ids()
     links = []
-    for a in sorted(cluster_of):
-        ca, row = cluster_of[a], rows[a]
+    for a, ca in enumerate(cluster_of):
+        if ca < 0:
+            continue
+        row = rows[a]
         ids = sorted(row)
         links.extend(
             InterPatternLink(a, b, row[b])
             for b in ids[bisect_right(ids, a) :]
-            if row[b] >= tau_link and cluster_of.get(b, ca) != ca
+            if row[b] >= tau_link and -1 < cluster_of[b] != ca
         )
     return GridClusterResult(partition, tuple(links), heads)
 

@@ -188,6 +188,8 @@ def load_reference_path(path: str) -> ReferenceClusters:
         payload = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}: not a UTF-8 JSON file ({exc})") from None
+    except RecursionError:
+        raise DataError(f"{path}: JSON nested too deeply to read") from None
     clusters = payload.get("clusters") if isinstance(payload, dict) else None
     # a string is iterable too, and would split into one-letter labels
     if not isinstance(clusters, list) or not all(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 
@@ -177,6 +178,29 @@ class Weights:
             raise ConfigError("delta must be non-negative and finite")
 
 
+def fold(value, step, times: int):
+    """``value`` after ``times`` steps of ``value += step``, the sum a batch
+    count must give to match one ``+=`` per event. The closed form is used
+    only for int + int, where it is exact; floats round at every step, so
+    they are added one by one."""
+    if type(value) is int and type(step) is int:
+        return value + times * step
+    for value in accumulate(repeat(step, times), initial=value):
+        pass
+    return value
+
+
+def folds(step, counts) -> dict:
+    """``fold(0, step, k)`` for each distinct count k in ``counts``. Each
+    continues the fold of the next smaller count, so only the largest count's
+    steps are taken, and no value is held for a count that does not occur."""
+    values, value, done = {}, 0, 0
+    for k in sorted(set(counts)):
+        value = values[k] = fold(value, step, k - done)
+        done = k
+    return values
+
+
 @dataclass(frozen=True, slots=True)
 class Partition:
     """Disjoint clusters over ids 0..n-1 plus explicitly unassigned ids."""
@@ -203,6 +227,14 @@ class Partition:
 
     def label_unassigned(self, labels: Sequence[str]) -> list[str]:
         return sorted(labels[i] for i in self.unassigned)
+
+    def cluster_ids(self) -> list[int]:
+        """Each id's index in ``clusters``, or -1 for an unassigned id."""
+        ids = [-1] * self.n
+        for ci, cluster in enumerate(self.clusters):
+            for v in cluster:
+                ids[v] = ci
+        return ids
 
     def with_singleton_clusters(self) -> Partition:
         """Move every unassigned id into its own one-member cluster."""

@@ -305,13 +305,30 @@ class TestTimingFormat:
             assert list(timing[method]) == ["count", "extract"]
             assert all(isinstance(ms, float) for ms in timing[method].values())
 
-    def test_cluster_text_timing_repeats_stderr_line(self, capsys):
-        code, out, err = run(
-            capsys, "cluster", "--method", "cm", "--fixture", "seven_event", "--timing"
-        )
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("cluster", "--method", "cm"), ["timing: parse=Nms count=Nms extract=Nms"]),
+            (
+                ("compare", "--method", "grid,reinforce"),
+                [
+                    "timing: parse=Nms",
+                    "timing[grid]: count=Nms extract=Nms",
+                    "timing[reinforce]: count=Nms extract=Nms",
+                ],
+            ),
+            (("hierarchy",), ["timing: parse=Nms present=Nms consolidate=Nms"]),
+        ],
+        ids=["cluster", "compare", "hierarchy"],
+    )
+    def test_cluster_text_timing_repeats_stderr_line(self, capsys, tmp_path, argv, expected):
+        ref = tmp_path / "ref.json"
+        ref.write_text('{"clusters": [["A", "B", "C", "D"], ["E", "F", "G"]]}')
+        extra = ("--reference", str(ref)) if argv[0] == "compare" else ()
+        code, out, err = run(capsys, *argv, *extra, "--fixture", "seven_event", "--timing")
         assert code == 0
-        assert out.splitlines()[-1] == err.rstrip("\n")
-        assert self.masked(out.splitlines()[-1]) == "timing: parse=Nms count=Nms extract=Nms"
+        assert out.splitlines()[-len(expected) :] == err.splitlines()
+        assert [self.masked(line) for line in err.splitlines()] == expected
 
 
 class TestDeterminism:
@@ -438,10 +455,14 @@ class TestExitCodes:
             ("hierarchy", "--theta-merge", "inf"),
             ("hierarchy", "--theta-split", "Infinity"),
             ("hierarchy", "--theta-new", "nan"),
+            # an int past the float range: its counts could not be printed
+            ("cluster", "--method", "reinforce", "--format", "json", "--omega-i", "9" * 4300),
+            ("cluster", "--method", "grid", "--tau-link", str(-(10**309))),
         ],
         ids=[
             "omega-i-nan", "omega-g-inf", "delta-minus-inf", "tau-link-overflow",
             "compare-omega-i-nan", "theta-merge-inf", "theta-split-inf", "theta-new-nan",
+            "omega-i-int-past-float-range", "tau-link-int-past-float-range",
         ],
     )
     def test_non_finite_number_refused_before_input_is_read(self, capsys, argv):
@@ -522,11 +543,17 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_no_thread_pool_or_logging():
-    # every CLI process pays for what importing the CLI loads
+    # every CLI process pays for what importing the CLI loads; and the runtime
+    # is stdlib only, so every module of the package loads nothing else
     package_root = str(Path(patterngrid.__file__).resolve().parents[1])
     probe = (
         "import sys, patterngrid.cli; patterngrid.cli.build_parser(); "
-        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules)); "
+        "import importlib, pkgutil; "
+        "[importlib.import_module(m.name) for m in "
+        "pkgutil.walk_packages(patterngrid.__path__, 'patterngrid.')]; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules}"
+        " - {'__main__', 'patterngrid'} - sys.stdlib_module_names))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -535,4 +562,4 @@ def test_cli_import_loads_no_thread_pool_or_logging():
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"

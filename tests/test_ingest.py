@@ -293,8 +293,12 @@ class TestReference:
             '{"clusters": "abcd"}',
             '{"clusters": [["a", 1]]}',
             "not json",
+            '{"clusters": ' + "[" * 100_000 + "]" * 100_000 + "}",
         ],
-        ids=["null", "non-list-cluster", "string-clusters", "string", "non-string-label", "not-json"],
+        ids=[
+            "null", "non-list-cluster", "string-clusters", "string", "non-string-label",
+            "not-json", "nested-too-deep",
+        ],
     )
     def test_load_reference_path_rejects_shape(self, tmp_path, text):
         path = tmp_path / "ref.json"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patterngrid.model import (
@@ -12,6 +12,8 @@ from patterngrid.model import (
     Variable,
     Weights,
     build_vocabulary,
+    fold,
+    folds,
     partition_from_label_sets,
     validate_event,
 )
@@ -93,6 +95,33 @@ class TestWeights:
             Weights(**bad)
 
 
+def plus_equals(value, step, times):
+    for _ in range(times):
+        value += step
+    return value
+
+
+numbers = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6, allow_nan=False))
+steps = st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6))
+
+
+class TestFold:
+    @given(numbers, steps, st.integers(0, 200))
+    @example(3, 0.1, 7)  # int then float
+    @example(0.1, 3, 7)
+    @example(5, 7, 9)
+    def test_fold_is_a_plus_equals_loop(self, value, step, times):
+        assert repr(fold(value, step, times)) == repr(plus_equals(value, step, times))
+
+    @given(steps, st.lists(st.integers(0, 200), max_size=12))
+    @example(0.1, [7, 3, 3, 1])
+    @example(7, [9, 0, 2])
+    def test_folds_is_a_plus_equals_loop_from_zero(self, step, counts):
+        assert repr(folds(step, counts)) == repr(
+            {k: plus_equals(0, step, k) for k in sorted(set(counts))}
+        )
+
+
 class TestPartition:
     def test_valid(self):
         p = Partition(4, (frozenset({0, 1}),), frozenset({2, 3}))
@@ -116,6 +145,10 @@ class TestPartition:
         expanded = p.with_singleton_clusters()
         assert expanded.clusters == (frozenset({0, 1}), frozenset({2}))
         assert expanded.unassigned == frozenset()
+
+    def test_cluster_ids(self):
+        p = Partition(4, (frozenset({1, 3}), frozenset({0})), frozenset({2}))
+        assert p.cluster_ids() == [1, 0, -1, 0]
 
     def test_from_label_sets(self):
         p = partition_from_label_sets(["a", "b", "c"], [["b", "a"]])
