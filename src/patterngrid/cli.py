@@ -192,6 +192,7 @@ def _load_dataset(args, timing: Timing) -> tuple[Dataset, str]:
             source = args.input
     if dataset.diagnostics:
         print(f"diagnostics: {len(dataset.diagnostics)} lines skipped", file=sys.stderr)
+        print("\n".join(f"  {d}" for d in dataset.diagnostics), file=sys.stderr)
     return dataset, source
 
 
@@ -451,7 +452,10 @@ def cmd_compare(args) -> int:
     dataset, source = _load_dataset(args, timing)
     labels = dataset.labels
     reference = _load_reference(args.reference)
-    reference_partition = reference.align(labels)
+    try:
+        reference_partition = reference.align(labels)
+    except DataError as exc:
+        raise DataError(f"{args.reference}: {exc}") from None
 
     timing_lines = [timing.line()]
     print(timing_lines[0], file=sys.stderr)

@@ -101,7 +101,8 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
 
     One pass over the events creates records as ``present`` does, tallies
     each record's exact repeats and sets bit t of ``rows[v]`` for every
-    member v of block event t. Each block then adds to a record's overlap
+    member v of block event t. Each distinct member tuple is checked and
+    looked up once. Each block then adds to a record's overlap
     count the popcount of its members' rows ORed, shifted past its
     creation if that lies in the block. Counters are written last, as left
     folds of the weight, so float sums round as the per-event ``+=`` does.
@@ -120,26 +121,31 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
     first = old  # the first record created in the current block
     rows: list = []
     t = 0  # events of the current block applied so far
+    seen: dict[tuple[int, ...], int] = {}  # member tuple -> its record, checked once
     events = tuple(events)  # a tuple is not copied, nor is its one-block slice
     try:
         for begin in range(0, len(events), size):
             block = events[begin : begin + size]
             rows = [bytearray((len(block) + 7) >> 3) for _ in range(n)]
             for event in block:
-                validate_event(event, n)
-                byte, bit = t >> 3, 1 << (t & 7)
-                for v in event.members:
-                    rows[v][byte] |= bit
-                key = event.member_set()
-                idx = by_pattern.get(key)
+                members = event.members
+                idx = seen.get(members)
                 if idx is None:
-                    idx = len(records)
-                    by_pattern[key] = idx
-                    for v in sorted(key):
-                        postings.setdefault(v, []).append(idx)
-                    records.append(InstanceRecord(key, omega_i, omega_g, start + t))
-                    hits.append(0)
-                    overlaps.append(0)
+                    validate_event(event, n)
+                    key = event.member_set()
+                    idx = by_pattern.get(key)
+                    if idx is None:
+                        idx = len(records)
+                        by_pattern[key] = idx
+                        for v in sorted(key):
+                            postings.setdefault(v, []).append(idx)
+                        records.append(InstanceRecord(key, omega_i, omega_g, start + t))
+                        hits.append(0)
+                        overlaps.append(0)
+                    seen[members] = idx
+                byte, bit = t >> 3, 1 << (t & 7)
+                for v in members:
+                    rows[v][byte] |= bit
                 hits[idx] += 1
                 t += 1
             _count_block(rows, records, overlaps, first, start)

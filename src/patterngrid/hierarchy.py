@@ -32,6 +32,13 @@ on the first presentation, so hand-built stores work too, and
 ``consolidate`` drops it, to be rebuilt on the next presentation. Code that
 changes ``roots``, ``extensions`` or a node's pattern by hand after
 presenting must set ``store._index = None`` the same way.
+
+A presentation's outcome (which node gains an occurrence, or which part
+count it bumps) depends on the nodes and their patterns, never on their
+counts, and presentation only ever adds nodes. So ``present_all`` keeps a
+memo from member tuple to outcome for the length of one call and replays a
+repeated event from it, and clears the memo whenever a presentation adds a
+node. ``present_pattern`` keeps no memo.
 """
 
 from __future__ import annotations
@@ -150,7 +157,18 @@ def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
     on the best-overlapping node when the fraction reaches theta_new, and
     finally a brand-new root.
     """
-    members = event.member_set()
+    _present(store, event.member_set())
+    return store
+
+
+# What one presentation did: ``(node, None)`` when it counted an occurrence
+# of ``node``, ``(node, key)`` when it counted ``key`` in ``node``'s
+# ``subset_counts``, and ``None`` when it added a node.
+_Outcome = tuple[PatternNode, frozenset[int] | None] | None
+
+
+def _present(store: HierarchyStore, members: frozenset[int]) -> _Outcome:
+    """``present_pattern`` on a member set, returning its outcome."""
     store.presentations += 1
     index = store._index
     if index is None:
@@ -160,7 +178,7 @@ def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
     slot = index.exact.get(members)
     if slot is not None:
         nodes[slot].occurrences += 1
-        return store
+        return nodes[slot], None
 
     overlap = Counter(chain.from_iterable(index.postings.get(v, ()) for v in members))
     covered = [s for s, k in overlap.items() if k == len(nodes[s].pattern)]
@@ -172,10 +190,10 @@ def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
         for ext in best.extensions:
             if ext.adds == adds:
                 ext.node.occurrences += 1
-                return store
+                return ext.node, None
         best.extensions.append(Extension(adds, PatternNode(members, 1)))
         index.add(best.extensions[-1].node, (*paths[slot], len(best.extensions) - 1))
-        return store
+        return None
 
     if overlap:
         slot = min(overlap, key=lambda s: (-overlap[s], paths[s]))
@@ -183,16 +201,37 @@ def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
             best = nodes[slot]
             key = frozenset(best.pattern & members)
             best.subset_counts[key] = best.subset_counts.get(key, 0) + 1
-            return store
+            return best, key
 
     store.roots.append(PatternNode(frozenset(members), 1))
     index.add(store.roots[-1], (len(store.roots) - 1,))
-    return store
+    return None
 
 
 def present_all(store: HierarchyStore, events) -> HierarchyStore:
+    """``present_pattern`` on each event in turn.
+
+    An outcome depends only on the nodes present, never on their counts, so
+    it holds until the next node is added. Outcomes are memoised by member
+    tuple and replayed, and the memo is cleared whenever a node is added.
+    """
+    memo: dict[tuple[int, ...], _Outcome] = {}
     for event in events:
-        present_pattern(store, event)
+        members = event.members
+        outcome = memo.get(members)
+        if outcome is None:
+            outcome = _present(store, event.member_set())
+            if outcome is None:
+                memo.clear()
+            else:
+                memo[members] = outcome
+            continue
+        store.presentations += 1
+        node, key = outcome
+        if key is None:
+            node.occurrences += 1
+        else:
+            node.subset_counts[key] += 1
     return store
 
 

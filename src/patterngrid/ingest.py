@@ -13,6 +13,12 @@ this boundary, so the parser builds its Events and Dataset through the
 trusted constructors in ``model``; the public ``Event(...)``,
 ``Dataset(...)`` and ``build_vocabulary`` keep every check for all other
 callers.
+
+Real corpora repeat a few member lists many times, so the parser does
+that work once per distinct member text: it builds one Event object for
+each and appends that same object for every line that repeats the text.
+``Dataset.events`` may therefore hold one Event more than once; Events are
+frozen, and no engine tells two equal Events apart.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ from .model import (
     ConfigError,
     DataError,
     Dataset,
+    Event,
     Partition,
     Variable,
-    _trusted_events,
+    _trusted_event,
     build_vocabulary,  # noqa: F401  re-exported; perfbench traces ingest.build_vocabulary
     partition_from_label_sets,
 )
@@ -71,6 +78,12 @@ def parse_transactions(
     them again; ``Event(...)``, ``Dataset(...)`` and ``build_vocabulary``
     keep their own checks for every other caller.
 
+    A member text is the text after the record label, or the whole line
+    under the members policy. It is split, checked and encoded the first
+    time it parses; a later line with the same text only has its label
+    checked and shares the first line's Event object. The memo lives for
+    this call only.
+
     With ``transpose`` the file is flipped before encoding: record labels
     become the vocabulary and each member token becomes one event listing
     the records it appeared in (cluster species by state instead of states
@@ -85,39 +98,52 @@ def parse_transactions(
     delimiter = fmt.delimiter
     labelled = fmt.label_policy is LabelPolicy.RECORD_LABEL
     ids: dict[str, int] = {}
-    rows: list[tuple[int, ...]] = []
+    events: list[Event] = []
+    # member text -> the Event of the first line that parsed with it
+    memo: dict[str, Event] = {}
     # transpose: each member's records, first appearance first; the inner
     # dict drops a repeated record label in constant time
     by_member: dict[str, dict[str, None]] = {}
     diagnostics: list[str] = []
+    empty_label = False  # the members policy has no label
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        members = list(map(str.strip, line.split(delimiter)))
-        if "" in members:
-            diagnostics.append(f"line {lineno}: empty field")
-            continue
+        key = line
         if labelled:
-            label = members.pop(0)
-        if not members:
-            diagnostics.append(f"line {lineno}: no members")
+            cut = line.find(delimiter)
+            if cut < 0:  # a label alone
+                diagnostics.append(f"line {lineno}: no members")
+                continue
+            # the line is stripped, so a label is empty here or starts
+            # with a non-space and stays non-empty once stripped itself
+            key, empty_label = line[cut + 1 :], cut == 0
+        event = memo.get(key)
+        if event is not None and not empty_label:
+            events.append(event)
+            continue
+        members = list(map(str.strip, key.split(delimiter)))
+        if empty_label or "" in members:
+            diagnostics.append(f"line {lineno}: empty field")
             continue
         if len(set(members)) != len(members):
             diagnostics.append(f"line {lineno}: duplicate member")
             continue
         if transpose:
+            label = line[:cut].strip()
             for m in members:
                 by_member.setdefault(m, {})[label] = None
         else:
-            rows.append(_encode(members, ids))
+            event = memo[key] = _trusted_event(_encode(members, ids))
+            events.append(event)
     if transpose:
-        rows = [_encode(group, ids) for group in by_member.values()]
+        events = [_trusted_event(_encode(group, ids)) for group in by_member.values()]
 
-    if not rows:
+    if not events:
         raise IngestError("no parseable records in the source")
     variables = tuple(map(Variable, range(len(ids)), ids))
-    return Dataset._trusted(variables, _trusted_events(rows), tuple(diagnostics))
+    return Dataset._trusted(variables, tuple(events), tuple(diagnostics))
 
 
 def _encode(tokens: Iterable[str], ids: dict[str, int]) -> tuple[int, ...]:

@@ -58,20 +58,19 @@ class Event:
         return frozenset(self.members)
 
 
-def _trusted_events(rows: Iterable[tuple[int, ...]]) -> tuple[Event, ...]:
-    """Events built without ``Event.__post_init__``'s checks.
+_set_members = Event.members.__set__
 
-    The caller guarantees that each row is a non-empty tuple of distinct
+
+def _trusted_event(members: tuple[int, ...]) -> Event:
+    """An Event built without ``Event.__post_init__``'s checks.
+
+    The caller guarantees that ``members`` is a non-empty tuple of distinct
     ints: only a parser that has already rejected empty and duplicate rows
     may use it, and everyone else calls ``Event(...)``.
     """
-    new, set_members = object.__new__, Event.members.__set__
-    events = []
-    for members in rows:
-        event = new(Event)
-        set_members(event, members)
-        events.append(event)
-    return tuple(events)
+    event = object.__new__(Event)
+    _set_members(event, members)
+    return event
 
 
 def validate_event(event: Event, n: int) -> None:

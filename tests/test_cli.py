@@ -380,6 +380,46 @@ class TestInputHandling:
         _, _, err = run(capsys, "cluster", "--method", "grid", "--input", str(path))
         assert "diagnostics: 1 lines skipped" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cluster", "--method", "grid", "--format", "json"),
+            ("cluster", "--method", "cm"),
+            ("hierarchy", "--format", "json"),
+            ("compare", "--method", "grid,reinforce", "--reference", "plants_reference"),
+        ],
+        ids=["cluster-grid", "cluster-cm", "hierarchy", "compare"],
+    )
+    def test_each_skipped_line_reported_on_stderr(self, capsys, tmp_path, argv):
+        good = synthetic_plants_text(60, 2).splitlines()
+        bad = {3: "r,al,al", 10: ",al,ak", 11: "  ,al,ak", 25: "label-only", 40: "r,,ak"}
+        lines = list(good)
+        for lineno in sorted(bad):
+            lines.insert(lineno - 1, bad[lineno])
+        clean, dirty = tmp_path / "clean.data", tmp_path / "dirty.data"
+        clean.write_text("\n".join(good) + "\n")
+        dirty.write_text("\n".join(lines) + "\n")
+
+        def source(path):
+            # the source path is echoed in JSON parameters; keep it equal
+            target = tmp_path / "run.data"
+            target.write_bytes(path.read_bytes())
+            return str(target)
+
+        code, expected, _ = run(capsys, *argv, "--input", source(clean))
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--input", source(dirty))
+        assert (code, out) == (0, expected)
+        reported = err.splitlines()
+        assert reported[0] == f"diagnostics: {len(bad)} lines skipped"
+        assert reported[1 : 1 + len(bad)] == [
+            "  line 3: duplicate member",
+            "  line 10: empty field",
+            "  line 11: empty field",
+            "  line 25: no members",
+            "  line 40: empty field",
+        ]
+
 
 class TestExitCodes:
     def test_missing_input_file(self, capsys):
@@ -531,6 +571,18 @@ class TestExitCodes:
         for _ in range(7):
             seven_overlaps += 1e307
         assert max(i["global"] for i in payload["detail"]["instances"]) == seven_overlaps
+
+    @pytest.mark.parametrize("reference", ["plants_reference", "file"])
+    def test_unknown_reference_label_names_the_reference(self, capsys, tmp_path, reference):
+        if reference == "file":
+            path = tmp_path / "ref.json"
+            path.write_text('{"clusters": [["A", "B"], ["fl"]]}')
+            reference = str(path)
+        code, out, err = run(
+            capsys, "compare", "--fixture", "seven_event", "--reference", reference
+        )
+        assert (code, out) == (1, "")
+        assert err == f"input error: {reference}: label 'fl' not in the vocabulary\n"
 
     def test_reference_content_error_names_the_file(self, capsys, small_corpus, tmp_path):
         ref = tmp_path / "ref.json"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patterngrid import hierarchy
@@ -260,6 +260,48 @@ events_over_six = st.lists(
     ),
     max_size=40,
 )
+
+
+@st.composite
+def repeated_events(draw) -> list[Event]:
+    """A long stream over a few member tuples, each presented in its own
+    order and reversed, as shared Event objects."""
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True).map(tuple),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    shared = [Event(m) for m in pool] + [Event(m[::-1]) for m in pool]
+    return draw(st.lists(st.sampled_from(shared), max_size=200))
+
+
+class TestMemoMatchesWalk:
+    """``present_all`` replays memoised outcomes; the per-event walk in
+    tests/oracles.py applies every presentation afresh."""
+
+    @given(repeated_events(), st.sampled_from([0.25, 0.5, 1.0]), st.booleans())
+    # {A,B,E} is bookkept on {A,B,C,D} until the root {E} appears; from then
+    # on it extends {E}
+    @example([Event((A, B, C, D)), Event((A, B, E)), Event((E,)), Event((A, B, E))], 0.5, False)
+    def test_repeated_member_tuples(self, events, theta_new, hand_built):
+        fast, slow = (
+            _hand_built_store() if hand_built else HierarchyStore() for _ in range(2)
+        )
+        fast.theta_new = slow.theta_new = theta_new
+
+        def same() -> bool:
+            return (tree_json(fast), repr(fast), fast.presentations) == (
+                tree_json(slow), repr(slow), slow.presentations
+            )
+
+        present_all(fast, events)
+        _oracle_present_all(slow, events)
+        assert same()
+        consolidate(fast)
+        _oracle_consolidate(slow)
+        assert same()
 
 
 class TestIndexMatchesWalk:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patterngrid import ingest, model
+from patterngrid import counting, grid, hierarchy, ingest, model, reinforce
 from patterngrid.ingest import (
     FIXTURES,
     IngestError,
@@ -130,9 +130,19 @@ def _transaction_bytes(draw) -> tuple[bytes, str]:
     delimiter = draw(st.sampled_from([",", ";", "|", "\t"]))
     sep = delimiter.encode()
     fields = st.lists(_field(), min_size=1, max_size=5).map(sep.join)
+    # a few member texts that many lines repeat, with or without a label in
+    # front, so lines share a member text under different labels; most of
+    # them parse, so a repeat reaches the parser's memo
+    members = st.lists(st.sampled_from(_TOKENS[:5]), min_size=1, max_size=4, unique=True)
+    pool = draw(st.lists(st.one_of(fields, members.map(sep.join)), min_size=1, max_size=3))
+    labels = st.one_of(st.sampled_from([b"", b" ", b"r1", b"r2 "]), _field())
+    repeated = st.one_of(
+        st.tuples(labels, st.sampled_from(pool)).map(sep.join), st.sampled_from(pool)
+    )
     blank = st.sampled_from([b"", b"  ", b"\t"])
     if draw(st.booleans()):
-        lines = draw(st.lists(st.one_of(fields, blank, _bad_line(sep)), max_size=12))
+        lines = draw(st.lists(st.one_of(repeated, fields, blank, _bad_line(sep)), max_size=12))
+        lines += draw(st.lists(repeated, min_size=2, max_size=6))
     else:
         lines = draw(st.lists(st.one_of(_bad_line(sep), blank), max_size=6))
     data = b"".join(line + draw(st.sampled_from(_ENDS)) for line in lines)
@@ -148,6 +158,14 @@ class TestOnePassMatchesOracle:
     @example((b"r1,a,a\nr2,,b\nr3\n", ","), LabelPolicy.RECORD_LABEL, True)
     @example((b"s1, a ,b\r\ns2,a\n\ns1,b,c\n", ","), LabelPolicy.RECORD_LABEL, True)
     @example((b"a,b\n", ","), LabelPolicy.MEMBERS, True)
+    # a member text seen before, under an empty label, a whitespace-only
+    # label and no label at all
+    @example((b"r1,a,b\n,a,b\nr3,a,b\n", ","), LabelPolicy.RECORD_LABEL, False)
+    @example((b"r1;a;b\n \t ;a;b\nr3 ;a;b\n", ";"), LabelPolicy.RECORD_LABEL, False)
+    @example((b"r1,a\nr2\nr3,\nr1,a\na\n", ","), LabelPolicy.RECORD_LABEL, False)
+    # a tab delimiter is whitespace: an empty first member must not look
+    # like the text of a line that parsed
+    @example((b"r1\t a\nr2\t\ta\nr3\t a\n", "\t"), LabelPolicy.RECORD_LABEL, False)
     def test_same_dataset_or_error(self, drawn, policy, transpose):
         data, delimiter = drawn
         fmt = TransactionFormat(delimiter=delimiter, label_policy=policy)
@@ -160,6 +178,41 @@ class TestOnePassMatchesOracle:
         fmt = TransactionFormat()
         expected = _outcome(parse_oracle, data, fmt, transpose)
         assert _outcome(parse_transactions, data, fmt, transpose) == expected
+
+
+class TestSharedEvents:
+    """Lines that repeat a member text share one Event object, and no
+    engine tells it apart from fresh equal Events."""
+
+    def test_repeated_text_shares_one_event(self):
+        dataset = _parse("r1,a,b\nr2,a,b\nr3, a,b\nr4,b,a\n,a,b\nr6,a,b\n")
+        first, second, spaced, reversed_, last = dataset.events
+        assert first is second is last
+        assert spaced == first and spaced is not first
+        assert reversed_.members == (1, 0)
+        assert dataset.diagnostics == ("line 5: empty field",)
+
+    @pytest.mark.parametrize("weights", [model.Weights(delta=1), model.Weights(0.1, 0.3, 1)])
+    def test_engines_ignore_event_identity(self, weights):
+        shared = _parse(synthetic_plants_text(400, 9))
+        assert len(set(map(id, shared.events))) < len(shared.events)
+        fresh = Dataset(shared.variables, tuple(Event(e.members) for e in shared.events))
+        assert len(set(map(id, fresh.events))) == len(fresh.events)
+
+        def results(dataset):
+            n, events = dataset.n, dataset.events
+            store = hierarchy.present_all(hierarchy.HierarchyStore(), events)
+            presented = repr(store)
+            hierarchy.consolidate(store)
+            return (
+                repr(grid.count_events(grid.CountMatrix.zeros(n), events, weights.omega_i)),
+                repr(counting.present_all(counting.InstanceStore.empty(n), events, weights)),
+                repr(reinforce.count_events(reinforce.ReinforceState.empty(n), events, weights)),
+                presented,
+                repr(store),
+            )
+
+        assert results(shared) == results(fresh)
 
 
 class TestValidatedOnce:
