@@ -158,8 +158,8 @@ class TestOnePassMatchesOracle:
     @example((b"r1,a,a\nr2,,b\nr3\n", ","), LabelPolicy.RECORD_LABEL, True)
     @example((b"s1, a ,b\r\ns2,a\n\ns1,b,c\n", ","), LabelPolicy.RECORD_LABEL, True)
     @example((b"a,b\n", ","), LabelPolicy.MEMBERS, True)
-    # a member text seen before, under an empty label, a whitespace-only
-    # label and no label at all
+    # a member text seen before, under an empty label, under a
+    # whitespace-only label, and between lines holding a label only
     @example((b"r1,a,b\n,a,b\nr3,a,b\n", ","), LabelPolicy.RECORD_LABEL, False)
     @example((b"r1;a;b\n \t ;a;b\nr3 ;a;b\n", ";"), LabelPolicy.RECORD_LABEL, False)
     @example((b"r1,a\nr2\nr3,\nr1,a\na\n", ","), LabelPolicy.RECORD_LABEL, False)
