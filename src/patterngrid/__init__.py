@@ -29,7 +29,6 @@ from .hierarchy import HierarchyStore, PatternNode, consolidate, present_pattern
 from .ingest import (
     LabelPolicy,
     ReferenceClusters,
-    TransactionFormat,
     load_fixture,
     parse_transactions,
     parse_transactions_path,
@@ -41,7 +40,6 @@ from .model import (
     Event,
     InterPatternLink,
     Partition,
-    Variable,
     Weights,
     build_vocabulary,
     partition_from_label_sets,
@@ -67,8 +65,6 @@ __all__ = [
     "PatternNode",
     "ReferenceClusters",
     "ReinforceState",
-    "TransactionFormat",
-    "Variable",
     "Weights",
     "band_clusters",
     "bands_to_partition",

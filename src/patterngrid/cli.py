@@ -34,7 +34,6 @@ from .ingest import (
     FIXTURES,
     LabelPolicy,
     ReferenceClusters,
-    TransactionFormat,
     load_fixture,
     load_reference_path,
     parse_transactions_path,
@@ -187,8 +186,8 @@ def _load_dataset(args, timing: Timing) -> tuple[Dataset, str]:
                 )
             dataset, source = loaded, args.fixture
         else:
-            fmt = TransactionFormat(label_policy=LabelPolicy(args.label_policy))
-            dataset = parse_transactions_path(args.input, fmt, transpose=args.transpose)
+            policy = LabelPolicy(args.label_policy)
+            dataset = parse_transactions_path(args.input, policy, transpose=args.transpose)
             source = args.input
     if dataset.diagnostics:
         print(f"diagnostics: {len(dataset.diagnostics)} lines skipped", file=sys.stderr)

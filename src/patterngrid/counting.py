@@ -62,10 +62,6 @@ class InstanceStore:
     def empty(cls, n: int) -> InstanceStore:
         return cls(n)
 
-    def find(self, pattern: frozenset[int]) -> InstanceRecord | None:
-        idx = self._by_pattern.get(pattern)
-        return None if idx is None else self.records[idx]
-
 
 def present(store: InstanceStore, event: Event, weights: Weights = Weights()) -> InstanceStore:
     """Present one event to the store.

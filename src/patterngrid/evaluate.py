@@ -102,13 +102,11 @@ def pairwise_agreement(produced: Partition, reference: Partition) -> AgreementRe
     )
 
 
-def _names(ids: frozenset[int], labels: Sequence[str] | None) -> str:
-    if labels is None:
-        return "{" + ",".join(str(i) for i in sorted(ids)) + "}"
+def _names(ids: frozenset[int], labels: Sequence[str]) -> str:
     return "{" + ",".join(sorted(labels[i] for i in ids)) + "}"
 
 
-def agreement_text(report: AgreementReport, labels: Sequence[str] | None = None) -> str:
+def agreement_text(report: AgreementReport, labels: Sequence[str]) -> str:
     lines = [
         f"pairs: produced={report.produced_pairs} reference={report.reference_pairs}"
         f" shared={report.shared_pairs}",
@@ -123,10 +121,8 @@ def agreement_text(report: AgreementReport, labels: Sequence[str] | None = None)
     return "\n".join(lines) + "\n"
 
 
-def agreement_json(report: AgreementReport, labels: Sequence[str] | None = None) -> dict:
+def agreement_json(report: AgreementReport, labels: Sequence[str]) -> dict:
     def names(ids: frozenset[int]) -> list:
-        if labels is None:
-            return sorted(ids)
         return sorted(labels[i] for i in ids)
 
     return {

@@ -329,12 +329,10 @@ def consolidate(store: HierarchyStore) -> HierarchyStore:
         return store
 
 
-def tree_text(store: HierarchyStore, labels: Sequence[str] | None = None) -> str:
+def tree_text(store: HierarchyStore, labels: Sequence[str]) -> str:
     """Indented text rendering, one node per line."""
 
     def name(ids: frozenset[int]) -> str:
-        if labels is None:
-            return "{" + ",".join(str(i) for i in sorted(ids)) + "}"
         return "{" + ",".join(labels[i] for i in sorted(ids)) + "}"
 
     lines: list[str] = []
@@ -354,12 +352,10 @@ def tree_text(store: HierarchyStore, labels: Sequence[str] | None = None) -> str
     return "\n".join(lines) + "\n"
 
 
-def tree_json(store: HierarchyStore, labels: Sequence[str] | None = None) -> dict:
+def tree_json(store: HierarchyStore, labels: Sequence[str]) -> dict:
     """JSON-ready rendering of the forest."""
 
     def name(ids: frozenset[int]) -> list:
-        if labels is None:
-            return sorted(ids)
         return [labels[i] for i in sorted(ids)]
 
     def node_dict(node: PatternNode) -> dict:

@@ -1,11 +1,11 @@
 """Transaction-file parsing and built-in fixtures.
 
-The transaction format is one record per line, fields separated by a single
-delimiter character. Depending on the label policy the first field is either
-a record label (the species name in the plants file, dropped from
-membership) or an ordinary member. Malformed lines are collected as
-diagnostics and skipped, never silently repaired; only a file with zero
-parseable records is fatal.
+The transaction format is UTF-8 text, one record per line, fields separated
+by commas; one leading byte-order mark is dropped. Depending on the label
+policy the first field is either a record label (the species name in the
+plants file, dropped from membership) or an ordinary member. Malformed
+lines are collected as diagnostics and skipped, never silently repaired;
+only a file with zero parseable records is fatal, a ``DataError``.
 
 Parsing is one pass: each line is tokenised, checked and encoded to dense
 ids in the same loop, and the Dataset is built once. The checks happen at
@@ -36,15 +36,10 @@ from .model import (
     Dataset,
     Event,
     Partition,
-    Variable,
     _trusted_event,
     build_vocabulary,  # noqa: F401  re-exported; perfbench traces ingest.build_vocabulary
     partition_from_label_sets,
 )
-
-
-class IngestError(DataError):
-    """A source that yields no usable records at all."""
 
 
 class LabelPolicy(Enum):
@@ -54,20 +49,8 @@ class LabelPolicy(Enum):
     MEMBERS = "members"
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionFormat:
-    """How to cut lines into tokens and what the first token means."""
-
-    delimiter: str = ","
-    label_policy: LabelPolicy = LabelPolicy.RECORD_LABEL
-
-    def __post_init__(self) -> None:
-        if len(self.delimiter) != 1:
-            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
-
-
 def parse_transactions(
-    source: BinaryIO, fmt: TransactionFormat = TransactionFormat(), *, transpose: bool = False
+    source: BinaryIO, policy: LabelPolicy = LabelPolicy.RECORD_LABEL, *, transpose: bool = False
 ) -> Dataset:
     """Parse a byte stream of transaction lines into a Dataset.
 
@@ -89,14 +72,14 @@ def parse_transactions(
     the records it appeared in (cluster species by state instead of states
     by species). Requires the record-label policy.
     """
-    if transpose and fmt.label_policy is not LabelPolicy.RECORD_LABEL:
+    if transpose and policy is not LabelPolicy.RECORD_LABEL:
         raise ConfigError("transpose needs a record label to pivot on")
 
     # tolerant decoding: species names in the plants file carry non-ASCII
-    # bytes; member tokens are plain ASCII either way
-    text = source.read().decode("utf-8", "replace")
-    delimiter = fmt.delimiter
-    labelled = fmt.label_policy is LabelPolicy.RECORD_LABEL
+    # bytes; member tokens are plain ASCII either way. "utf-8-sig" drops
+    # one leading byte-order mark, which would otherwise join the first token
+    text = str(source.read(), "utf-8-sig", "replace")
+    labelled = policy is LabelPolicy.RECORD_LABEL
     ids: dict[str, int] = {}
     events: list[Event] = []
     # member text -> the Event of the first line that parsed with it
@@ -112,7 +95,7 @@ def parse_transactions(
             continue
         key = line
         if labelled:
-            cut = line.find(delimiter)
+            cut = line.find(",")
             if cut < 0:  # a label alone
                 diagnostics.append(f"line {lineno}: no members")
                 continue
@@ -123,7 +106,7 @@ def parse_transactions(
         if event is not None and not empty_label:
             events.append(event)
             continue
-        members = list(map(str.strip, key.split(delimiter)))
+        members = list(map(str.strip, key.split(",")))
         if empty_label or "" in members:
             diagnostics.append(f"line {lineno}: empty field")
             continue
@@ -141,9 +124,8 @@ def parse_transactions(
         events = [_trusted_event(_encode(group, ids)) for group in by_member.values()]
 
     if not events:
-        raise IngestError("no parseable records in the source")
-    variables = tuple(map(Variable, range(len(ids)), ids))
-    return Dataset._trusted(variables, tuple(events), tuple(diagnostics))
+        raise DataError("no parseable records in the source")
+    return Dataset._trusted(tuple(ids), tuple(events), tuple(diagnostics))
 
 
 def _encode(tokens: Iterable[str], ids: dict[str, int]) -> tuple[int, ...]:
@@ -156,10 +138,10 @@ def _encode(tokens: Iterable[str], ids: dict[str, int]) -> tuple[int, ...]:
 
 
 def parse_transactions_path(
-    path: str, fmt: TransactionFormat = TransactionFormat(), *, transpose: bool = False
+    path: str, policy: LabelPolicy = LabelPolicy.RECORD_LABEL, *, transpose: bool = False
 ) -> Dataset:
     with open(path, "rb") as source:
-        return parse_transactions(source, fmt, transpose=transpose)
+        return parse_transactions(source, policy, transpose=transpose)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,11 +189,12 @@ def reference_from_clusters(cluster_label_sets) -> ReferenceClusters:
 
 def load_reference_path(path: str) -> ReferenceClusters:
     """Read a reference clustering from a JSON file shaped like
-    {"clusters": [["label", ...], ...]}."""
+    {"clusters": [["label", ...], ...]}, with or without a leading
+    byte-order mark."""
     with open(path, "rb") as source:
         raw = source.read()
     try:
-        payload = json.loads(raw.decode("utf-8"))
+        payload = json.loads(str(raw, "utf-8-sig"))
     except ValueError as exc:
         raise DataError(f"{path}: not a UTF-8 JSON file ({exc})") from None
     except RecursionError:
@@ -234,8 +217,7 @@ def load_fixture(name: str) -> Dataset | ReferenceClusters:
     reference as ReferenceClusters."""
     if name == "seven_event":
         raw = _data_bytes("seven_event.txt")
-        fmt = TransactionFormat(label_policy=LabelPolicy.MEMBERS)
-        return parse_transactions(io.BytesIO(raw), fmt)
+        return parse_transactions(io.BytesIO(raw), LabelPolicy.MEMBERS)
     if name == "plants_reference":
         payload = json.loads(_data_bytes("plants_reference.json"))
         return reference_from_clusters(payload["clusters"])

@@ -1,8 +1,9 @@
-"""Shared data model: variables, events, datasets, weights, partitions.
+"""Shared data model: events, datasets, weights, partitions.
 
-Everything downstream (the three counting engines, the hierarchy and the
-evaluation code) works on the dense integer ids assigned here. Labels are
-kept only on the Dataset so results can be rendered back as text.
+A variable is a dense integer id. Everything downstream (the three
+counting engines, the hierarchy and the evaluation code) works on those
+ids alone. Labels are kept only on the Dataset, as one tuple indexed by
+id, so results can be rendered back as text.
 """
 
 from __future__ import annotations
@@ -22,20 +23,11 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class Variable:
-    """A categorical symbol with a dense id assigned in first-seen order."""
-
-    id: int
-    label: str
-
-
-@dataclass(frozen=True, slots=True)
 class Event:
     """One presentation of a set of co-occurring variables.
 
-    Presentation order is kept and the first member is distinguished as the
-    source. The counting engines only look at the member set, but keeping
-    the order makes ingestion lossless.
+    Presentation order is kept. The counting engines only look at the
+    member set, but keeping the order makes ingestion lossless.
     """
 
     members: tuple[int, ...]
@@ -49,10 +41,6 @@ class Event:
                 raise DataError(f"event member {m!r} is not an int id")
         if len(set(self.members)) != len(self.members):
             raise DataError(f"duplicate members in event {self.members!r}")
-
-    @property
-    def source(self) -> int:
-        return self.members[0]
 
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
@@ -84,47 +72,38 @@ def validate_event(event: Event, n: int) -> None:
 class Dataset:
     """An ordered event list over a fixed vocabulary.
 
-    Immutable after construction; safe to share across readers. Rejected
-    input rows are reported in ``diagnostics``, never silently repaired.
+    ``labels[i]`` is the label of id ``i``. Immutable after construction;
+    safe to share across readers. Rejected input rows are reported in
+    ``diagnostics``, never silently repaired.
     """
 
-    variables: tuple[Variable, ...]
+    labels: tuple[str, ...]
     events: tuple[Event, ...]
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for event in self.events:
-            validate_event(event, len(self.variables))
+            validate_event(event, len(self.labels))
 
     @classmethod
     def _trusted(
-        cls,
-        variables: tuple[Variable, ...],
-        events: tuple[Event, ...],
-        diagnostics: tuple[str, ...],
+        cls, labels: tuple[str, ...], events: tuple[Event, ...], diagnostics: tuple[str, ...]
     ) -> Dataset:
         """A Dataset built without ``__post_init__``'s range check.
 
         The caller guarantees that every member id of every event lies in
-        ``0..len(variables)-1``, for instance because the ids were handed
-        out by the caller's own label dict, as ``variables`` lists them.
+        ``0..len(labels)-1``, for instance because the ids were handed out
+        by the caller's own label dict, as ``labels`` lists them.
         """
         dataset = object.__new__(cls)
-        object.__setattr__(dataset, "variables", variables)
+        object.__setattr__(dataset, "labels", labels)
         object.__setattr__(dataset, "events", events)
         object.__setattr__(dataset, "diagnostics", diagnostics)
         return dataset
 
     @property
     def n(self) -> int:
-        return len(self.variables)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(v.label for v in self.variables)
-
-    def decode(self, event: Event) -> list[str]:
-        return [self.variables[i].label for i in event.members]
+        return len(self.labels)
 
 
 def build_vocabulary(raw_events: Iterable[Sequence[str]]) -> Dataset:
@@ -134,7 +113,6 @@ def build_vocabulary(raw_events: Iterable[Sequence[str]]) -> Dataset:
     with a diagnostic; its tokens do not enter the vocabulary.
     """
     ids: dict[str, int] = {}
-    variables: list[Variable] = []
     events: list[Event] = []
     diagnostics: list[str] = []
     for pos, tokens in enumerate(raw_events):
@@ -145,14 +123,8 @@ def build_vocabulary(raw_events: Iterable[Sequence[str]]) -> Dataset:
         if len(set(tokens)) != len(tokens):
             diagnostics.append(f"event {pos}: duplicate token in {tokens!r}")
             continue
-        members = []
-        for tok in tokens:
-            if tok not in ids:
-                ids[tok] = len(variables)
-                variables.append(Variable(len(variables), tok))
-            members.append(ids[tok])
-        events.append(Event(tuple(members)))
-    return Dataset(tuple(variables), tuple(events), tuple(diagnostics))
+        events.append(Event(tuple(ids.setdefault(tok, len(ids)) for tok in tokens)))
+    return Dataset(tuple(ids), tuple(events), tuple(diagnostics))
 
 
 @dataclass(frozen=True, slots=True)

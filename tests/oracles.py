@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 from patterngrid.grid import CountMatrix, GridClusterResult
 from patterngrid.hierarchy import Extension, PatternNode
-from patterngrid.ingest import IngestError, LabelPolicy, TransactionFormat
+from patterngrid.ingest import LabelPolicy
 from patterngrid.model import (
     ConfigError,
+    DataError,
     Dataset,
     Event,
     InterPatternLink,
     Partition,
-    Variable,
     build_vocabulary,
     validate_event,
 )
@@ -327,26 +327,27 @@ def transpose_oracle(records: list[list[str]]) -> list[list[str]]:
 
 
 def parse_oracle(
-    source, fmt: TransactionFormat = TransactionFormat(), *, transpose: bool = False
+    source, policy: LabelPolicy = LabelPolicy.RECORD_LABEL, *, transpose: bool = False
 ) -> Dataset:
     """The transaction parser in two passes: tokenise and check every line
     into rows, pivot them for ``transpose``, then encode the rows with
     ``build_vocabulary``, whose Events and Dataset check everything again."""
-    if transpose and fmt.label_policy is not LabelPolicy.RECORD_LABEL:
+    if transpose and policy is not LabelPolicy.RECORD_LABEL:
         raise ConfigError("transpose needs a record label to pivot on")
 
-    text = source.read().decode("utf-8", "replace")  # as parse_transactions decodes
+    # as parse_transactions decodes, one leading byte-order mark dropped
+    text = str(source.read(), "utf-8-sig", "replace")
     diagnostics: list[str] = []
     rows: list[tuple[str | None, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        tokens = [t.strip() for t in line.split(fmt.delimiter)]
+        tokens = [t.strip() for t in line.split(",")]
         if any(not t for t in tokens):
             diagnostics.append(f"line {lineno}: empty field")
             continue
-        if fmt.label_policy is LabelPolicy.RECORD_LABEL:
+        if policy is LabelPolicy.RECORD_LABEL:
             label, members = tokens[0], tokens[1:]
         else:
             label, members = None, tokens
@@ -368,9 +369,9 @@ def parse_oracle(
         raw = [members for _, members in rows]
 
     if not raw:
-        raise IngestError("no parseable records in the source")
+        raise DataError("no parseable records in the source")
     dataset = build_vocabulary(raw)
-    return Dataset(dataset.variables, dataset.events, tuple(diagnostics) + dataset.diagnostics)
+    return Dataset(dataset.labels, dataset.events, tuple(diagnostics) + dataset.diagnostics)
 
 
 def random_dataset(seed: int, max_vars: int = 12, max_events: int = 50) -> Dataset:
@@ -387,8 +388,7 @@ def random_dataset(seed: int, max_vars: int = 12, max_events: int = 50) -> Datas
         for _ in range(size):
             members.append(pool.pop(int(rng.random() * len(pool))))
         events.append(Event(tuple(members)))
-    variables = tuple(Variable(i, f"v{i}") for i in range(n))
-    return Dataset(variables, tuple(events))
+    return Dataset(tuple(f"v{i}" for i in range(n)), tuple(events))
 
 
 def permute_events(dataset: Dataset, seed: int) -> Dataset:
@@ -398,7 +398,7 @@ def permute_events(dataset: Dataset, seed: int) -> Dataset:
     shuffled = []
     while events:
         shuffled.append(events.pop(int(rng.random() * len(events))))
-    return Dataset(dataset.variables, tuple(shuffled))
+    return Dataset(dataset.labels, tuple(shuffled))
 
 
 def relabel_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, list[int]]:
@@ -409,8 +409,8 @@ def relabel_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, list[int]]:
     mapping = []
     while ids:
         mapping.append(ids.pop(int(rng.random() * len(ids))))
-    variables = [None] * dataset.n
+    labels = [""] * dataset.n
     for old, new in enumerate(mapping):
-        variables[new] = Variable(new, dataset.variables[old].label)
+        labels[new] = dataset.labels[old]
     events = tuple(Event(tuple(mapping[v] for v in e.members)) for e in dataset.events)
-    return Dataset(tuple(variables), events), mapping
+    return Dataset(tuple(labels), events), mapping

@@ -374,6 +374,29 @@ class TestInputHandling:
         )
         assert set(payload["detail"]["counts"]) == {"al", "ak", "fl"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cluster", "--method", "grid", "--label-policy", "members"),
+            ("cluster", "--method", "cm", "--transpose"),
+            ("compare", "--method", "reinforce,cm,grid", "--reference", "plants_reference",
+             "--label-policy", "members"),
+        ],
+        ids=["members", "transpose", "compare"],
+    )
+    def test_leading_byte_order_mark_changes_nothing(self, capsys, tmp_path, argv):
+        # a byte-order mark would otherwise join the first member or label;
+        # without the species names, the first member is a region code
+        text = synthetic_plants_text(300, 5)
+        if "members" in argv:
+            text = "".join(line.partition(",")[2] + "\n" for line in text.splitlines())
+        plain, marked = tmp_path / "plain.data", tmp_path / "marked.data"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, expected, _ = run(capsys, *argv, "--input", str(plain))
+        assert code == 0
+        assert run(capsys, *argv, "--input", str(marked))[:2] == (0, expected)
+
     def test_diagnostics_reported_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "t.data"
         path.write_text("r1,a,b\nr2,c,c\n")

@@ -81,8 +81,8 @@ def test_earlier_events_do_not_count():
     # global count starts at its own creation
     store = InstanceStore.empty(3)
     present_all(store, [Event((0, 1)), Event((0, 1)), Event((0, 2))])
-    late = store.find(frozenset({0, 2}))
-    assert late is not None
+    late = store.records[-1]
+    assert late.pattern == {0, 2}
     assert (late.local_count, late.global_count) == (1, 1)
 
 
@@ -90,8 +90,8 @@ def test_weights_scale_counts():
     store = InstanceStore.empty(3)
     weights = Weights(omega_i=2, omega_g=3)
     present_all(store, [Event((0, 1)), Event((1, 2)), Event((0, 1))], weights)
-    first = store.find(frozenset({0, 1}))
-    assert first is not None
+    first = store.records[0]
+    assert first.pattern == {0, 1}
     assert (first.local_count, first.global_count) == (4, 9)
 
 
@@ -158,11 +158,6 @@ def test_selection_is_maximal_and_disjoint(seed):
         taken |= cluster
     for record in store.records:
         assert not taken.isdisjoint(record.pattern)
-
-
-def test_find_missing_pattern():
-    store = InstanceStore.empty(2)
-    assert store.find(frozenset({0})) is None
 
 
 def test_validates_event_range():

@@ -171,7 +171,3 @@ class TestRendering:
             "overlap": 2,
         }
         assert payload["best_matches"][1]["reference"] is None
-
-    def test_json_without_labels_uses_ids(self):
-        payload = agreement_json(self.REPORT)
-        assert payload["best_matches"][0]["produced"] == [0, 1]

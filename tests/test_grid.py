@@ -105,7 +105,7 @@ def test_cells_match_cooccurrence_oracle():
 class TestHeadSet:
     def test_fixture_rows(self, seven):
         matrix = _seven_matrix(seven)
-        label = {v.label: v.id for v in seven.variables}
+        label = {name: v for v, name in enumerate(seven.labels)}
         assert head_set(matrix, label["A"]) == {label["B"], label["C"], label["D"]}
         assert head_set(matrix, label["E"]) == {label["F"], label["G"]}
         assert head_set(matrix, label["B"]) == {label["A"], label["C"], label["D"]}

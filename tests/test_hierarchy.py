@@ -194,9 +194,9 @@ class TestInvariants:
             store = HierarchyStore()
             present_all(store, dataset.events)
             consolidate(store)
-            snapshot = tree_json(store)
+            snapshot = tree_json(store, dataset.labels)
             consolidate(store)
-            assert tree_json(store) == snapshot, f"seed {seed}"
+            assert tree_json(store, dataset.labels) == snapshot, f"seed {seed}"
 
     def test_fixed_point_property(self):
         for seed in range(25):
@@ -292,8 +292,8 @@ class TestMemoMatchesWalk:
         fast.theta_new = slow.theta_new = theta_new
 
         def same() -> bool:
-            return (tree_json(fast), repr(fast), fast.presentations) == (
-                tree_json(slow), repr(slow), slow.presentations
+            return (tree_json(fast, LABELS), repr(fast), fast.presentations) == (
+                tree_json(slow, LABELS), repr(slow), slow.presentations
             )
 
         present_all(fast, events)
@@ -313,7 +313,7 @@ class TestIndexMatchesWalk:
         dataset = random_dataset(seed, max_vars=8, max_events=60)
         fast = present_all(HierarchyStore(theta_new=theta_new), dataset.events)
         slow = _oracle_present_all(HierarchyStore(theta_new=theta_new), dataset.events)
-        assert tree_json(fast) == tree_json(slow)
+        assert tree_json(fast, dataset.labels) == tree_json(slow, dataset.labels)
         assert fast.presentations == slow.presentations == len(dataset.events)
 
     @given(
@@ -331,20 +331,20 @@ class TestIndexMatchesWalk:
         slow = _oracle_present_all(HierarchyStore(theta_new=theta_new), head)
         consolidate(fast)
         _oracle_consolidate(slow)
-        assert tree_json(fast) == tree_json(slow)
+        assert tree_json(fast, dataset.labels) == tree_json(slow, dataset.labels)
         present_all(fast, tail)
         _oracle_present_all(slow, tail)
-        assert tree_json(fast) == tree_json(slow)
+        assert tree_json(fast, dataset.labels) == tree_json(slow, dataset.labels)
         assert fast.presentations == slow.presentations == len(dataset.events)
         consolidate(fast)
         _oracle_consolidate(slow)
-        assert tree_json(fast) == tree_json(slow)
+        assert tree_json(fast, dataset.labels) == tree_json(slow, dataset.labels)
 
     @given(events_over_six)
     def test_hand_built_store(self, events):
         fast = present_all(_hand_built_store(), events)
         slow = _oracle_present_all(_hand_built_store(), events)
-        assert tree_json(fast) == tree_json(slow)
+        assert tree_json(fast, LABELS) == tree_json(slow, LABELS)
         assert fast.presentations == slow.presentations == 13 + len(events)
 
     @given(st.integers(0, 10_000))
@@ -444,7 +444,3 @@ class TestRendering:
                 }
             ],
         }
-
-    def test_tree_without_labels_uses_ids(self):
-        store = _store((A, B))
-        assert tree_text(store) == "{0,1} x1\n"

@@ -9,26 +9,25 @@ from hypothesis import strategies as st
 from patterngrid import counting, grid, hierarchy, ingest, model, reinforce
 from patterngrid.ingest import (
     FIXTURES,
-    IngestError,
     LabelPolicy,
     ReferenceClusters,
-    TransactionFormat,
     load_fixture,
     load_reference_path,
     parse_transactions,
     parse_transactions_path,
     reference_from_clusters,
 )
-from patterngrid.model import ConfigError, DataError, Dataset, Event, Variable, build_vocabulary
+from patterngrid.model import ConfigError, DataError, Dataset, Event, build_vocabulary
 from patterngrid.synth import synthetic_plants_text
 
 from .oracles import parse_oracle, transpose_oracle
 
-MEMBERS = TransactionFormat(label_policy=LabelPolicy.MEMBERS)
+MEMBERS = LabelPolicy.MEMBERS
+BOM = b"\xef\xbb\xbf"
 
 
-def _parse(text: str, fmt: TransactionFormat = TransactionFormat(), **kw) -> Dataset:
-    return parse_transactions(io.BytesIO(text.encode()), fmt, **kw)
+def _parse(text: str, policy: LabelPolicy = LabelPolicy.RECORD_LABEL, **kw) -> Dataset:
+    return parse_transactions(io.BytesIO(text.encode()), policy, **kw)
 
 
 class TestParse:
@@ -69,20 +68,26 @@ class TestParse:
         assert len(dataset.events) == 2
 
     def test_empty_source_is_fatal(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(DataError, match="no parseable records"):
             _parse("")
 
     def test_all_lines_bad_is_fatal(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(DataError, match="no parseable records"):
             _parse("r1,a,a\nr2,b,b\n")
 
-    def test_custom_delimiter(self):
-        dataset = _parse("r1;a;b\n", TransactionFormat(delimiter=";"))
-        assert dataset.labels == ("a", "b")
+    @pytest.mark.parametrize(
+        "policy, transpose",
+        [(LabelPolicy.RECORD_LABEL, False), (LabelPolicy.RECORD_LABEL, True), (MEMBERS, False)],
+    )
+    def test_leading_byte_order_mark_is_dropped(self, policy, transpose):
+        data = b"a,b\nb,a\nc,a\n"
+        plain = parse_transactions(io.BytesIO(data), policy, transpose=transpose)
+        marked = parse_transactions(io.BytesIO(BOM + data), policy, transpose=transpose)
+        assert repr(marked) == repr(plain)
 
-    def test_delimiter_must_be_one_character(self):
-        with pytest.raises(ConfigError):
-            TransactionFormat(delimiter=", ")
+    def test_only_one_byte_order_mark_is_dropped(self):
+        dataset = parse_transactions(io.BytesIO(BOM + BOM + b"a,b\n"), MEMBERS)
+        assert dataset.labels == ("\ufeffa", "b")
 
     def test_undecodable_bytes_are_replaced_not_fatal(self):
         # latin-1 e-acute in the label position; members stay ASCII
@@ -96,10 +101,10 @@ class TestParse:
         assert parse_transactions_path(str(path)) == _parse(text)
 
 
-def _outcome(parse, data: bytes, fmt: TransactionFormat, transpose: bool):
+def _outcome(parse, data: bytes, policy: LabelPolicy, transpose: bool):
     """The parsed Dataset's repr, or the type and message of the error."""
     try:
-        return repr(parse(io.BytesIO(data), fmt, transpose=transpose))
+        return repr(parse(io.BytesIO(data), policy, transpose=transpose))
     except (ConfigError, DataError) as exc:
         return type(exc), str(exc)
 
@@ -116,19 +121,18 @@ def _field(draw) -> bytes:
 
 
 @st.composite
-def _bad_line(draw, delimiter: bytes) -> bytes:
+def _bad_line(draw) -> bytes:
     """A line rejected under both label policies: an empty field, or a
     repeated member after a label."""
     a, b = draw(st.sampled_from([b"a", b"b", b"s1"])), draw(st.sampled_from([b"a", b"s2"]))
-    empty_last, empty_inside = a + delimiter, a + delimiter + delimiter + b
-    repeated = b"r" + delimiter + a + delimiter + a
+    empty_last, empty_inside = a + b",", a + b",," + b
+    repeated = b"r," + a + b"," + a
     return draw(st.sampled_from([empty_last, empty_inside, repeated]))
 
 
 @st.composite
-def _transaction_bytes(draw) -> tuple[bytes, str]:
-    delimiter = draw(st.sampled_from([",", ";", "|", "\t"]))
-    sep = delimiter.encode()
+def _transaction_bytes(draw) -> bytes:
+    sep = b","
     fields = st.lists(_field(), min_size=1, max_size=5).map(sep.join)
     # a few member texts that many lines repeat, with or without a label in
     # front, so lines share a member text under different labels; most of
@@ -141,12 +145,13 @@ def _transaction_bytes(draw) -> tuple[bytes, str]:
     )
     blank = st.sampled_from([b"", b"  ", b"\t"])
     if draw(st.booleans()):
-        lines = draw(st.lists(st.one_of(repeated, fields, blank, _bad_line(sep)), max_size=12))
+        lines = draw(st.lists(st.one_of(repeated, fields, blank, _bad_line()), max_size=12))
         lines += draw(st.lists(repeated, min_size=2, max_size=6))
     else:
-        lines = draw(st.lists(st.one_of(_bad_line(sep), blank), max_size=6))
-    data = b"".join(line + draw(st.sampled_from(_ENDS)) for line in lines)
-    return data, delimiter
+        lines = draw(st.lists(st.one_of(_bad_line(), blank), max_size=6))
+    # a byte-order mark, or a stray one, in front of the first line
+    head = draw(st.sampled_from([b"", BOM, BOM + BOM]))
+    return head + b"".join(line + draw(st.sampled_from(_ENDS)) for line in lines)
 
 
 class TestOnePassMatchesOracle:
@@ -154,30 +159,26 @@ class TestOnePassMatchesOracle:
 
     @settings(max_examples=300)
     @given(_transaction_bytes(), st.sampled_from(list(LabelPolicy)), st.booleans())
-    @example((b"r1,a,a\nr2,,b\nr3\n", ","), LabelPolicy.RECORD_LABEL, False)
-    @example((b"r1,a,a\nr2,,b\nr3\n", ","), LabelPolicy.RECORD_LABEL, True)
-    @example((b"s1, a ,b\r\ns2,a\n\ns1,b,c\n", ","), LabelPolicy.RECORD_LABEL, True)
-    @example((b"a,b\n", ","), LabelPolicy.MEMBERS, True)
+    @example(b"r1,a,a\nr2,,b\nr3\n", LabelPolicy.RECORD_LABEL, False)
+    @example(b"r1,a,a\nr2,,b\nr3\n", LabelPolicy.RECORD_LABEL, True)
+    @example(b"s1, a ,b\r\ns2,a\n\ns1,b,c\n", LabelPolicy.RECORD_LABEL, True)
+    @example(b"a,b\n", LabelPolicy.MEMBERS, True)
     # a member text seen before, under an empty label, under a
     # whitespace-only label, and between lines holding a label only
-    @example((b"r1,a,b\n,a,b\nr3,a,b\n", ","), LabelPolicy.RECORD_LABEL, False)
-    @example((b"r1;a;b\n \t ;a;b\nr3 ;a;b\n", ";"), LabelPolicy.RECORD_LABEL, False)
-    @example((b"r1,a\nr2\nr3,\nr1,a\na\n", ","), LabelPolicy.RECORD_LABEL, False)
-    # a tab delimiter is whitespace: an empty first member must not look
-    # like the text of a line that parsed
-    @example((b"r1\t a\nr2\t\ta\nr3\t a\n", "\t"), LabelPolicy.RECORD_LABEL, False)
-    def test_same_dataset_or_error(self, drawn, policy, transpose):
-        data, delimiter = drawn
-        fmt = TransactionFormat(delimiter=delimiter, label_policy=policy)
-        expected = _outcome(parse_oracle, data, fmt, transpose)
-        assert _outcome(parse_transactions, data, fmt, transpose) == expected
+    @example(b"r1,a,b\n,a,b\nr3,a,b\n", LabelPolicy.RECORD_LABEL, False)
+    @example(b"r1,a,b\n \t ,a,b\nr3 ,a,b\n", LabelPolicy.RECORD_LABEL, False)
+    @example(b"r1,a\nr2\nr3,\nr1,a\na\n", LabelPolicy.RECORD_LABEL, False)
+    @example(BOM + b"r1,a\n" + BOM + b"r2,a\n", LabelPolicy.RECORD_LABEL, True)
+    def test_same_dataset_or_error(self, data, policy, transpose):
+        expected = _outcome(parse_oracle, data, policy, transpose)
+        assert _outcome(parse_transactions, data, policy, transpose) == expected
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_synthetic_corpus(self, transpose):
         data = synthetic_plants_text(500, 11).encode()
-        fmt = TransactionFormat()
-        expected = _outcome(parse_oracle, data, fmt, transpose)
-        assert _outcome(parse_transactions, data, fmt, transpose) == expected
+        policy = LabelPolicy.RECORD_LABEL
+        expected = _outcome(parse_oracle, data, policy, transpose)
+        assert _outcome(parse_transactions, data, policy, transpose) == expected
 
 
 class TestSharedEvents:
@@ -196,7 +197,7 @@ class TestSharedEvents:
     def test_engines_ignore_event_identity(self, weights):
         shared = _parse(synthetic_plants_text(400, 9))
         assert len(set(map(id, shared.events))) < len(shared.events)
-        fresh = Dataset(shared.variables, tuple(Event(e.members) for e in shared.events))
+        fresh = Dataset(shared.labels, tuple(Event(e.members) for e in shared.events))
         assert len(set(map(id, fresh.events))) == len(fresh.events)
 
         def results(dataset):
@@ -221,8 +222,8 @@ class TestValidatedOnce:
 
     def test_parse_runs_no_second_check(self, monkeypatch):
         data = (synthetic_plants_text(200, 3) + "bad,,line\nlabel-only\nr,a,a\n").encode()
-        fmt = TransactionFormat()
-        expected = {t: _outcome(parse_oracle, data, fmt, t) for t in (False, True)}
+        policy = LabelPolicy.RECORD_LABEL
+        expected = {t: _outcome(parse_oracle, data, policy, t) for t in (False, True)}
 
         def refused(*args, **kwargs):
             raise AssertionError("a parsed row was checked a second time")
@@ -232,13 +233,13 @@ class TestValidatedOnce:
         monkeypatch.setattr(model, "validate_event", refused)
         monkeypatch.setattr(Event, "__post_init__", refused)
         for transpose in (False, True):
-            assert _outcome(parse_transactions, data, fmt, transpose) == expected[transpose]
+            assert _outcome(parse_transactions, data, policy, transpose) == expected[transpose]
 
     def test_public_constructors_keep_their_checks(self):
         with pytest.raises(DataError, match="duplicate members"):
             Event((1, 1))
         with pytest.raises(DataError, match="outside vocabulary"):
-            Dataset((Variable(0, "a"),), (Event((0, 1)),))
+            Dataset(("a",), (Event((0, 1)),))
         dataset = build_vocabulary([["a", "a"], [], ["b"]])
         assert dataset.diagnostics == (
             "event 0: duplicate token in ['a', 'a']",
@@ -271,7 +272,7 @@ class TestTranspose:
         rows = [[label, *members] for label, members in records]
         dataset = _parse("".join(",".join(row) + "\n" for row in rows), transpose=True)
         expected = build_vocabulary(transpose_oracle(rows))
-        assert dataset.variables == expected.variables
+        assert dataset.labels == expected.labels
         assert dataset.events == expected.events
 
     def test_requires_record_labels(self):
@@ -331,6 +332,11 @@ class TestReference:
         path.write_text('{"clusters": [["a", "b"], ["c"]]}')
         assert load_reference_path(str(path)) == reference_from_clusters([("a", "b"), ("c",)])
 
+    def test_load_reference_path_drops_byte_order_mark(self, tmp_path):
+        path = tmp_path / "ref.json"
+        path.write_bytes(BOM + b'{"clusters": [["a", "b"], ["c"]]}')
+        assert load_reference_path(str(path)) == reference_from_clusters([("a", "b"), ("c",)])
+
     def test_load_reference_path_bad_shape(self, tmp_path):
         path = tmp_path / "ref.json"
         path.write_text('[["a"]]')
@@ -383,8 +389,8 @@ class TestFixtures:
         assert isinstance(seven, Dataset)
         assert seven.labels == ("A", "B", "C", "D", "E", "F", "G")
         assert len(seven.events) == 7
-        assert seven.decode(seven.events[0]) == ["A", "B", "C", "D", "E"]
-        assert [seven.labels[e.source] for e in seven.events] == list("ABCDEFG")
+        assert [seven.labels[v] for v in seven.events[0].members] == ["A", "B", "C", "D", "E"]
+        assert [seven.labels[e.members[0]] for e in seven.events] == list("ABCDEFG")
 
     def test_plants_reference(self):
         ref = load_fixture("plants_reference")

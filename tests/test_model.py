@@ -9,7 +9,6 @@ from patterngrid.model import (
     Event,
     InterPatternLink,
     Partition,
-    Variable,
     Weights,
     build_vocabulary,
     fold,
@@ -22,7 +21,7 @@ from patterngrid.model import (
 class TestEvent:
     def test_keeps_order_and_source(self):
         event = Event((3, 0, 2))
-        assert event.source == 3
+        assert event.members == (3, 0, 2)
         assert event.member_set() == {0, 2, 3}
 
     def test_rejects_empty(self):
@@ -64,7 +63,7 @@ class TestBuildVocabulary:
     def test_dataset_helpers(self):
         dataset = build_vocabulary([["x", "y"]])
         assert dataset.n == 2
-        assert dataset.decode(dataset.events[0]) == ["x", "y"]
+        assert dataset.labels == ("x", "y")
 
     @given(
         st.lists(
@@ -76,7 +75,7 @@ class TestBuildVocabulary:
     )
     def test_decode_round_trips_tokens(self, rows):
         dataset = build_vocabulary(rows)
-        decoded = [dataset.decode(e) for e in dataset.events]
+        decoded = [[dataset.labels[v] for v in e.members] for e in dataset.events]
         assert decoded == rows
 
 
@@ -174,4 +173,4 @@ class TestInterPatternLink:
 
 def test_dataset_rejects_out_of_range_events():
     with pytest.raises(DataError):
-        Dataset((Variable(0, "a"),), (Event((0, 1)),))
+        Dataset(("a",), (Event((0, 1)),))
