@@ -7,6 +7,8 @@ builds and consolidates a pattern hierarchy.
 
 Each engine run yields one ``EngineRun`` record, rendered once and in the
 requested format only: a text body, a JSON ``detail`` or CSV sections.
+A grid's matrix, whose text grows as n squared, and its links are written
+to standard output in pieces rather than built as one string.
 ``compare`` scores the partitions and renders no engine result.
 
 Output determinism is a hard contract: the same command on the same input
@@ -26,6 +28,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import counting, grid, hierarchy, reinforce
@@ -41,6 +44,10 @@ from .ingest import (
 from .model import ConfigError, DataError, Dataset, Partition, Weights
 
 METHODS = ("reinforce", "cm", "grid")
+
+# the most cells ``cluster --method grid`` renders: 4,096 variables. The
+# matrix is written a row at a time, but its text still grows as n squared
+GRID_CELL_LIMIT = 1 << 24
 
 
 def _number(text: str):
@@ -286,12 +293,14 @@ def _refuse_overflow(name: str, weights: Weights, counts) -> None:
         raise ConfigError(f"{flag} {value:g} makes a count overflow to infinity")
 
 
-def _text_body(run: EngineRun, labels) -> list[str]:
-    if run.method == "reinforce":
-        return _reinforce_text(*run.result, labels)
-    if run.method == "cm":
-        return _instances_text(run.result, labels)
-    return grid.matrix_text(run.result, labels).splitlines()
+def _write_text_body(run: EngineRun, labels) -> None:
+    """Write the engine's text section; a grid's matrix goes out a row at a time."""
+    if run.method == "grid":
+        grid.matrix_text(run.result, labels, sys.stdout.write)
+    elif run.method == "reinforce":
+        print("\n".join(_reinforce_text(*run.result, labels)))
+    else:
+        print("\n".join(_instances_text(run.result, labels)))
 
 
 def _detail_json(run: EngineRun, labels) -> dict:
@@ -316,38 +325,58 @@ def _detail_json(run: EngineRun, labels) -> dict:
                 for r in run.result.records
             ]
         }
-    # a slot for the matrix, which _json_text fills with grid.matrix_json's text
+    # a slot for the matrix, which _write_json fills from grid.matrix_json
     return {"matrix": None}
 
 
-def _csv_sections(run: EngineRun, partition: Partition, labels) -> list[list[str]]:
-    if run.method == "reinforce":
-        sections = [_counts_csv(run.result[0], labels)]
-    elif run.method == "cm":
-        sections = [_instances_csv(run.result, labels)]
-    else:
-        sections = [grid.matrix_csv(run.result, labels).removesuffix("\n").split("\n")]
-    sections.append(_assignment_csv(partition, labels))
+def _write_csv(run: EngineRun, partition: Partition, labels) -> None:
+    """Write the CSV sections, a blank line between each: the engine's
+    counts (a grid's matrix a row at a time), the assignment and a grid's
+    links."""
     if run.method == "grid":
-        sections.append(
-            ["a,b,strength"] + [f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in run.links]
-        )
-    return sections
+        grid.matrix_csv(run.result, labels, sys.stdout.write)
+        sys.stdout.write("\n")
+        links = [f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in run.links]
+        sections = [_assignment_csv(partition, labels), ["a,b,strength", *links]]
+    elif run.method == "reinforce":
+        sections = [_counts_csv(run.result[0], labels), _assignment_csv(partition, labels)]
+    else:
+        sections = [_instances_csv(run.result, labels), _assignment_csv(partition, labels)]
+    print("\n\n".join("\n".join(s) for s in sections))
 
 
-def _json_text(payload: dict, run: EngineRun, labels) -> str:
-    """``json.dumps(payload, indent=2)``, with a grid's matrix written into
-    the ``"matrix": null`` slot of ``detail``. Every ``"`` inside a JSON
-    string is escaped, so the slot's text occurs only as that key."""
+# one link object as json.dumps(payload, indent=2) lays it out in "links"
+_LINK_JSON = '\n    {\n      "a": %s,\n      "b": %s,\n      "strength": %r\n    }'
+
+
+def _write_json(payload: dict, run: EngineRun, labels) -> None:
+    """Print ``json.dumps(payload, indent=2)``. A grid's payload holds
+    ``"links": null`` and ``"matrix": null`` slots, and its links and matrix
+    are written into them in pieces. Every ``"`` inside a JSON string is
+    escaped, so each slot's text occurs only as its key.
+
+    A link's labels are quoted by ``json``'s own string encoder, and its
+    strength is ``repr``, which is ``json``'s text for the finite int and
+    float counts a grid holds."""
     text = json.dumps(payload, indent=2)
     if run.method != "grid":
-        return text
-    head, _, tail = text.rpartition('"matrix": null')
-    return "".join([head, '"matrix": ', grid.matrix_json(run.result, labels), tail])
-
-
-def _links_json(links, labels) -> list[dict]:
-    return [{"a": labels[l.a], "b": labels[l.b], "strength": l.strength} for l in links]
+        print(text)
+        return
+    head, _, rest = text.partition('"links": null')
+    middle, _, tail = rest.rpartition('"matrix": null')
+    write = sys.stdout.write
+    write(head + '"links": ')
+    if run.links:
+        quoted = list(map(encode_basestring_ascii, labels))
+        write("[")
+        for i, l in enumerate(run.links):
+            write(("," if i else "") + _LINK_JSON % (quoted[l.a], quoted[l.b], l.strength))
+        write("\n  ]")
+    else:
+        write("[]")
+    write(middle + '"matrix": ')
+    grid.matrix_json(run.result, labels, write)
+    write(tail + "\n")
 
 
 def _parameters(args, source: str) -> dict:
@@ -396,6 +425,11 @@ def cmd_cluster(args) -> int:
     timing = Timing()
     dataset, source = _load_dataset(args, timing)
     labels = dataset.labels
+    if args.method == "grid" and dataset.n**2 > GRID_CELL_LIMIT:
+        raise ConfigError(
+            f"a grid over {dataset.n} variables has {dataset.n**2} cells,"
+            f" more than the {GRID_CELL_LIMIT} it renders"
+        )
     run = _run_method(args.method, dataset, weights, args, timing)
     partition = run.partition
     if args.singletons == "clusters":
@@ -408,18 +442,19 @@ def cmd_cluster(args) -> int:
             "parameters": _parameters(args, source),
             "clusters": partition.label_clusters(labels),
             "unassigned": partition.label_unassigned(labels),
-            "links": _links_json(run.links, labels),
+            # reinforce and cm report no links; _write_json fills a grid's
+            "links": None if args.method == "grid" else [],
             "detail": _detail_json(run, labels),
         }
         if args.timing:
             payload["timing_ms"] = timing
-        print(_json_text(payload, run, labels))
+        _write_json(payload, run, labels)
     elif args.format == "csv":
-        print("\n\n".join("\n".join(s) for s in _csv_sections(run, partition, labels)))
+        _write_csv(run, partition, labels)
     else:
-        lines = [f"method: {args.method}", f"variables: {dataset.n}", f"events: {len(dataset.events)}"]
-        lines += _text_body(run, labels)
-        lines += _cluster_section(partition, labels)
+        print(f"method: {args.method}\nvariables: {dataset.n}\nevents: {len(dataset.events)}")
+        _write_text_body(run, labels)
+        lines = _cluster_section(partition, labels)
         lines += _link_section(run.links, labels)
         if args.timing:
             lines.append(timing.line())
@@ -480,7 +515,8 @@ def cmd_compare(args) -> int:
         lines = [f"reference: {args.reference} ({len(reference.cluster_label_sets)} clusters)"]
         for method in methods:
             lines.append(f"method: {method}")
-            lines.extend("  " + row for row in agreement_text(reports[method], labels).splitlines())
+            rows = agreement_text(reports[method], labels).split("\n")[:-1]
+            lines.extend("  " + row for row in rows)
         if args.timing:
             lines += timing_lines
         print("\n".join(lines))
@@ -493,17 +529,15 @@ def cmd_tables(args) -> int:
     labels = dataset.labels
     runs = {m: _run_method(m, dataset, Weights(), args, Timing()) for m in METHODS}
 
-    lines = ["== variable counts =="]
-    lines += _text_body(runs["reinforce"], labels)
-    lines.append("")
-    lines.append("== unique instances ==")
-    lines += _text_body(runs["cm"], labels)
-    lines.append("selected:")
-    lines.extend(f"  {','.join(group)}" for group in runs["cm"].partition.label_clusters(labels))
-    lines.append("")
-    lines.append("== co-occurrence grid ==")
-    lines += _text_body(runs["grid"], labels)
-    lines += _cluster_section(runs["grid"].partition, labels)
+    print("== variable counts ==")
+    _write_text_body(runs["reinforce"], labels)
+    print("\n== unique instances ==")
+    _write_text_body(runs["cm"], labels)
+    selected = runs["cm"].partition.label_clusters(labels)
+    print("\n".join(["selected:", *(f"  {','.join(group)}" for group in selected)]))
+    print("\n== co-occurrence grid ==")
+    _write_text_body(runs["grid"], labels)
+    lines = _cluster_section(runs["grid"].partition, labels)
     lines += _link_section(runs["grid"].links, labels)
     print("\n".join(lines))
     return 0
@@ -537,7 +571,7 @@ def cmd_hierarchy(args) -> int:
             f"presentations: {store.presentations}",
             f"mass: {hierarchy.total_mass(store)}",
         ]
-        lines += hierarchy.tree_text(store, labels).splitlines()
+        lines += hierarchy.tree_text(store, labels).split("\n")[:-1]
         if args.timing:
             lines.append(timing.line())
         print("\n".join(lines))

@@ -10,8 +10,9 @@ order independent, so shards counted separately merge into the same matrix.
 The matrix is stored sparse, one dict of nonzero cells per row, since wide
 grids (a ``--transpose`` pivot) are mostly zeros. Counting takes each
 distinct member set once, weighted by how often it occurs, as an FP-tree
-does (Han, Pei & Yin, SIGMOD 2000). Only the renderers lay the matrix out
-densely.
+does (Han, Pei & Yin, SIGMOD 2000). The renderers lay the matrix out
+densely one row at a time, passing each row to a ``write`` callable as it
+is made, so no n x n text or list of cells is held at once.
 
 Extraction reads the finished grid. Each row nominates the variables above
 the largest gap in its sorted nonzero counts (the row's head set); clusters
@@ -260,20 +261,32 @@ def _rendered_rows(grid: CountMatrix, diagonal: str = "x"):
         yield cells
 
 
-def matrix_csv(grid: CountMatrix, labels: Sequence[str]) -> str:
-    """CSV rendering with a label header row and column; the empty diagonal
-    is shown as "x"."""
-    lines = ["," + ",".join(labels)]
-    for label, cells in zip(labels, _rendered_rows(grid)):
-        lines.append(label + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+def _write_all(pieces, write) -> int:
+    """Pass each text piece to ``write`` in turn; the characters written."""
+    written = 0
+    for piece in pieces:
+        write(piece)
+        written += len(piece)
+    return written
 
 
-def matrix_json(grid: CountMatrix, labels: Sequence[str]) -> str:
-    """The matrix as the JSON object ``{"labels": [...], "cells": [[...]]}``,
-    in the text ``json.dumps(payload, indent=2)`` gives for it as the
-    ``detail.matrix`` value of a ``cluster --format json`` payload, two
-    objects deep.
+def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> int:
+    """Write the CSV rendering, a label header row and column with "x" on
+    the empty diagonal, one line per ``write`` call. Returns the number of
+    characters written."""
+    header = "," + ",".join(labels) + "\n"
+    rows = zip(labels, _rendered_rows(grid))
+    lines = (label + "," + ",".join(cells) + "\n" for label, cells in rows)
+    return _write_all(chain((header,), lines), write)
+
+
+def matrix_json(grid: CountMatrix, labels: Sequence[str], write) -> int:
+    """Write the matrix as the JSON object ``{"labels": [...], "cells":
+    [[...]]}``, in the text ``json.dumps(payload, indent=2)`` gives for it
+    as the ``detail.matrix`` value of a ``cluster --format json`` payload,
+    two objects deep. The head with the labels is one ``write`` call, each
+    row one more and the tail the last. Returns the number of characters
+    written.
 
     Only the labels pass through ``json``. Its indenting encoder is pure
     Python and would visit all n x n cells, so each row is instead a
@@ -281,33 +294,47 @@ def matrix_json(grid: CountMatrix, labels: Sequence[str]) -> str:
     which is ``json``'s own text for the finite int and float counts a
     grid holds. Diagonal cells are structural zeros (never written).
     """
+    return _write_all(_json_pieces(grid, labels), write)
+
+
+def _json_pieces(grid: CountMatrix, labels: Sequence[str]):
     pad = "\n    "  # the object's own line, two levels in
     key_pad = pad + "  "
     labels_text = json.dumps(list(labels), indent=2).replace("\n", key_pad)
-    parts = ["{", key_pad, '"labels": ', labels_text, ",", key_pad, '"cells": ']
-    if grid.n:
-        row_pad = key_pad + "  "
-        cell_sep = "," + row_pad + "  "
-        open_row, close_row = row_pad + "[" + cell_sep[1:], row_pad + "]"
-        rows = (cell_sep.join(cells) for cells in _rendered_rows(grid, "0"))
-        parts += ["[", open_row, (close_row + "," + open_row).join(rows), close_row, key_pad, "]"]
-    else:
-        parts.append("[]")
-    parts += [pad, "}"]
-    return "".join(parts)
+    head = "{" + key_pad + '"labels": ' + labels_text + "," + key_pad + '"cells": '
+    if not grid.n:
+        yield head + "[]" + pad + "}"
+        return
+    row_pad = key_pad + "  "
+    cell_sep = "," + row_pad + "  "
+    open_row, close_row = row_pad + "[" + cell_sep[1:], row_pad + "]"
+    yield head + "["
+    rows = _rendered_rows(grid, "0")
+    yield open_row + cell_sep.join(next(rows)) + close_row
+    for cells in rows:
+        yield "," + open_row + cell_sep.join(cells) + close_row
+    yield key_pad + "]" + pad + "}"
 
 
-def matrix_text(grid: CountMatrix, labels: Sequence[str]) -> str:
-    """Aligned text rendering for terminals, "x" on the diagonal."""
-    rendered = list(_rendered_rows(grid))
+def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> int:
+    """Write the aligned text rendering for terminals, "x" on the diagonal,
+    one line per ``write`` call. Returns the number of characters written."""
+    return _write_all(_text_lines(grid, labels), write)
+
+
+def _text_lines(grid: CountMatrix, labels: Sequence[str]):
+    # column widths come from the labels and the nonzero cells before any
+    # row is made, since "0" and "x" are one character wide
     label_w = max((len(l) for l in labels), default=0)
-    # "0" and "x" are one character wide; only nonzero cells can be wider
     col_w = [max(len(label), 1) for label in labels]
+    for row in grid.rows:
+        for w, c in row.items():
+            col_w[w] = max(col_w[w], len(str(c)))
+    yield " " * label_w + "  " + "  ".join(map(str.rjust, labels, col_w)) + "\n"
+    zeros = ["0".rjust(w) for w in col_w]
     for i, row in enumerate(grid.rows):
-        for w in row:
-            col_w[w] = max(col_w[w], len(rendered[i][w]))
-    lines = [" " * label_w + "  " + "  ".join(labels[j].rjust(col_w[j]) for j in range(grid.n))]
-    for i in range(grid.n):
-        cells = "  ".join(rendered[i][j].rjust(col_w[j]) for j in range(grid.n))
-        lines.append(labels[i].ljust(label_w) + "  " + cells)
-    return "\n".join(lines) + "\n"
+        cells = zeros.copy()
+        for w, c in row.items():
+            cells[w] = str(c).rjust(col_w[w])
+        cells[i] = "x".rjust(col_w[i])
+        yield labels[i].ljust(label_w) + "  " + "  ".join(cells) + "\n"

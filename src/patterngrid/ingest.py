@@ -79,6 +79,10 @@ def parse_transactions(
     # bytes; member tokens are plain ASCII either way. "utf-8-sig" drops
     # one leading byte-order mark, which would otherwise join the first token
     text = str(source.read(), "utf-8-sig", "replace")
+    # lines end only at "\n", "\r\n" and "\r"; str.splitlines would also
+    # break at U+0085, U+2028, "\x1c", "\v" and others inside a line
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     labelled = policy is LabelPolicy.RECORD_LABEL
     ids: dict[str, int] = {}
     events: list[Event] = []
@@ -89,7 +93,7 @@ def parse_transactions(
     by_member: dict[str, dict[str, None]] = {}
     diagnostics: list[str] = []
     empty_label = False  # the members policy has no label
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -9,6 +9,7 @@ oracle's use of the public, fully checked ``build_vocabulary``.
 from __future__ import annotations
 
 import math
+import re
 import random
 from dataclasses import dataclass, field
 
@@ -179,6 +180,33 @@ def dense_matrix_json(grid: DenseGrid, labels) -> dict:
     return {"labels": list(labels), "cells": [list(row) for row in grid.cells]}
 
 
+def _dense_rendered(grid: DenseGrid) -> list[list[str]]:
+    return [
+        ["x" if j == i else str(c) for j, c in enumerate(row)] for i, row in enumerate(grid.cells)
+    ]
+
+
+def dense_matrix_csv(grid: DenseGrid, labels) -> str:
+    """The CSV rendering built as one string, "x" on the diagonal."""
+    lines = ["," + ",".join(labels)]
+    for label, cells in zip(labels, _dense_rendered(grid)):
+        lines.append(label + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def dense_matrix_text(grid: DenseGrid, labels) -> str:
+    """The aligned text rendering built as one string: each column as wide
+    as its widest label or rendered cell."""
+    rendered = _dense_rendered(grid)
+    label_w = max((len(l) for l in labels), default=0)
+    col_w = [max([len(labels[j])] + [len(row[j]) for row in rendered]) for j in range(grid.n)]
+    lines = [" " * label_w + "  " + "  ".join(labels[j].rjust(col_w[j]) for j in range(grid.n))]
+    for i, row in enumerate(rendered):
+        cells = "  ".join(c.rjust(col_w[j]) for j, c in enumerate(row))
+        lines.append(labels[i].ljust(label_w) + "  " + cells)
+    return "\n".join(lines) + "\n"
+
+
 def cm_replay_oracle(events, omega_i=1, omega_g=1) -> dict[frozenset[int], tuple]:
     """(local, global) per distinct pattern, straight from the definitions:
     local counts exact-set presentations, global counts overlapping events
@@ -339,7 +367,8 @@ def parse_oracle(
     text = str(source.read(), "utf-8-sig", "replace")
     diagnostics: list[str] = []
     rows: list[tuple[str | None, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # a line ends at "\r\n", "\r" or "\n" and at no other break
+    for lineno, line in enumerate(re.split("\r\n|\r|\n", text), start=1):
         line = line.strip()
         if not line:
             continue

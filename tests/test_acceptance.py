@@ -11,6 +11,7 @@ transposed corpus.
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -232,12 +233,16 @@ def test_09_byte_identical_output(tmp_path):
 
     # the package under test, whether installed or run from the source tree
     package_root = str(Path(patterngrid.__file__).resolve().parents[1])
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    # a run that writes no bytecode leaves none beside the package either
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
 
     def run(argv, hashseed):
         proc = subprocess.run(
             [sys.executable, "-m", "patterngrid", *argv],
             capture_output=True,
-            env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            env={"PYTHONHASHSEED": hashseed, **env},
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout

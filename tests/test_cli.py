@@ -1,12 +1,18 @@
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import patterngrid
 from patterngrid import cli, grid
@@ -32,6 +38,14 @@ def run_json(capsys, *argv: str) -> dict:
     payload = json.loads(out)
     jsonschema.validate(payload, SCHEMA)
     return payload
+
+
+# seven_event's lines with most labels renamed to ones json escapes
+_ESCAPED = str.maketrans({"A": 'A"', "B": "B\\", "C": "Cé", "D": "D\x01", "E": "E𝄞", "G": "G☃"})
+SEVEN_ESCAPED = [
+    line.translate(_ESCAPED)
+    for line in (resources.files("patterngrid.data") / "seven_event.txt").read_text().splitlines()
+]
 
 
 @pytest.fixture()
@@ -135,6 +149,38 @@ class TestJson:
         assert payload["detail"]["matrix"]["cells"][0][1] == 4
         assert payload["parameters"]["source"] == "seven_event"
         assert "timing_ms" not in payload
+
+    # member names json must escape: quotes, backslashes, a control
+    # character, non-ASCII and a character outside the BMP
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.text('ab"\\é☃\x01𝄞/ ', min_size=1, max_size=3).map(str.strip).filter(bool),
+                min_size=1, max_size=4, unique=True,
+            ),
+            min_size=1, max_size=12,
+        ),
+        st.sampled_from(["1", "3", "0.1", "2.5", "1e-3"]),
+        st.sampled_from(["1", "2", "1.5"]),
+    )
+    # the seven-event fixture under such names: one link, int and float
+    @example([line.split(",") for line in SEVEN_ESCAPED], "1", "2")
+    @example([line.split(",") for line in SEVEN_ESCAPED], "2.5", "1")
+    def test_grid_output_is_what_json_dumps_gives(self, lines, omega_i, tau_link):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "members.data"
+            path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = entry([
+                    "cluster", "--method", "grid", "--input", str(path),
+                    "--label-policy", "members", "--omega-i", omega_i, "--tau-link", tau_link,
+                    "--format", "json",
+                ])
+        assert code == 0
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_reinforce(self, capsys):
         payload = run_json(
@@ -350,10 +396,11 @@ class TestInputHandling:
         assert payload["detail"]["matrix"]["labels"] == ["s1", "s2"]
 
     def test_grid_json_with_slot_text_as_a_label(self, capsys, tmp_path):
-        # the matrix is spliced into the "matrix": null slot; a label with
-        # that text is escaped, so the splice still finds the slot
+        # the links and the matrix are written into the "links": null and
+        # "matrix": null slots; a label with that text is escaped, so the
+        # splice still finds each slot
         path = tmp_path / "t.data"
-        path.write_text('al,"matrix": null\n"matrix": null,ak\n')
+        path.write_text('al,"matrix": null\n"matrix": null,ak\n"links": null,al\n')
         code, out, _ = run(
             capsys,
             "cluster", "--method", "grid", "--input", str(path), "--format", "json",
@@ -361,8 +408,26 @@ class TestInputHandling:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["detail"]["matrix"]["labels"] == ["al", '"matrix": null', "ak"]
+        labels = ["al", '"matrix": null', "ak", '"links": null']
+        assert payload["detail"]["matrix"]["labels"] == labels
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_line_break_characters_stay_in_their_label(self, capsys, tmp_path):
+        # U+0085 breaks a line for str.splitlines, but not in an input file,
+        # so every text rendering keeps it inside the label
+        path = tmp_path / "t.data"
+        path.write_text("r1,a\x85b,c\nr2,a\x85b,c\nr3,c,d\n", encoding="utf-8")
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps({"clusters": [["a\x85b", "c"]]}))
+        for argv in (
+            ("cluster", "--method", "grid"),
+            ("cluster", "--method", "cm"),
+            ("hierarchy",),
+            ("compare", "--method", "cm", "--reference", str(ref)),
+        ):
+            code, out, _ = run(capsys, *argv, "--input", str(path))
+            assert code == 0
+            assert "a\x85b" in out, argv
 
     def test_members_policy(self, capsys, tmp_path):
         path = tmp_path / "t.data"
@@ -495,6 +560,33 @@ class TestExitCodes:
             entry(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+    def test_grid_past_the_cell_limit_is_refused(self, capsys, tmp_path):
+        # the benchmark's transposed grid, 1,200 variables, stays within it
+        assert cli.GRID_CELL_LIMIT >= 1200**2
+        # one member per line: 4,097 variables and no pair to count
+        path = tmp_path / "wide.data"
+        path.write_text("".join(f"v{i}\n" for i in range(4097)))
+        argv = ("cluster", "--input", str(path), "--label-policy", "members")
+        code, out, err = run(capsys, *argv, "--method", "grid")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"config error: a grid over 4097 variables has {4097**2} cells,"
+            f" more than the {cli.GRID_CELL_LIMIT} it renders\n"
+        )
+        # only the grid grows as n squared
+        assert run(capsys, *argv, "--method", "reinforce")[0] == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_grid_at_the_cell_limit_runs(self, capsys, monkeypatch, fmt):
+        argv = ("cluster", "--method", "grid", "--fixture", "seven_event", "--format", fmt)
+        monkeypatch.setattr(cli, "GRID_CELL_LIMIT", 7 * 7)
+        golden = GOLDEN / f"cluster_grid.{'txt' if fmt == 'text' else fmt}"
+        assert run(capsys, *argv)[:2] == (0, golden.read_text())
+        monkeypatch.setattr(cli, "GRID_CELL_LIMIT", 7 * 7 - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: a grid over 7 variables has 49 cells")
 
     def test_bad_weight_rejected(self, capsys):
         code, _, err = run(
@@ -630,11 +722,15 @@ def test_cli_import_loads_no_thread_pool_or_logging():
         "print(sorted({m.partition('.')[0] for m in sys.modules}"
         " - {'__main__', 'patterngrid'} - sys.stdlib_module_names))"
     )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    # a run that writes no bytecode leaves none beside the package either
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -24,7 +25,9 @@ from .oracles import (
     count_matrix,
     dense_count_events,
     dense_extract_clusters,
+    dense_matrix_csv,
     dense_matrix_json,
+    dense_matrix_text,
     random_dataset,
 )
 
@@ -244,26 +247,34 @@ def _as_detail_matrix(doc) -> str:
     return text[len(head) : -len(tail)]
 
 
+def _render(renderer, matrix: CountMatrix, labels) -> str:
+    """What a renderer writes, its pieces joined through ``io.StringIO().write``."""
+    out = io.StringIO()
+    renderer(matrix, labels, out.write)
+    return out.getvalue()
+
+
 class TestRendering:
     def test_csv(self):
         matrix = count_events(CountMatrix.zeros(2), [Event((0, 1))])
-        assert matrix_csv(matrix, ["a", "b"]) == ",a,b\na,x,1\nb,1,x\n"
+        assert _render(matrix_csv, matrix, ["a", "b"]) == ",a,b\na,x,1\nb,1,x\n"
 
     def test_json(self):
         matrix = count_events(CountMatrix.zeros(2), [Event((0, 1))])
         expected = {"labels": ["a", "b"], "cells": [[0, 1], [1, 0]]}
-        assert matrix_json(matrix, ["a", "b"]) == _as_detail_matrix(expected)
+        assert _render(matrix_json, matrix, ["a", "b"]) == _as_detail_matrix(expected)
 
     def test_json_float_cells(self, seven):
         matrix = count_events(CountMatrix.zeros(seven.n), seven.events, 0.1)
         expected = {"labels": list(seven.labels), "cells": matrix.cells}
-        assert matrix_json(matrix, seven.labels) == _as_detail_matrix(expected)
+        assert _render(matrix_json, matrix, seven.labels) == _as_detail_matrix(expected)
 
     def test_json_empty(self):
-        assert matrix_json(CountMatrix.zeros(0), []) == _as_detail_matrix({"labels": [], "cells": []})
+        expected = _as_detail_matrix({"labels": [], "cells": []})
+        assert _render(matrix_json, CountMatrix.zeros(0), []) == expected
 
     def test_text_has_x_diagonal(self, seven):
-        text = matrix_text(_seven_matrix(seven), seven.labels)
+        text = _render(matrix_text, _seven_matrix(seven), seven.labels)
         lines = text.splitlines()
         assert lines[0].split() == list(seven.labels)
         assert lines[1].split() == ["A", "x", "4", "4", "4", "2", "1", "1"]
@@ -332,7 +343,46 @@ def test_sparse_grid_equals_dense_oracle(case):
     assert repr(extract_clusters(sparse, tau, ties=ties)) == repr(
         dense_extract_clusters(dense, tau, ties=ties)
     )
-    assert matrix_json(sparse, labels) == _as_detail_matrix(dense_matrix_json(dense, labels))
+    expected = _as_detail_matrix(dense_matrix_json(dense, labels))
+    assert _render(matrix_json, sparse, labels) == expected
 
     merged = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(dense.cells, prefilled.cells)]
     assert repr(grid_merge(sparse, prefilled).cells) == repr(merged)
+
+
+# labels of any width, quoted by json where needed; none breaks a line, so
+# the CSV and text renderings keep one line per row
+_LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=6)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([1, 3, 0.1, 2.5, 1e-3]),
+    st.lists(_LABEL, min_size=12, max_size=12),
+)
+@example(0, 1, [""] * 12)
+def test_renderers_write_one_row_per_piece(seed, weight, names):
+    """Joined, the pieces equal the dense oracles' strings; and no piece
+    is longer than the label header plus the longest rendered row."""
+    dataset = random_dataset(seed, max_vars=12, max_events=30)
+    labels = names[: dataset.n]
+    sparse = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
+    dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events, weight)
+    csv_text, text = dense_matrix_csv(dense, labels), dense_matrix_text(dense, labels)
+    json_text = _as_detail_matrix(dense_matrix_json(dense, labels))
+    # CSV and text rows are lines, each piece holding its newline; the JSON
+    # header runs to the "cells" key, and each row ends at a bracket eight
+    # spaces in, which the split drops from the rows
+    csv_head, csv_rows = csv_text.split("\n", 1)
+    text_head, text_rows = text.split("\n", 1)
+    cut, close = json_text.index('"cells": '), "\n        ]"
+    cases = (
+        (matrix_csv, csv_text, csv_head, csv_rows.split("\n"), 1),
+        (matrix_text, text, text_head, text_rows.split("\n"), 1),
+        (matrix_json, json_text, json_text[:cut], json_text[cut:].split(close), len(close)),
+    )
+    for renderer, expected, header, rows, extra in cases:
+        pieces = []
+        assert renderer(sparse, labels, pieces.append) == len(expected)
+        assert "".join(pieces) == expected
+        assert max(map(len, pieces)) <= len(header) + max(map(len, rows)) + extra

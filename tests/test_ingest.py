@@ -67,6 +67,14 @@ class TestParse:
         assert dataset.diagnostics == (expected,)
         assert len(dataset.events) == 2
 
+    def test_only_newlines_end_a_line(self):
+        # U+0085, U+2028, "\x1c", "\v" and "\f" are line breaks to
+        # str.splitlines, but inside a line they belong to its token
+        dataset = _parse("r1,a\x85b\nr2,,c\rr3,a\u2028\x1c\x0b\x0cb,c\r\nr4,a\x85b\n")
+        assert dataset.labels == ("a\x85b", "a\u2028\x1c\x0b\x0cb", "c")
+        assert [e.members for e in dataset.events] == [(0,), (1, 2), (0,)]
+        assert dataset.diagnostics == ("line 2: empty field",)
+
     def test_empty_source_is_fatal(self):
         with pytest.raises(DataError, match="no parseable records"):
             _parse("")
@@ -109,8 +117,13 @@ def _outcome(parse, data: bytes, policy: LabelPolicy, transpose: bool):
         return type(exc), str(exc)
 
 
-_PADS = [b"", b"", b" ", b"\t", b"\xc2\xa0"]  # no-break space is whitespace to str.strip
-_TOKENS = [b"a", b"b", b"c", b"s1", b"s2", b"", b"caf\xc3\xa9", b"caf\xe9", b"\xff"]
+# no-break space, U+0085 and "\v" are whitespace to str.strip
+_PADS = [b"", b"", b" ", b"\t", b"\xc2\xa0", b"\xc2\x85", b"\x0b"]
+# U+0085, U+2028, "\x1c", "\v" and "\f" break lines for str.splitlines only
+_TOKENS = [
+    b"a", b"b", b"c", b"s1", b"s2", b"", b"caf\xc3\xa9", b"caf\xe9", b"\xff",
+    b"a\xc2\x85b", b"a\xe2\x80\xa8b", b"\x1c", b"a\x0bb", b"\x0c",
+]
 _ENDS = [b"\n", b"\n", b"\r\n", b"\r"]
 
 
@@ -169,6 +182,8 @@ class TestOnePassMatchesOracle:
     @example(b"r1,a,b\n \t ,a,b\nr3 ,a,b\n", LabelPolicy.RECORD_LABEL, False)
     @example(b"r1,a\nr2\nr3,\nr1,a\na\n", LabelPolicy.RECORD_LABEL, False)
     @example(BOM + b"r1,a\n" + BOM + b"r2,a\n", LabelPolicy.RECORD_LABEL, True)
+    # one record, not two, and the next lines keep their numbers
+    @example(b"r1,a\xc2\x85b\nr2,,c\nr3,a,b\n", LabelPolicy.RECORD_LABEL, False)
     def test_same_dataset_or_error(self, data, policy, transpose):
         expected = _outcome(parse_oracle, data, policy, transpose)
         assert _outcome(parse_transactions, data, policy, transpose) == expected
