@@ -184,6 +184,8 @@ class Timing(dict):
 
 
 def _load_dataset(args, timing: Timing) -> tuple[Dataset, str]:
+    if args.fixture and args.transpose:
+        raise ConfigError("--transpose pivots an input file, not a fixture")
     with timing.stage("parse"):
         if args.fixture:
             loaded = load_fixture(args.fixture)
@@ -515,8 +517,7 @@ def cmd_compare(args) -> int:
         lines = [f"reference: {args.reference} ({len(reference.cluster_label_sets)} clusters)"]
         for method in methods:
             lines.append(f"method: {method}")
-            rows = agreement_text(reports[method], labels).split("\n")[:-1]
-            lines.extend("  " + row for row in rows)
+            lines.extend("  " + row for row in agreement_text(reports[method], labels))
         if args.timing:
             lines += timing_lines
         print("\n".join(lines))
@@ -557,21 +558,25 @@ def cmd_hierarchy(args) -> int:
     print(timing.line(), file=sys.stderr)
 
     if args.format == "json":
-        payload = {
-            "method": "hierarchy",
-            "parameters": _parameters(args, source),
-            "mass": hierarchy.total_mass(store),
-            **hierarchy.tree_json(store, labels),
-        }
-        if args.timing:
-            payload["timing_ms"] = timing
-        print(json.dumps(payload, indent=2))
+        try:
+            payload = {
+                "method": "hierarchy",
+                "parameters": _parameters(args, source),
+                "mass": hierarchy.total_mass(store),
+                **hierarchy.tree_json(store, labels),
+            }
+            if args.timing:
+                payload["timing_ms"] = timing
+            text = json.dumps(payload, indent=2)
+        except RecursionError:
+            raise DataError("the hierarchy nests too deeply to write as JSON") from None
+        print(text)
     else:
         lines = [
             f"presentations: {store.presentations}",
             f"mass: {hierarchy.total_mass(store)}",
         ]
-        lines += hierarchy.tree_text(store, labels).split("\n")[:-1]
+        lines += hierarchy.tree_text(store, labels)
         if args.timing:
             lines.append(timing.line())
         print("\n".join(lines))

@@ -106,7 +106,7 @@ def _names(ids: frozenset[int], labels: Sequence[str]) -> str:
     return "{" + ",".join(sorted(labels[i] for i in ids)) + "}"
 
 
-def agreement_text(report: AgreementReport, labels: Sequence[str]) -> str:
+def agreement_text(report: AgreementReport, labels: Sequence[str]) -> list[str]:
     lines = [
         f"pairs: produced={report.produced_pairs} reference={report.reference_pairs}"
         f" shared={report.shared_pairs}",
@@ -118,7 +118,7 @@ def agreement_text(report: AgreementReport, labels: Sequence[str]) -> str:
     for row in report.per_cluster_table:
         target = "-" if row.reference is None else _names(row.reference, labels)
         lines.append(f"  {_names(row.produced, labels)} ~ {target} overlap={row.overlap}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def agreement_json(report: AgreementReport, labels: Sequence[str]) -> dict:

@@ -244,24 +244,25 @@ def total_mass(store: HierarchyStore) -> int:
     return mass
 
 
-def _find_merge(store: HierarchyStore) -> tuple[PatternNode, Extension] | None:
-    for node in walk(store):
+def _find_rule(store: HierarchyStore) -> tuple | None:
+    """The rule ``consolidate`` applies next, found in one walk: the first
+    merge candidate in walk order as ``(_merge, parent, extension)``, or
+    else the first split candidate as ``(_split, parent or None, node,
+    subset)``, its smallest dominant subset in sorted-member order."""
+    split = None
+    stack = [(None, root) for root in reversed(store.roots)]
+    while stack:
+        parent, node = stack.pop()
         for ext in node.extensions:
             if ext.node.occurrences >= store.theta_merge * node.occurrences:
-                return node, ext
-    return None
-
-
-def _find_split(store: HierarchyStore) -> tuple[PatternNode | None, PatternNode, frozenset[int]] | None:
-    """First node in walk order with a dominant subset, and its smallest
-    such subset in sorted-member order."""
-    for node in walk(store):
-        limit = store.theta_split * node.occurrences
-        hits = [subset for subset, count in node.subset_counts.items() if count >= limit]
-        if hits:
-            parents = {id(e.node): parent for parent in walk(store) for e in parent.extensions}
-            return parents.get(id(node)), node, min(hits, key=sorted)
-    return None
+                return _merge, node, ext
+        if split is None:
+            limit = store.theta_split * node.occurrences
+            hits = [subset for subset, count in node.subset_counts.items() if count >= limit]
+            if hits:
+                split = _split, parent, node, min(hits, key=sorted)
+        stack.extend((node, e.node) for e in reversed(node.extensions))
+    return split
 
 
 def _merge(store: HierarchyStore, parent: PatternNode, ext: Extension) -> None:
@@ -310,46 +311,40 @@ def _split(
 def consolidate(store: HierarchyStore) -> HierarchyStore:
     """Run merge and split to a fixed point.
 
-    Each pass applies the first candidate in walk order and rescans, so the
-    result is order deterministic. Terminates because a split always retires
-    one tracked subset entry and a merge always retires one node while
-    creating no subset entries. Drops the presentation index, since both
-    rules move nodes.
+    Each pass walks the forest once for the next rule (``_find_rule``) and
+    applies it, so the result is order deterministic. Terminates because a
+    split always retires one tracked subset entry and a merge always retires
+    one node while creating no subset entries. Drops the presentation index,
+    since both rules move nodes.
     """
     store._index = None
-    while True:
-        merge = _find_merge(store)
-        if merge is not None:
-            _merge(store, *merge)
-            continue
-        split = _find_split(store)
-        if split is not None:
-            _split(store, *split)
-            continue
-        return store
+    while (rule := _find_rule(store)) is not None:
+        apply, *args = rule
+        apply(store, *args)
+    return store
 
 
-def tree_text(store: HierarchyStore, labels: Sequence[str]) -> str:
-    """Indented text rendering, one node per line."""
+def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
+    """Indented text rendering, one line per node, part and extension link.
+    Walks with its own stack, so any depth renders."""
 
     def name(ids: frozenset[int]) -> str:
         return "{" + ",".join(labels[i] for i in sorted(ids)) + "}"
 
     lines: list[str] = []
-
-    def emit(node: PatternNode, depth: int) -> None:
+    # (depth, node, the adds of the link it hangs from, None for a root)
+    stack = [(0, root, None) for root in reversed(store.roots)]
+    while stack:
+        depth, node, adds = stack.pop()
+        if adds is not None:
+            lines.append(f"{'  ' * (depth - 1)}+{name(adds)} ->")
         lines.append(f"{'  ' * depth}{name(node.pattern)} x{node.occurrences}")
         for subset in sorted(node.subset_counts, key=sorted):
             lines.append(
                 f"{'  ' * (depth + 1)}part {name(subset)} x{node.subset_counts[subset]}"
             )
-        for ext in node.extensions:
-            lines.append(f"{'  ' * (depth + 1)}+{name(ext.adds)} ->")
-            emit(ext.node, depth + 2)
-
-    for root in store.roots:
-        emit(root, 0)
-    return "\n".join(lines) + "\n"
+        stack.extend((depth + 2, e.node, e.adds) for e in reversed(node.extensions))
+    return lines
 
 
 def tree_json(store: HierarchyStore, labels: Sequence[str]) -> dict:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from patterngrid.grid import CountMatrix, GridClusterResult
-from patterngrid.hierarchy import Extension, PatternNode
+from patterngrid.hierarchy import Extension, PatternNode, _merge, _split
 from patterngrid.ingest import LabelPolicy
 from patterngrid.model import (
     ConfigError,
@@ -326,6 +326,16 @@ def hierarchy_walk_oracle(store, event):
     return store
 
 
+def find_merge_oracle(store):
+    """The hierarchy merge candidate by scanning every node's extensions in
+    walk order: (parent, extension) or None."""
+    for node in _preorder(store):
+        for ext in node.extensions:
+            if ext.node.occurrences >= store.theta_merge * node.occurrences:
+                return node, ext
+    return None
+
+
 def find_split_oracle(store):
     """The hierarchy split candidate by sorting every node's subsets and
     scanning in walk order: (parent or None, node, subset) or None."""
@@ -338,6 +348,23 @@ def find_split_oracle(store):
             if node.subset_counts[subset] >= store.theta_split * node.occurrences:
                 return parents.get(id(node)), node, subset
     return None
+
+
+def consolidate_oracle(store):
+    """Hierarchy merge and split to a fixed point, rescanning the whole
+    forest for each rule: the first merge candidate, else the first split
+    candidate."""
+    store._index = None
+    while True:
+        merge = find_merge_oracle(store)
+        if merge is not None:
+            _merge(store, *merge)
+            continue
+        split = find_split_oracle(store)
+        if split is not None:
+            _split(store, *split)
+            continue
+        return store
 
 
 def transpose_oracle(records: list[list[str]]) -> list[list[str]]:

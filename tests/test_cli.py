@@ -92,6 +92,20 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "cluster_grid_transpose.json").read_text()
 
+    def test_hierarchy_rules_json(self, capsys, monkeypatch, tmp_path):
+        # one merge, one root split and one split whose head becomes a new
+        # root; the relative path keeps "source" fixed
+        monkeypatch.chdir(tmp_path)
+        Path("hierarchy_rules.data").write_text(
+            "D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n"
+        )
+        code, out, _ = run(
+            capsys, "hierarchy", "--label-policy", "members", "--input", "hierarchy_rules.data",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "hierarchy_rules.json").read_text()
+
     def test_grid_float_json(self, capsys):
         # float cells beside the int zeros of untouched cells
         code, out, _ = run(
@@ -525,6 +539,43 @@ class TestExitCodes:
         code, _, err = run(capsys, "cluster", "--method", "grid", "--fixture", "plants_reference")
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("cluster", "--method", "grid"), ("compare", "--reference", "ref.json"), ("hierarchy",)],
+        ids=["cluster", "compare", "hierarchy"],
+    )
+    def test_transpose_refused_with_a_fixture(self, capsys, monkeypatch, tmp_path, argv):
+        # a fixture is parsed without a pivot, so --transpose would be ignored
+        monkeypatch.chdir(tmp_path)
+        Path("ref.json").write_text('{"clusters": [["A", "B"]]}')
+        code, out, err = run(
+            capsys, *argv, "--fixture", "seven_event", "--transpose", "--format", "json"
+        )
+        assert (code, out) == (2, "")
+        assert err == "config error: --transpose pivots an input file, not a fixture\n"
+
+    def test_deep_hierarchy_json_is_an_input_error(self, tmp_path):
+        # line i lists v0 ... v(i-1): one chain of extensions 400 deep, past
+        # what the recursive JSON rendering reaches
+        path = tmp_path / "chain.data"
+        path.write_text("".join(",".join(f"v{j}" for j in range(i)) + "\n" for i in range(1, 401)))
+        env = {"PATH": "/usr/bin:/bin"}
+        env["PYTHONPATH"] = str(Path(patterngrid.__file__).resolve().parents[1])
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "patterngrid", "hierarchy", "--label-policy", "members",
+             "--input", str(path), "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(
+            "input error: the hierarchy nests too deeply to write as JSON\n"
+        )
 
     def test_dataset_fixture_is_not_a_reference(self, capsys, small_corpus):
         code, _, err = run(

@@ -152,15 +152,14 @@ class TestRendering:
     )
 
     def test_text(self):
-        text = agreement_text(self.REPORT, "ABCD")
-        assert text == (
-            "pairs: produced=9 reference=11 shared=7\n"
-            "pairwise: precision=0.7778 recall=0.6364 f1=0.7000\n"
-            "rand_index=0.7143 exact_cluster_matches=0\n"
-            "best matches:\n"
-            "  {A,B} ~ {A,B,C} overlap=2\n"
-            "  {D} ~ - overlap=0\n"
-        )
+        assert agreement_text(self.REPORT, "ABCD") == [
+            "pairs: produced=9 reference=11 shared=7",
+            "pairwise: precision=0.7778 recall=0.6364 f1=0.7000",
+            "rand_index=0.7143 exact_cluster_matches=0",
+            "best matches:",
+            "  {A,B} ~ {A,B,C} overlap=2",
+            "  {D} ~ - overlap=0",
+        ]
 
     def test_json(self):
         payload = agreement_json(self.REPORT, "ABCD")

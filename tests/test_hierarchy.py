@@ -17,7 +17,13 @@ from patterngrid.hierarchy import (
 )
 from patterngrid.model import ConfigError, Event
 
-from .oracles import find_split_oracle, hierarchy_walk_oracle, random_dataset
+from .oracles import (
+    consolidate_oracle,
+    find_merge_oracle,
+    find_split_oracle,
+    hierarchy_walk_oracle,
+    random_dataset,
+)
 
 A, B, C, D, E, F, G = range(7)
 LABELS = ["A", "B", "C", "D", "E", "F", "G"]
@@ -229,19 +235,6 @@ def _oracle_present_all(store: HierarchyStore, events) -> HierarchyStore:
     return store
 
 
-def _oracle_consolidate(store: HierarchyStore) -> HierarchyStore:
-    while True:
-        merge = hierarchy._find_merge(store)
-        if merge is not None:
-            hierarchy._merge(store, *merge)
-            continue
-        split = find_split_oracle(store)
-        if split is not None:
-            hierarchy._split(store, *split)
-            continue
-        return store
-
-
 def _hand_built_store() -> HierarchyStore:
     # extension links, bookkeeping and two roots sharing a pattern, which
     # presentation alone never produces
@@ -300,13 +293,13 @@ class TestMemoMatchesWalk:
         _oracle_present_all(slow, events)
         assert same()
         consolidate(fast)
-        _oracle_consolidate(slow)
+        consolidate_oracle(slow)
         assert same()
 
 
 class TestIndexMatchesWalk:
-    """The indexed presentation and split search against the full scans in
-    tests/oracles.py."""
+    """The indexed presentation and the rule finder against the full scans
+    in tests/oracles.py."""
 
     @given(st.integers(0, 10_000), st.sampled_from([0.25, 0.5, 1.0]))
     def test_random_datasets(self, seed, theta_new):
@@ -330,14 +323,14 @@ class TestIndexMatchesWalk:
         fast = present_all(HierarchyStore(theta_new=theta_new), head)
         slow = _oracle_present_all(HierarchyStore(theta_new=theta_new), head)
         consolidate(fast)
-        _oracle_consolidate(slow)
+        consolidate_oracle(slow)
         assert tree_json(fast, dataset.labels) == tree_json(slow, dataset.labels)
         present_all(fast, tail)
         _oracle_present_all(slow, tail)
         assert tree_json(fast, dataset.labels) == tree_json(slow, dataset.labels)
         assert fast.presentations == slow.presentations == len(dataset.events)
         consolidate(fast)
-        _oracle_consolidate(slow)
+        consolidate_oracle(slow)
         assert tree_json(fast, dataset.labels) == tree_json(slow, dataset.labels)
 
     @given(events_over_six)
@@ -349,22 +342,57 @@ class TestIndexMatchesWalk:
 
     @given(st.integers(0, 10_000))
     def test_split_candidate_on_every_pass(self, seed):
+        # the finder's rule is the oracles' on every pass: the same node and
+        # extension or parent objects, and an equal subset
         dataset = random_dataset(seed, max_vars=8, max_events=60)
         store = present_all(HierarchyStore(), dataset.events)
         while True:
-            merge = hierarchy._find_merge(store)
+            rule = hierarchy._find_rule(store)
+            merge, split = find_merge_oracle(store), find_split_oracle(store)
             if merge is not None:
-                hierarchy._merge(store, *merge)
-                continue
-            split = hierarchy._find_split(store)
-            expected = find_split_oracle(store)
-            if expected is None:
-                assert split is None
+                expected = (hierarchy._merge, *merge)
+            elif split is not None:
+                expected = (hierarchy._split, *split)
+            else:
+                assert rule is None
                 return
-            assert split[0] is expected[0]
-            assert split[1] is expected[1]
-            assert split[2] == expected[2]
-            hierarchy._split(store, *split)
+            assert len(rule) == len(expected)
+            assert all(a is b for a, b in zip(rule[:-1], expected[:-1]))
+            if merge is not None:
+                assert rule[-1] is expected[-1]
+            else:
+                assert rule[-1] == expected[-1]
+            apply, *args = rule
+            apply(store, *args)
+
+    thresholds = st.floats(1.0, 4.0, exclude_min=True)
+
+    @given(events_over_six, thresholds, thresholds, st.sampled_from([0.25, 0.5, 1.0]))
+    # {A,B,C} splits off {B,C} as a new root before {D,E} merges, which
+    # detaches {A,D,E} to the end; the other order swaps those two roots
+    @example(
+        [Event(m) for m in [(A, B), (A, B, C), (B, C), (B, C)]]
+        + [Event(m) for m in [(D, E), (D, E, F), (D, E, F), (A, D, E)]],
+        2.0, 2.0, 0.5,
+    )
+    # a root splits in place
+    @example([Event((D, E, F)), Event((D, E)), Event((D, E))], 2.0, 2.0, 0.5)
+    # two heads that do not extend their old parents, detached in walk order
+    @example(
+        [Event(m) for m in [(A, B), (A, B, C), (B, C), (B, C)]]
+        + [Event(m) for m in [(D, E), (D, E, F), (E, F), (E, F)]],
+        2.0, 2.0, 0.5,
+    )
+    def test_consolidate_matches_oracle(self, events, theta_merge, theta_split, theta_new):
+        fast, slow = (
+            present_all(HierarchyStore([], theta_merge, theta_split, theta_new), events)
+            for _ in range(2)
+        )
+        consolidate(fast)
+        consolidate_oracle(slow)
+        assert repr(fast) == repr(slow)
+        assert tree_json(fast, LABELS) == tree_json(slow, LABELS)
+        assert total_mass(fast) == total_mass(slow) == len(events)
 
     def test_index_rebuilt_after_consolidate(self):
         store = _store(*([(A, B, C, D)] * 2 + [(A, B, C, D, E)] * 6))
@@ -381,13 +409,13 @@ def test_seven_event_fixture_tree(seven):
     present_all(store, seven.events)
     consolidate(store)
     assert total_mass(store) == 7
-    assert tree_text(store, seven.labels) == (
-        "{A,B,C,D} x3\n"
-        "  +{E} ->\n"
-        "    {A,B,C,D,E} x1\n"
-        "      part {A,E} x1\n"
-        "{E,F,G} x2\n"
-    )
+    assert tree_text(store, seven.labels) == [
+        "{A,B,C,D} x3",
+        "  +{E} ->",
+        "    {A,B,C,D,E} x1",
+        "      part {A,E} x1",
+        "{E,F,G} x2",
+    ]
 
 
 class TestConfig:
@@ -413,13 +441,25 @@ class TestRendering:
         # {A,B,F} overlaps root and child equally at 2/3, so the part lands
         # on the root by walk order
         store = _store((A, B, C, D), (A, B, C, D, E), (A, B, F))
-        expected = (
-            "{A,B,C,D} x1\n"
-            "  part {A,B} x1\n"
-            "  +{E} ->\n"
-            "    {A,B,C,D,E} x1\n"
-        )
-        assert tree_text(store, LABELS) == expected
+        assert tree_text(store, LABELS) == [
+            "{A,B,C,D} x1",
+            "  part {A,B} x1",
+            "  +{E} ->",
+            "    {A,B,C,D,E} x1",
+        ]
+
+    def test_tree_text_any_depth(self):
+        # a chain of single-member extensions 2,000 levels deep, beyond
+        # Python's default recursion limit
+        labels = [f"v{i}" for i in range(2_001)]
+        node = PatternNode(frozenset(range(2_001)), 1)
+        for depth in range(2_000, 0, -1):
+            node = PatternNode(frozenset(range(depth)), 1, [Extension(frozenset({depth}), node)])
+        lines = tree_text(HierarchyStore(roots=[node], presentations=2_001), labels)
+        assert len(lines) == 2 * 2_001 - 1
+        assert lines[:3] == ["{v0} x1", "  +{v1} ->", "    {v0,v1} x1"]
+        assert lines[-2] == "  " * 3_999 + "+{v2000} ->"
+        assert lines[-1].startswith("  " * 4_000 + "{v0,v1,")
 
     def test_tree_json(self):
         store = _store((A, B), (A, B, C))
