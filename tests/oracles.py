@@ -2,8 +2,10 @@
 
 Everything here is written the slow, obvious way on purpose: membership
 tests over whole event lists, pair loops, and exhaustive enumeration. None
-of it shares code with the engines beyond their data types, and the parse
-oracle's use of the public, fully checked ``build_vocabulary``.
+of it shares code with the engines beyond their data types, the parse
+oracle's use of the public, fully checked ``build_vocabulary``, and the
+consolidation oracle's use of the hierarchy's ``_merge`` and ``_split``:
+it checks which rule is applied, not how.
 """
 
 from __future__ import annotations

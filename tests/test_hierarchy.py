@@ -254,6 +254,9 @@ events_over_six = st.lists(
     max_size=40,
 )
 
+# theta_merge and theta_split
+dominance_ratios = st.floats(1.0, 4.0, exclude_min=True)
+
 
 @st.composite
 def repeated_events(draw) -> list[Event]:
@@ -365,9 +368,7 @@ class TestIndexMatchesWalk:
             apply, *args = rule
             apply(store, *args)
 
-    thresholds = st.floats(1.0, 4.0, exclude_min=True)
-
-    @given(events_over_six, thresholds, thresholds, st.sampled_from([0.25, 0.5, 1.0]))
+    @given(events_over_six, dominance_ratios, dominance_ratios, st.sampled_from([0.25, 0.5, 1.0]))
     # {A,B,C} splits off {B,C} as a new root before {D,E} merges, which
     # detaches {A,D,E} to the end; the other order swaps those two roots
     @example(
