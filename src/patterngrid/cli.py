@@ -7,9 +7,9 @@ builds and consolidates a pattern hierarchy.
 
 Each engine run yields one ``EngineRun`` record, rendered once and in the
 requested format only: a text body, a JSON ``detail`` or CSV sections.
-A grid's matrix, whose text grows as n squared, and its links are written
-to standard output in pieces rather than built as one string.
-``compare`` scores the partitions and renders no engine result.
+``compare`` scores the partitions, keeping no engine result. JSON output
+is ``json.dumps(payload, indent=2)`` text, its large sections written to
+standard output a record or matrix row at a time by ``jsonout``.
 
 Output determinism is a hard contract: the same command on the same input
 produces byte-identical standard output. Timing always goes to standard
@@ -22,17 +22,16 @@ Exit codes: 0 success, 1 input error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from functools import partial
 from typing import Sequence
 
-from . import counting, grid, hierarchy, reinforce
-from .evaluate import agreement_json, agreement_text, pairwise_agreement
+from . import counting, grid, hierarchy, jsonout, reinforce
+from .evaluate import agreement_json, agreement_text, best_matches_json, pairwise_agreement
 from .ingest import (
     FIXTURES,
     LabelPolicy,
@@ -305,7 +304,9 @@ def _write_text_body(run: EngineRun, labels) -> None:
         print("\n".join(_instances_text(run.result, labels)))
 
 
-def _detail_json(run: EngineRun, labels) -> dict:
+def _detail_json(run: EngineRun, labels) -> tuple[dict, list]:
+    """A cluster payload's ``detail``, and the ``jsonout.write_payload``
+    fills for a grid's links and matrix or cm's instances."""
     if run.method == "reinforce":
         state, bands = run.result
         return {
@@ -314,21 +315,30 @@ def _detail_json(run: EngineRun, labels) -> dict:
                 {"count": value, "members": sorted(labels[v] for v in members)}
                 for value, members in bands
             ],
-        }
+        }, []
     if run.method == "cm":
-        return {
-            "instances": [
-                {
-                    "pattern": sorted(labels[v] for v in r.pattern),
-                    "local": r.local_count,
-                    "global": r.global_count,
-                    "coherence": counting.coherence(r),
-                }
-                for r in run.result.records
-            ]
-        }
-    # a slot for the matrix, which _write_json fills from grid.matrix_json
-    return {"matrix": None}
+        return {"instances": None}, [("instances", partial(_instances_json, run.result, labels))]
+    matrix = partial(grid.matrix_json, run.result, labels)
+    return {"matrix": None}, [("links", partial(_links_json, run.links, labels)), ("matrix", matrix)]
+
+
+def _instances_json(store: counting.InstanceStore, labels, write, depth: int) -> int:
+    """Write the instances as a JSON list ``depth`` levels in, one per ``write`` call."""
+    name = jsonout.names(labels)
+    record = jsonout.template(depth + 1, "pattern", "local", "global", "coherence")
+    texts = (
+        record % (name(r.pattern, depth + 2), r.local_count, r.global_count, counting.coherence(r))
+        for r in store.records
+    )
+    return jsonout.write_list(texts, depth, write)
+
+
+def _links_json(links, labels, write, depth: int) -> int:
+    """Write a grid's links as a JSON list ``depth`` levels in, one per ``write`` call."""
+    quoted = list(map(jsonout.quote, labels))
+    link = jsonout.template(depth + 1, "a", "b", "strength")
+    texts = (link % (quoted[l.a], quoted[l.b], l.strength) for l in links)
+    return jsonout.write_list(texts, depth, write)
 
 
 def _write_csv(run: EngineRun, partition: Partition, labels) -> None:
@@ -345,40 +355,6 @@ def _write_csv(run: EngineRun, partition: Partition, labels) -> None:
     else:
         sections = [_instances_csv(run.result, labels), _assignment_csv(partition, labels)]
     print("\n\n".join("\n".join(s) for s in sections))
-
-
-# one link object as json.dumps(payload, indent=2) lays it out in "links"
-_LINK_JSON = '\n    {\n      "a": %s,\n      "b": %s,\n      "strength": %r\n    }'
-
-
-def _write_json(payload: dict, run: EngineRun, labels) -> None:
-    """Print ``json.dumps(payload, indent=2)``. A grid's payload holds
-    ``"links": null`` and ``"matrix": null`` slots, and its links and matrix
-    are written into them in pieces. Every ``"`` inside a JSON string is
-    escaped, so each slot's text occurs only as its key.
-
-    A link's labels are quoted by ``json``'s own string encoder, and its
-    strength is ``repr``, which is ``json``'s text for the finite int and
-    float counts a grid holds."""
-    text = json.dumps(payload, indent=2)
-    if run.method != "grid":
-        print(text)
-        return
-    head, _, rest = text.partition('"links": null')
-    middle, _, tail = rest.rpartition('"matrix": null')
-    write = sys.stdout.write
-    write(head + '"links": ')
-    if run.links:
-        quoted = list(map(encode_basestring_ascii, labels))
-        write("[")
-        for i, l in enumerate(run.links):
-            write(("," if i else "") + _LINK_JSON % (quoted[l.a], quoted[l.b], l.strength))
-        write("\n  ]")
-    else:
-        write("[]")
-    write(middle + '"matrix": ')
-    grid.matrix_json(run.result, labels, write)
-    write(tail + "\n")
 
 
 def _parameters(args, source: str) -> dict:
@@ -400,6 +376,9 @@ def _parameters(args, source: str) -> dict:
     ):
         if hasattr(args, name):
             params[name] = getattr(args, name)
+    if args.fixture:
+        # a fixture is parsed with the members policy, whatever the flag says
+        params["label_policy"] = LabelPolicy.MEMBERS.value
     return params
 
 
@@ -439,18 +418,19 @@ def cmd_cluster(args) -> int:
     print(timing.line(), file=sys.stderr)
 
     if args.format == "json":
+        detail, fills = _detail_json(run, labels)
         payload = {
             "method": args.method,
             "parameters": _parameters(args, source),
             "clusters": partition.label_clusters(labels),
             "unassigned": partition.label_unassigned(labels),
-            # reinforce and cm report no links; _write_json fills a grid's
+            # reinforce and cm report no links; a grid's fill their slot
             "links": None if args.method == "grid" else [],
-            "detail": _detail_json(run, labels),
+            "detail": detail,
         }
         if args.timing:
             payload["timing_ms"] = timing
-        _write_json(payload, run, labels)
+        jsonout.write_payload(payload, fills, sys.stdout.write)
     elif args.format == "csv":
         _write_csv(run, partition, labels)
     else:
@@ -498,8 +478,9 @@ def cmd_compare(args) -> int:
     reports = {}
     for method in methods:
         timing[method] = Timing()
-        run = _run_method(method, dataset, weights, args, timing[method])
-        reports[method] = pairwise_agreement(run.partition, reference_partition)
+        # only the partition is kept, so each engine's result is freed here
+        partition = _run_method(method, dataset, weights, args, timing[method]).partition
+        reports[method] = pairwise_agreement(partition, reference_partition)
         timing_lines.append(timing[method].line(f"timing[{method}]"))
         print(timing_lines[-1], file=sys.stderr)
 
@@ -508,11 +489,12 @@ def cmd_compare(args) -> int:
             "reference": args.reference,
             "parameters": _parameters(args, source),
             "methods": methods,
-            "reports": {m: agreement_json(reports[m], labels) for m in methods},
+            "reports": {m: agreement_json(reports[m]) for m in methods},
         }
         if args.timing:
             payload["timing_ms"] = timing
-        print(json.dumps(payload, indent=2))
+        fills = [("best_matches", partial(best_matches_json, reports[m], labels)) for m in methods]
+        jsonout.write_payload(payload, fills, sys.stdout.write)
     else:
         lines = [f"reference: {args.reference} ({len(reference.cluster_label_sets)} clusters)"]
         for method in methods:
@@ -558,19 +540,17 @@ def cmd_hierarchy(args) -> int:
     print(timing.line(), file=sys.stderr)
 
     if args.format == "json":
-        try:
-            payload = {
-                "method": "hierarchy",
-                "parameters": _parameters(args, source),
-                "mass": hierarchy.total_mass(store),
-                **hierarchy.tree_json(store, labels),
-            }
-            if args.timing:
-                payload["timing_ms"] = timing
-            text = json.dumps(payload, indent=2)
-        except RecursionError:
-            raise DataError("the hierarchy nests too deeply to write as JSON") from None
-        print(text)
+        payload = {
+            "method": "hierarchy",
+            "parameters": _parameters(args, source),
+            "mass": hierarchy.total_mass(store),
+            "roots": None,
+            "presentations": store.presentations,
+        }
+        if args.timing:
+            payload["timing_ms"] = timing
+        fills = [("roots", partial(hierarchy.tree_json, store, labels))]
+        jsonout.write_payload(payload, fills, sys.stdout.write)
     else:
         lines = [
             f"presentations: {store.presentations}",

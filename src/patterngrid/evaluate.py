@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import jsonout
 from .model import DataError, Partition
 
 
@@ -121,10 +122,9 @@ def agreement_text(report: AgreementReport, labels: Sequence[str]) -> list[str]:
     return lines
 
 
-def agreement_json(report: AgreementReport, labels: Sequence[str]) -> dict:
-    def names(ids: frozenset[int]) -> list:
-        return sorted(labels[i] for i in ids)
-
+def agreement_json(report: AgreementReport) -> dict:
+    """The report's scores, with a ``"best_matches": null`` slot that
+    ``best_matches_json`` fills."""
     return {
         "produced_pairs": report.produced_pairs,
         "reference_pairs": report.reference_pairs,
@@ -134,12 +134,17 @@ def agreement_json(report: AgreementReport, labels: Sequence[str]) -> dict:
         "pairwise_f1": report.pairwise_f1,
         "rand_index": report.rand_index,
         "exact_cluster_matches": report.exact_cluster_matches,
-        "best_matches": [
-            {
-                "produced": names(row.produced),
-                "reference": None if row.reference is None else names(row.reference),
-                "overlap": row.overlap,
-            }
-            for row in report.per_cluster_table
-        ],
+        "best_matches": None,
     }
+
+
+def best_matches_json(report: AgreementReport, labels: Sequence[str], write, depth: int) -> int:
+    """Write the per-cluster table as a JSON list ``depth`` levels in, one
+    row per ``write`` call; returns the number of characters written."""
+    name, d = jsonout.names(labels), depth + 2
+    row = jsonout.template(depth + 1, "produced", "reference", "overlap")
+    rows = (
+        row % (name(r.produced, d), "null" if r.reference is None else name(r.reference, d), r.overlap)
+        for r in report.per_cluster_table
+    )
+    return jsonout.write_list(rows, depth, write)

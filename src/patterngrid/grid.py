@@ -25,7 +25,6 @@ classification of the categories.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -34,6 +33,7 @@ from itertools import chain, combinations
 from operator import sub
 from typing import Sequence
 
+from . import jsonout
 from .model import (
     ConfigError,
     DataError,
@@ -280,40 +280,19 @@ def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> int:
     return _write_all(chain((header,), lines), write)
 
 
-def matrix_json(grid: CountMatrix, labels: Sequence[str], write) -> int:
-    """Write the matrix as the JSON object ``{"labels": [...], "cells":
-    [[...]]}``, in the text ``json.dumps(payload, indent=2)`` gives for it
-    as the ``detail.matrix`` value of a ``cluster --format json`` payload,
-    two objects deep. The head with the labels is one ``write`` call, each
-    row one more and the tail the last. Returns the number of characters
-    written.
-
-    Only the labels pass through ``json``. Its indenting encoder is pure
-    Python and would visit all n x n cells, so each row is instead a
-    template of "0" with the row's nonzero cells patched in as ``str``,
-    which is ``json``'s own text for the finite int and float counts a
-    grid holds. Diagonal cells are structural zeros (never written).
-    """
-    return _write_all(_json_pieces(grid, labels), write)
-
-
-def _json_pieces(grid: CountMatrix, labels: Sequence[str]):
-    pad = "\n    "  # the object's own line, two levels in
-    key_pad = pad + "  "
-    labels_text = json.dumps(list(labels), indent=2).replace("\n", key_pad)
-    head = "{" + key_pad + '"labels": ' + labels_text + "," + key_pad + '"cells": '
-    if not grid.n:
-        yield head + "[]" + pad + "}"
-        return
-    row_pad = key_pad + "  "
-    cell_sep = "," + row_pad + "  "
-    open_row, close_row = row_pad + "[" + cell_sep[1:], row_pad + "]"
-    yield head + "["
-    rows = _rendered_rows(grid, "0")
-    yield open_row + cell_sep.join(next(rows)) + close_row
-    for cells in rows:
-        yield "," + open_row + cell_sep.join(cells) + close_row
-    yield key_pad + "]" + pad + "}"
+def matrix_json(grid: CountMatrix, labels: Sequence[str], write, depth: int = 2) -> int:
+    """Write ``{"labels": [...], "cells": [[...]]}`` ``depth`` levels in of
+    ``json.dumps(payload, indent=2)`` (by default a cluster payload's
+    ``detail.matrix``), each row in a ``write`` call, from a template of "0"
+    with its nonzero cells patched in as ``str``; diagonal cells are
+    structural zeros. Returns the number of characters written."""
+    head, tail = jsonout.template(depth, "labels", "cells").rsplit("%s", 1)
+    head %= jsonout.array(list(map(jsonout.quote, labels)), depth + 1)
+    write(head)
+    rows = (jsonout.array(cells, depth + 2) for cells in _rendered_rows(grid, "0"))
+    written = jsonout.write_list(rows, depth + 1, write)
+    write(tail)
+    return len(head) + written + len(tail)
 
 
 def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> int:

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Sequence
 
+from . import jsonout
 from .model import ConfigError, Event
 
 
@@ -347,23 +348,32 @@ def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
     return lines
 
 
-def tree_json(store: HierarchyStore, labels: Sequence[str]) -> dict:
-    """JSON-ready rendering of the forest."""
-
-    def name(ids: frozenset[int]) -> list:
-        return [labels[i] for i in sorted(ids)]
-
-    def node_dict(node: PatternNode) -> dict:
-        return {
-            "pattern": name(node.pattern),
-            "occurrences": node.occurrences,
-            "parts": [
-                {"members": name(s), "count": node.subset_counts[s]}
-                for s in sorted(node.subset_counts, key=sorted)
-            ],
-            "extensions": [
-                {"adds": name(e.adds), "node": node_dict(e.node)} for e in node.extensions
-            ],
-        }
-
-    return {"roots": [node_dict(r) for r in store.roots], "presentations": store.presentations}
+def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 1) -> int:
+    """Write the forest as the ``"roots"`` list ``depth`` levels in of
+    ``json.dumps(payload, indent=2)``, a node per ``write`` call, walking
+    with its own stack so any depth is written; returns the characters written."""
+    name, pad, template = jsonout.names(labels, by_label=False), jsonout.pad, jsonout.template
+    roots = [(depth + 1, r, ("," if i else "[") + pad(depth + 1)) for i, r in enumerate(store.roots)]
+    # text to write as it stands, or (depth, node, the text ahead of it)
+    stack: list = [pad(depth) + "]" if roots else "[]", *reversed(roots)]
+    written = 0
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, str):
+            d, node, item = item
+            head, tail = template(d, "pattern", "occurrences", "parts", "extensions").rsplit("%s", 1)
+            part, counts = template(d + 2, "members", "count"), node.subset_counts
+            parts = [part % (name(s, d + 3), counts[s]) for s in sorted(counts, key=sorted)]
+            item += head % (name(node.pattern, d + 1), node.occurrences, jsonout.array(parts, d + 1))
+            exts = node.extensions
+            if not exts:
+                item += "[]" + tail
+            else:
+                stack.append(pad(d + 1) + "]" + tail)
+                adds, ext_tail = template(d + 2, "adds", "node").rsplit("%s", 1)
+                for i in reversed(range(len(exts))):
+                    ahead = ("," if i else "[") + pad(d + 2) + adds % name(exts[i].adds, d + 3)
+                    stack += (ext_tail, (d + 3, exts[i].node, ahead))
+        write(item)
+        written += len(item)
+    return written

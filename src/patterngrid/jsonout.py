@@ -1,0 +1,67 @@
+"""The text ``json.dumps(obj, indent=2)`` gives, written in pieces.
+
+CPython's indenting encoder is pure Python and joins every chunk. So a
+payload's large sections stand in it as ``null`` slots, and ``write_payload``
+writes each slot's value a record at a time, from a ``%`` template per
+record shape: strings quoted by ``json``'s ASCII encoder, and numbers by
+``%s``, which gives ``json``'s text for a finite int or float.
+"""
+
+from __future__ import annotations
+
+import json
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as quote
+from typing import Iterable, Sequence
+
+
+@lru_cache(maxsize=256)
+def pad(depth: int) -> str:
+    """The line break and indent that start a line ``depth`` levels in."""
+    return "\n" + "  " * depth
+
+
+@lru_cache(maxsize=256)
+def template(depth: int, *keys: str) -> str:
+    """An object ``depth`` levels in with these keys, a ``%s`` for each value."""
+    return "{" + ",".join(f'{pad(depth + 1)}"{key}": %s' for key in keys) + pad(depth) + "}"
+
+
+def names(labels: Sequence[str], by_label: bool = True):
+    """``name(ids, depth)``, the JSON list ``depth`` levels in of the ids'
+    labels, sorted by label or else by id. Each label is quoted once."""
+    quoted, key = list(map(quote, labels)), labels.__getitem__ if by_label else None
+    return lambda ids, depth: array([quoted[i] for i in sorted(ids, key=key)], depth)
+
+
+def array(texts: Sequence[str], depth: int) -> str:
+    """A list ``depth`` levels in of values already in JSON text."""
+    inner = pad(depth + 1)
+    return "[" + inner + ("," + inner).join(texts) + pad(depth) + "]" if texts else "[]"
+
+
+def write_list(texts: Iterable[str], depth: int, write) -> int:
+    """Write ``array`` of the texts, one value per ``write`` call; returns
+    the number of characters written."""
+    written = 0
+    for text in texts:
+        piece = ("," if written else "[") + pad(depth + 1) + text
+        write(piece)
+        written += len(piece)
+    tail = pad(depth) + "]" if written else "[]"
+    write(tail)
+    return written + len(tail)
+
+
+def write_payload(payload: dict, fills, write) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline, each ``"key":
+    null`` slot's value by ``fill(write, depth)`` at the key's depth, for
+    each ``(key, fill)`` of ``fills`` in text order. A ``"`` in a string is
+    escaped, so with fixed key names a slot's text occurs only as its key."""
+    text = json.dumps(payload, indent=2)
+    for key, fill in fills:
+        slot = '"' + key + '": '
+        head, _, text = text.partition(slot + "null")
+        write(head + slot)
+        fill(write, (len(head) - 1 - head.rindex("\n")) // 2)
+    write(text + "\n")

@@ -369,6 +369,59 @@ def consolidate_oracle(store):
         return store
 
 
+def tree_json(store, labels) -> dict:
+    """The hierarchy's JSON-ready dict, built recursively: a forest of
+    ``{"pattern", "occurrences", "parts", "extensions"}`` node objects, each
+    label list sorted by id and the parts by their sorted ids."""
+
+    def name(ids: frozenset[int]) -> list:
+        return [labels[i] for i in sorted(ids)]
+
+    def node_dict(node) -> dict:
+        return {
+            "pattern": name(node.pattern),
+            "occurrences": node.occurrences,
+            "parts": [
+                {"members": name(s), "count": node.subset_counts[s]}
+                for s in sorted(node.subset_counts, key=sorted)
+            ],
+            "extensions": [
+                {"adds": name(e.adds), "node": node_dict(e.node)} for e in node.extensions
+            ],
+        }
+
+    return {"roots": [node_dict(r) for r in store.roots], "presentations": store.presentations}
+
+
+def instances_json_oracle(store, labels) -> list:
+    """The cm instances as JSON-ready dicts, each pattern's labels sorted."""
+    return [
+        {
+            "pattern": sorted(labels[v] for v in r.pattern),
+            "local": r.local_count,
+            "global": r.global_count,
+            "coherence": r.global_count - r.local_count,
+        }
+        for r in store.records
+    ]
+
+
+def best_matches_oracle(report, labels) -> list:
+    """An agreement report's best matches as JSON-ready dicts, each
+    cluster's labels sorted and None for no reference."""
+    def names(ids):
+        return sorted(labels[i] for i in ids)
+
+    return [
+        {
+            "produced": names(row.produced),
+            "reference": None if row.reference is None else names(row.reference),
+            "overlap": row.overlap,
+        }
+        for row in report.per_cluster_table
+    ]
+
+
 def transpose_oracle(records: list[list[str]]) -> list[list[str]]:
     """The transpose pivot the obvious way: for each member in first-seen
     order, the record labels it appears under, a repeated label dropped

@@ -36,6 +36,7 @@ from .oracles import (
     permute_events,
     relabel_dataset,
     random_dataset,
+    tree_json,
 )
 
 A, B, C, D, E, F, G = range(7)
@@ -211,9 +212,9 @@ def test_08_hierarchy_consolidation_fixed_point():
         assert hierarchy.total_mass(store) == len(dataset.events)
         hierarchy.consolidate(store)
         assert hierarchy.total_mass(store) == len(dataset.events), f"seed {seed}"
-        snapshot = hierarchy.tree_json(store, dataset.labels)
+        snapshot = tree_json(store, dataset.labels)
         hierarchy.consolidate(store)
-        assert hierarchy.tree_json(store, dataset.labels) == snapshot, f"seed {seed}"
+        assert tree_json(store, dataset.labels) == snapshot, f"seed {seed}"
 
 
 def test_09_byte_identical_output(tmp_path):

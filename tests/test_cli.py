@@ -15,9 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import patterngrid
-from patterngrid import cli, grid
+from patterngrid import cli, grid, hierarchy
 from patterngrid.cli import entry
+from patterngrid.ingest import LabelPolicy, parse_transactions_path
 from patterngrid.synth import synthetic_plants_text
+
+from .oracles import tree_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +108,34 @@ class TestGolden:
         )
         assert code == 0
         assert out == (GOLDEN / "hierarchy_rules.json").read_text()
+
+    def test_compare_json(self, capsys, monkeypatch, tmp_path):
+        # every engine's best matches against an inline reference; the
+        # relative paths keep "source" and "reference" fixed
+        monkeypatch.chdir(tmp_path)
+        Path("hierarchy_rules.data").write_text(
+            "D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n"
+        )
+        Path("ref.json").write_text('{"clusters": [["A","B","C"],["D","E","F"],["G","H","I"]]}')
+        code, out, _ = run(
+            capsys, "compare", "--method", "reinforce,cm,grid", "--label-policy", "members",
+            "--input", "hierarchy_rules.data", "--reference", "ref.json", "--format", "json",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "compare.json").read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("cluster", "--method", "cm"), ("compare", "--reference", "ref.json"), ("hierarchy",)],
+        ids=["cluster", "compare", "hierarchy"],
+    )
+    @pytest.mark.parametrize("flag", [(), ("--label-policy", "record-label")])
+    def test_fixture_reports_the_members_policy(self, capsys, monkeypatch, tmp_path, argv, flag):
+        # a fixture is parsed with the members policy, whatever the flag says
+        monkeypatch.chdir(tmp_path)
+        Path("ref.json").write_text('{"clusters": [["A", "B"]]}')
+        payload = run_json(capsys, *argv, "--fixture", "seven_event", *flag, "--format", "json")
+        assert payload["parameters"]["label_policy"] == "members"
 
     def test_grid_float_json(self, capsys):
         # float cells beside the int zeros of untouched cells
@@ -555,27 +586,33 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "config error: --transpose pivots an input file, not a fixture\n"
 
-    def test_deep_hierarchy_json_is_an_input_error(self, tmp_path):
-        # line i lists v0 ... v(i-1): one chain of extensions 400 deep, past
-        # what the recursive JSON rendering reaches
+    def test_deep_hierarchy_json_is_written(self, capsys, tmp_path):
+        # line i lists v0 ... v(i-1): one chain of extensions 60 deep. Under a
+        # recursion limit 150 frames above this one, json.dumps cannot reach
+        # its end, but the streamed writer walks with its own stack
         path = tmp_path / "chain.data"
-        path.write_text("".join(",".join(f"v{j}" for j in range(i)) + "\n" for i in range(1, 401)))
-        env = {"PATH": "/usr/bin:/bin"}
-        env["PYTHONPATH"] = str(Path(patterngrid.__file__).resolve().parents[1])
-        if "PYTHONDONTWRITEBYTECODE" in os.environ:
-            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "patterngrid", "hierarchy", "--label-policy", "members",
-             "--input", str(path), "--format", "json"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.endswith(
-            "input error: the hierarchy nests too deeply to write as JSON\n"
-        )
+        path.write_text("".join(",".join(f"v{j}" for j in range(i)) + "\n" for i in range(1, 61)))
+        argv = ("hierarchy", "--label-policy", "members", "--input", str(path), "--format", "json")
+        dataset = parse_transactions_path(str(path), LabelPolicy.MEMBERS)
+        store = hierarchy.HierarchyStore()
+        hierarchy.consolidate(hierarchy.present_all(store, dataset.events))
+        expected = tree_json(store, dataset.labels)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            with pytest.raises(RecursionError):
+                json.dumps(expected, indent=2)
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0
+        assert "Traceback" not in err
+        payload = json.loads(out)
+        assert {k: payload[k] for k in ("roots", "presentations")} == expected
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_dataset_fixture_is_not_a_reference(self, capsys, small_corpus):
         code, _, err = run(

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from patterngrid.evaluate import (
     MatchRow,
     agreement_json,
     agreement_text,
+    best_matches_json,
     pairwise_agreement,
 )
 from patterngrid.model import DataError, Partition
@@ -162,11 +164,12 @@ class TestRendering:
         ]
 
     def test_json(self):
-        payload = agreement_json(self.REPORT, "ABCD")
+        payload = agreement_json(self.REPORT)
         assert payload["pairwise_f1"] == 0.7
-        assert payload["best_matches"][0] == {
-            "produced": ["A", "B"],
-            "reference": ["A", "B", "C"],
-            "overlap": 2,
-        }
-        assert payload["best_matches"][1]["reference"] is None
+        assert payload["best_matches"] is None
+        pieces = []
+        assert best_matches_json(self.REPORT, "ABCD", pieces.append, 0) == len("".join(pieces))
+        assert json.loads("".join(pieces)) == [
+            {"produced": ["A", "B"], "reference": ["A", "B", "C"], "overlap": 2},
+            {"produced": ["D"], "reference": None, "overlap": 0},
+        ]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from patterngrid.hierarchy import (
     present_all,
     present_pattern,
     total_mass,
-    tree_json,
     tree_text,
     walk,
 )
@@ -23,6 +24,7 @@ from .oracles import (
     find_split_oracle,
     hierarchy_walk_oracle,
     random_dataset,
+    tree_json,
 )
 
 A, B, C, D, E, F, G = range(7)
@@ -464,7 +466,11 @@ class TestRendering:
 
     def test_tree_json(self):
         store = _store((A, B), (A, B, C))
-        assert tree_json(store, LABELS) == {
+        pieces = []
+        written = hierarchy.tree_json(store, LABELS, pieces.append)
+        assert written == len("".join(pieces))
+        payload = json.loads('{"roots": ' + "".join(pieces) + ', "presentations": 2}')
+        assert payload == tree_json(store, LABELS) == {
             "presentations": 2,
             "roots": [
                 {
