@@ -123,8 +123,7 @@ def agreement_text(report: AgreementReport, labels: Sequence[str]) -> list[str]:
 
 
 def agreement_json(report: AgreementReport) -> dict:
-    """The report's scores, with a ``"best_matches": null`` slot that
-    ``best_matches_json`` fills."""
+    """The report's scores, with a ``"best_matches": null`` slot for ``best_matches_json``."""
     return {
         "produced_pairs": report.produced_pairs,
         "reference_pairs": report.reference_pairs,

@@ -19,7 +19,8 @@ from .oracles import best_matches_oracle, instances_json_oracle, tree_json
 # labels json must escape (quotes, backslashes, control characters) and
 # non-ASCII ones, whose quoted text sorts unlike the label itself
 LABELS = st.lists(
-    st.text(st.sampled_from('ab"\\\x01\x1fé☃𝄞/ z'), max_size=3), min_size=1, max_size=8, unique=True
+    st.text(st.sampled_from('ab"\\\x01\x1fé☃𝄞/ z'), max_size=3),
+    min_size=1, max_size=8, unique=True,
 )
 COUNTS = st.one_of(st.integers(0, 10**6), st.floats(-1e6, 1e20, allow_nan=False))
 # sorted by the raw label, "é" would come before "z"; quoted, after it
@@ -78,7 +79,9 @@ def test_hierarchy_forest(case):
     labels, store = case
     expected = {"method": "hierarchy", "mass": 0, **tree_json(store, labels)}
     fills = [("roots", partial(hierarchy.tree_json, store, labels))]
-    payload = {"method": "hierarchy", "mass": 0, "roots": None, "presentations": store.presentations}
+    payload = {
+        "method": "hierarchy", "mass": 0, "roots": None, "presentations": store.presentations,
+    }
     assert _written(payload, fills) == json.dumps(expected, indent=2) + "\n"
 
 
@@ -96,10 +99,13 @@ def _reports(draw):
 def test_best_matches(cases):
     # one slot per method, all under the same key, filled in turn
     names = [f"m{i}" for i in range(len(cases))]
-    expected = {m: {"f1": 1.0, "best_matches": best_matches_oracle(r, l)} for m, (l, r) in zip(names, cases)}
+    expected = {
+        m: {"f1": 1.0, "best_matches": best_matches_oracle(r, l)} for m, (l, r) in zip(names, cases)
+    }
     payload = {m: {"f1": 1.0, "best_matches": None} for m in names}
     fills = [("best_matches", partial(best_matches_json, r, l)) for l, r in cases]
-    assert _written({"reports": payload}, fills) == json.dumps({"reports": expected}, indent=2) + "\n"
+    text = _written({"reports": payload}, fills)
+    assert text == json.dumps({"reports": expected}, indent=2) + "\n"
 
 
 @st.composite
@@ -107,7 +113,8 @@ def _links(draw):
     labels = draw(LABELS.filter(lambda labels: len(labels) > 1))
     ends = st.integers(0, len(labels) - 1)
     strength = st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e20))
-    pairs = draw(st.lists(st.tuples(ends, ends, strength).filter(lambda t: t[0] != t[1]), max_size=5))
+    pair = st.tuples(ends, ends, strength).filter(lambda t: t[0] != t[1])
+    pairs = draw(st.lists(pair, max_size=5))
     return labels, [InterPatternLink(*pair) for pair in pairs]
 
 
