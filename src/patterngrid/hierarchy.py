@@ -14,7 +14,9 @@ sub-pattern presented often enough relative to the full pattern becomes its
 own node, the remainder demoted to an extension of it) until neither fires.
 Every presentation contributes exactly one unit of occurrence mass and both
 rules conserve it, so the tree can always be audited against the number of
-presentations.
+presentations. Consolidation walks the forest once: it keys every node by
+walk order and keeps the merge and split candidates on two heaps, and after
+each rule it re-tests and re-keys only the nodes that rule touched.
 
 Presentation never walks the forest. The store keeps a private index with
 three parts: a dict from each pattern to the first node in walk order that
@@ -46,7 +48,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from heapq import heappop, heappush
+from itertools import chain, count
 from typing import Iterator, Sequence
 
 from . import jsonout
@@ -245,27 +248,6 @@ def total_mass(store: HierarchyStore) -> int:
     return mass
 
 
-def _find_rule(store: HierarchyStore) -> tuple | None:
-    """The rule ``consolidate`` applies next, found in one walk: the first
-    merge candidate in walk order as ``(_merge, parent, extension)``, or
-    else the first split candidate as ``(_split, parent or None, node,
-    subset)``, its smallest dominant subset in sorted-member order."""
-    split = None
-    stack = [(None, root) for root in reversed(store.roots)]
-    while stack:
-        parent, node = stack.pop()
-        for ext in node.extensions:
-            if ext.node.occurrences >= store.theta_merge * node.occurrences:
-                return _merge, node, ext
-        if split is None:
-            limit = store.theta_split * node.occurrences
-            hits = [subset for subset, count in node.subset_counts.items() if count >= limit]
-            if hits:
-                split = _split, parent, node, min(hits, key=sorted)
-        stack.extend((node, e.node) for e in reversed(node.extensions))
-    return split
-
-
 def _merge(store: HierarchyStore, parent: PatternNode, ext: Extension) -> None:
     """The extension becomes the whole pattern and the link is removed.
 
@@ -312,17 +294,125 @@ def _split(
 def consolidate(store: HierarchyStore) -> HierarchyStore:
     """Run merge and split to a fixed point.
 
-    Each pass walks the forest once for the next rule (``_find_rule``) and
-    applies it, so the result is order deterministic. Terminates because a
-    split always retires one tracked subset entry and a merge always retires
-    one node while creating no subset entries. Drops the presentation index,
-    since both rules move nodes.
+    Applies the first merge candidate in walk order, or else the first
+    split candidate, until neither exists (see ``_rules``), so the result is
+    order deterministic. Terminates because a split always retires one
+    tracked subset entry and a merge always retires one node while creating
+    no subset entries. Drops the presentation index, since both rules move
+    nodes.
     """
     store._index = None
-    while (rule := _find_rule(store)) is not None:
-        apply, *args = rule
-        apply(store, *args)
+    for _rule in _rules(store):
+        pass
     return store
+
+
+def _rules(store: HierarchyStore) -> Iterator[tuple]:
+    """Each rule ``consolidate`` applies, yielded before it is applied and
+    applied when the next one is asked for: ``(_merge, parent, extension)``
+    for the first merge candidate in walk order, or else ``(_split, parent
+    or None, node, subset)`` for the first split candidate, its smallest
+    dominant subset in sorted-member order.
+
+    One walk keys every node by its path tuple, as in ``_build_index``, and
+    queues it on a heap per rule when it passes that rule's test. A rule
+    changes the tests of a few nodes and moves a few subtrees, so only
+    those are re-tested and re-keyed; a heap entry whose key is no longer
+    its node's, or whose node no longer passes, is dropped when it reaches
+    the top. Keys may leave gaps, since only their order matters.
+
+    A node's dominant subsets are listed once, in reverse sorted-member
+    order, and listed again only when a merge changes its counts; a split
+    retires the last of them.
+    """
+    keys: dict[int, tuple[int, ...]] = {}
+    parents: dict[int, PatternNode | None] = {}
+    dominant: dict[int, list[frozenset[int]]] = {}
+    merges: list[tuple[tuple[int, ...], int, PatternNode]] = []
+    splits: list[tuple[tuple[int, ...], int, PatternNode]] = []
+    tiebreak = count()
+
+    def merge_ext(node: PatternNode) -> Extension | None:
+        limit = store.theta_merge * node.occurrences
+        return next((e for e in node.extensions if e.node.occurrences >= limit), None)
+
+    def split_subset(node: PatternNode) -> frozenset[int] | None:
+        subsets = dominant[id(node)]
+        return subsets[-1] if subsets else None
+
+    def retest(node: PatternNode) -> None:
+        key = keys[id(node)]
+        if merge_ext(node) is not None:
+            heappush(merges, (key, next(tiebreak), node))
+        if split_subset(node) is not None:
+            heappush(splits, (key, next(tiebreak), node))
+
+    def place(node: PatternNode, parent: PatternNode | None, key: tuple[int, ...]) -> None:
+        # re-key and re-test the subtree at node, which hangs from parent
+        stack = [(parent, node, key)]
+        while stack:
+            parent, node, key = stack.pop()
+            keys[id(node)], parents[id(node)] = key, parent
+            if id(node) not in dominant:
+                limit = store.theta_split * node.occurrences
+                hits = [subset for subset, n in node.subset_counts.items() if n >= limit]
+                dominant[id(node)] = sorted(hits, key=sorted, reverse=True)
+            retest(node)
+            stack.extend((node, e.node, (*key, j)) for j, e in enumerate(node.extensions))
+
+    def first(heap: list, test) -> tuple | None:
+        while heap:
+            key, _, node = heap[0]
+            if keys.get(id(node)) == key and (found := test(node)) is not None:
+                return node, found
+            heappop(heap)
+        return None
+
+    def place_new_roots(start: int) -> None:
+        # roots are only appended or replaced in place, so a root's key is
+        # its index in store.roots
+        for i in range(start, len(store.roots)):
+            place(store.roots[i], None, (i,))
+
+    place_new_roots(0)
+    while True:
+        if (rule := first(merges, merge_ext)) is not None:
+            parent, ext = rule
+            yield _merge, parent, ext
+            for table in (keys, parents, dominant):
+                del table[id(ext.node)]
+            del dominant[id(parent)]
+            roots = len(store.roots)
+            _merge(store, parent, ext)
+            # the parent's counts changed, its new extensions move up a level
+            # and its other extensions become new roots; its own parent's
+            # test sees its larger count
+            grand = parents[id(parent)]
+            place(parent, grand, keys[id(parent)])
+            if grand is not None:
+                retest(grand)
+            place_new_roots(roots)
+        elif (rule := first(splits, split_subset)) is not None:
+            node, subset = rule
+            grand = parents[id(node)]
+            yield _split, grand, node, subset
+            key, roots = keys[id(node)], len(store.roots)
+            link = None if grand is None else next(e for e in grand.extensions if e.node is node)
+            _split(store, grand, node, subset)
+            dominant[id(node)].pop()
+            # the head takes the node's place, or is detached as a new root,
+            # and the node's subtree moves under it; the grandparent's
+            # extension changed or went
+            if len(store.roots) > roots:
+                place_new_roots(roots)
+            elif grand is None:
+                place(store.roots[key[0]], None, key)
+            else:
+                place(link.node, grand, key)
+            if grand is not None:
+                retest(grand)
+        else:
+            return
 
 
 def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:

@@ -5,8 +5,9 @@ exact worked-example tables, oracle equivalence on random data, ordering
 invariance, corpus-scale performance, reference agreement, hierarchy fixed
 point, byte determinism, corpus-scale hierarchy performance,
 corpus-scale reinforcement with the absence decrement, cm counting
-on a corpus of mostly distinct event sets, and the grid on a wide sparse
-transposed corpus.
+on a corpus of mostly distinct event sets, the grid on a wide sparse
+transposed corpus, and the hierarchy on the corpus of mostly distinct
+event sets.
 """
 
 import io
@@ -32,6 +33,8 @@ from .oracles import (
     count_matrix,
     dense_count_events,
     dense_extract_clusters,
+    find_merge_oracle,
+    find_split_oracle,
     frequency_oracle,
     permute_events,
     relabel_dataset,
@@ -331,3 +334,18 @@ def test_13_transposed_grid_count_and_extract_under_one_second():
     assert count_matrix(dense.cells) == matrix
     assert matrix.increments == dense.increments
     assert repr(result) == repr(dense_extract_clusters(dense, 2))
+
+
+def test_14_low_duplication_hierarchy_under_point_six_seconds():
+    events = _block_events(8000, seed=3)
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        store = hierarchy.present_all(hierarchy.HierarchyStore(), events)
+        hierarchy.consolidate(store)
+        best = min(best, time.perf_counter() - started)
+
+    assert best < 0.6, f"present+consolidate took {best:.2f}s"
+    assert hierarchy.total_mass(store) == len(events)
+    assert find_merge_oracle(store) is None
+    assert find_split_oracle(store) is None

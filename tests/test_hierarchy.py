@@ -347,28 +347,25 @@ class TestIndexMatchesWalk:
 
     @given(st.integers(0, 10_000))
     def test_split_candidate_on_every_pass(self, seed):
-        # the finder's rule is the oracles' on every pass: the same node and
-        # extension or parent objects, and an equal subset
+        # the worklist's rule is the oracles' on every pass: the same node
+        # and extension or parent objects, and an equal subset
         dataset = random_dataset(seed, max_vars=8, max_events=60)
         store = present_all(HierarchyStore(), dataset.events)
-        while True:
-            rule = hierarchy._find_rule(store)
+        for rule in hierarchy._rules(store):
             merge, split = find_merge_oracle(store), find_split_oracle(store)
             if merge is not None:
                 expected = (hierarchy._merge, *merge)
-            elif split is not None:
-                expected = (hierarchy._split, *split)
             else:
-                assert rule is None
-                return
+                assert split is not None
+                expected = (hierarchy._split, *split)
             assert len(rule) == len(expected)
             assert all(a is b for a, b in zip(rule[:-1], expected[:-1]))
             if merge is not None:
                 assert rule[-1] is expected[-1]
             else:
                 assert rule[-1] == expected[-1]
-            apply, *args = rule
-            apply(store, *args)
+        assert find_merge_oracle(store) is None
+        assert find_split_oracle(store) is None
 
     @given(events_over_six, dominance_ratios, dominance_ratios, st.sampled_from([0.25, 0.5, 1.0]))
     # {A,B,C} splits off {B,C} as a new root before {D,E} merges, which
@@ -386,6 +383,27 @@ class TestIndexMatchesWalk:
         + [Event(m) for m in [(D, E), (D, E, F), (E, F), (E, F)]],
         2.0, 2.0, 0.5,
     )
+    # {A,B} merges {A,B,C}, which makes {A} a merge candidate
+    @example([Event(m) for m in [(A,), (A, B), (A, B, C), (A, B, C)]], 2.0, 2.0, 0.5)
+    # the root {A,B,C,D} splits off {A,B} in place, then {A,B,C} in place
+    # under it, which makes {A,B} a merge candidate
+    @example(
+        [Event((A, B, C, D))] + [Event((A, B))] * 2 + [Event((A, B, C))] * 4, 2.0, 2.0, 0.5
+    )
+    # {A,B,C,D} splits off {A,C,D} as a new root after {E,F}, so its split
+    # on {C,D} now comes after the split of {E,F}
+    @example(
+        [Event(m) for m in [(A, B), (A, B, C, D), (E, F), (A, C, D), (A, C, D)]]
+        + [Event(m) for m in [(C, D), (C, D), (E,), (E,)]],
+        2.0, 2.0, 0.5,
+    )
+    # {A} merges {A,B} and detaches {A,C}, so {F} merges {B,F} before {A,C}
+    # merges {A,C,D}, and {E,F} is detached before {A,C,E}
+    @example(
+        [Event(m) for m in [(A,), (A, B), (A, B), (A, C), (A, C, D), (A, C, D), (A, C, E)]]
+        + [Event(m) for m in [(F,), (B, F), (B, F), (E, F)]],
+        2.0, 2.0, 0.5,
+    )
     def test_consolidate_matches_oracle(self, events, theta_merge, theta_split, theta_new):
         fast, slow = (
             present_all(HierarchyStore([], theta_merge, theta_split, theta_new), events)
@@ -396,6 +414,25 @@ class TestIndexMatchesWalk:
         assert repr(fast) == repr(slow)
         assert tree_json(fast, LABELS) == tree_json(slow, LABELS)
         assert total_mass(fast) == total_mass(slow) == len(events)
+
+    @given(
+        events_over_six,
+        events_over_six,
+        dominance_ratios,
+        dominance_ratios,
+        st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_consolidate_twice_matches_oracle(self, head, tail, theta_merge, theta_split, theta_new):
+        # the second consolidation starts from a consolidated forest with new
+        # nodes and counts presented on top of it
+        fast, slow = (HierarchyStore([], theta_merge, theta_split, theta_new) for _ in range(2))
+        for events in (head, tail):
+            present_all(fast, events)
+            _oracle_present_all(slow, events)
+            consolidate(fast)
+            consolidate_oracle(slow)
+            assert repr(fast) == repr(slow)
+        assert total_mass(fast) == len(head) + len(tail)
 
     def test_index_rebuilt_after_consolidate(self):
         store = _store(*([(A, B, C, D)] * 2 + [(A, B, C, D, E)] * 6))
