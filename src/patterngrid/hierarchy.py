@@ -314,12 +314,21 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
     or None, node, subset)`` for the first split candidate, its smallest
     dominant subset in sorted-member order.
 
-    One walk keys every node by its path tuple, as in ``_build_index``, and
-    queues it on a heap per rule when it passes that rule's test. A rule
-    changes the tests of a few nodes and moves a few subtrees, so only
-    those are re-tested and re-keyed; a heap entry whose key is no longer
-    its node's, or whose node no longer passes, is dropped when it reaches
-    the top. Keys may leave gaps, since only their order matters.
+    One walk gives every node a key that sorts in walk order and queues it
+    on a heap per rule when it passes that rule's test. A rule changes the
+    tests of a few nodes and moves a few subtrees, so only those are
+    re-tested and re-keyed; a heap entry whose key is no longer its node's,
+    or whose node no longer passes, is dropped when it reaches the top.
+
+    Keys: root ``i`` is keyed ``(i,)``, since roots are only appended or
+    replaced in place, and the nodes under it ``(i, 0)``, ``(i, 1)``, ...
+    in walk order; a new root's subtree is keyed the same way. Merging
+    keeps the walk order of every node that stays in place, so the moved-up
+    extensions keep their keys. A head that takes a node's place takes its
+    key, and the node gets that key extended by a negative number, each one
+    smaller than the last, which sorts it after the head and before
+    everything that sorted after it; its subtree keeps its keys. So no rule
+    re-keys more than the subtrees it moves to the end.
 
     A node's dominant subsets are listed once, in reverse sorted-member
     order, and listed again only when a merge changes its counts; a split
@@ -330,7 +339,7 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
     dominant: dict[int, list[frozenset[int]]] = {}
     merges: list[tuple[tuple[int, ...], int, PatternNode]] = []
     splits: list[tuple[tuple[int, ...], int, PatternNode]] = []
-    tiebreak = count()
+    tiebreak, below_head = count(), count(-1, -1)
 
     def merge_ext(node: PatternNode) -> Extension | None:
         limit = store.theta_merge * node.occurrences
@@ -348,17 +357,22 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             heappush(splits, (key, next(tiebreak), node))
 
     def place(node: PatternNode, parent: PatternNode | None, key: tuple[int, ...]) -> None:
-        # re-key and re-test the subtree at node, which hangs from parent
-        stack = [(parent, node, key)]
-        while stack:
-            parent, node, key = stack.pop()
-            keys[id(node)], parents[id(node)] = key, parent
-            if id(node) not in dominant:
-                limit = store.theta_split * node.occurrences
-                hits = [subset for subset, n in node.subset_counts.items() if n >= limit]
-                dominant[id(node)] = sorted(hits, key=sorted, reverse=True)
-            retest(node)
-            stack.extend((node, e.node, (*key, j)) for j, e in enumerate(node.extensions))
+        keys[id(node)], parents[id(node)] = key, parent
+        if id(node) not in dominant:
+            limit = store.theta_split * node.occurrences
+            hits = [subset for subset, n in node.subset_counts.items() if n >= limit]
+            dominant[id(node)] = sorted(hits, key=sorted, reverse=True)
+        retest(node)
+
+    def place_roots(start: int) -> None:
+        for i in range(start, len(store.roots)):
+            walked, key = count(), (i,)
+            stack = [(None, store.roots[i])]
+            while stack:
+                parent, node = stack.pop()
+                place(node, parent, key)
+                key = (i, next(walked))
+                stack.extend((node, e.node) for e in reversed(node.extensions))
 
     def first(heap: list, test) -> tuple | None:
         while heap:
@@ -368,13 +382,7 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             heappop(heap)
         return None
 
-    def place_new_roots(start: int) -> None:
-        # roots are only appended or replaced in place, so a root's key is
-        # its index in store.roots
-        for i in range(start, len(store.roots)):
-            place(store.roots[i], None, (i,))
-
-    place_new_roots(0)
+    place_roots(0)
     while True:
         if (rule := first(merges, merge_ext)) is not None:
             parent, ext = rule
@@ -384,14 +392,16 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             del dominant[id(parent)]
             roots = len(store.roots)
             _merge(store, parent, ext)
-            # the parent's counts changed, its new extensions move up a level
-            # and its other extensions become new roots; its own parent's
-            # test sees its larger count
+            # the child's extensions now hang from the parent, whose counts
+            # changed, and its other extensions became new roots; its own
+            # parent's test sees its larger count
+            for e in parent.extensions:
+                parents[id(e.node)] = parent
             grand = parents[id(parent)]
             place(parent, grand, keys[id(parent)])
             if grand is not None:
                 retest(grand)
-            place_new_roots(roots)
+            place_roots(roots)
         elif (rule := first(splits, split_subset)) is not None:
             node, subset = rule
             grand = parents[id(node)]
@@ -400,15 +410,15 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             link = None if grand is None else next(e for e in grand.extensions if e.node is node)
             _split(store, grand, node, subset)
             dominant[id(node)].pop()
-            # the head takes the node's place, or is detached as a new root,
-            # and the node's subtree moves under it; the grandparent's
-            # extension changed or went
+            # the head takes the node's place or is detached as a new root
+            # with the node's subtree under it; the grandparent's extension
+            # changed or went
             if len(store.roots) > roots:
-                place_new_roots(roots)
-            elif grand is None:
-                place(store.roots[key[0]], None, key)
+                place_roots(roots)
             else:
-                place(link.node, grand, key)
+                head = store.roots[key[0]] if grand is None else link.node
+                place(head, grand, key)
+                place(node, head, (*key, next(below_head)))
             if grand is not None:
                 retest(grand)
         else:

@@ -404,6 +404,16 @@ class TestIndexMatchesWalk:
         + [Event(m) for m in [(F,), (B, F), (B, F), (E, F)]],
         2.0, 2.0, 0.5,
     )
+    # the root {A,B,C,D} splits off {A,B} in place, then splits off {B,C,D}
+    # before its extension {A,B,C,D,E} splits off {C,D,E}, so those two heads
+    # become roots in that order
+    @example(
+        [Event(m) for m in [(A, B, C, D), (A, B, C, D, E), (A, B), (A, B)]]
+        + [Event(m) for m in [(B, C, D), (B, C, D), (C, D, E), (C, D, E)]],
+        2.0, 2.0, 0.5,
+    )
+    # {A} merges {A,B}, and {A,B,C}, which now hangs from {A}, splits off {B,C}
+    @example([Event(m) for m in [(A,), (A, B), (A, B), (A, B, C), (B, C), (B, C)]], 2.0, 2.0, 0.5)
     def test_consolidate_matches_oracle(self, events, theta_merge, theta_split, theta_new):
         fast, slow = (
             present_all(HierarchyStore([], theta_merge, theta_split, theta_new), events)
