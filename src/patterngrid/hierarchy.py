@@ -14,9 +14,10 @@ sub-pattern presented often enough relative to the full pattern becomes its
 own node, the remainder demoted to an extension of it) until neither fires.
 Every presentation contributes exactly one unit of occurrence mass and both
 rules conserve it, so the tree can always be audited against the number of
-presentations. Consolidation walks the forest once: it keys every node by
-walk order and keeps the merge and split candidates on two heaps, and after
-each rule it re-tests and re-keys only the nodes that rule touched.
+presentations. Consolidation walks the forest once: it keys every node in
+walk order and keeps the merge and split candidates on two heaps; after each
+rule it re-tests only the nodes the rule touched and re-keys only the nodes
+it moved.
 
 Presentation never walks the forest. The store keeps a private index with
 three parts: a dict from each pattern to the first node in walk order that
