@@ -26,11 +26,10 @@ classification of the categories.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from operator import sub
+from itertools import chain, combinations, compress, repeat
+from operator import ge, sub
 from typing import Sequence
 
 from . import jsonout
@@ -40,6 +39,7 @@ from .model import (
     Event,
     InterPatternLink,
     Partition,
+    _trusted_link,
     fold,
     folds,
     validate_event,
@@ -82,12 +82,10 @@ class CountMatrix:
 
 @dataclass(slots=True)
 class GridClusterResult:
-    """Extraction output: the partition, the residual links between its
-    clusters, and the per-variable head sets kept for audit."""
+    """Extraction output: the partition and the residual links between its clusters."""
 
     partition: Partition
     links: tuple[InterPatternLink, ...]
-    head_sets: dict[int, frozenset[int]]
 
 
 def _check_weight(weight) -> None:
@@ -177,20 +175,17 @@ def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]
 
 
 def _head_set(row: dict[int, int | float], ties: str) -> frozenset[int]:
-    # by id, then stably by count descending: equal counts stay in id order
-    ids = sorted(row)
-    ids.sort(key=row.__getitem__, reverse=True)
-    counts = list(map(row.__getitem__, ids))
+    counts = sorted(row.values(), reverse=True)
     gaps = list(map(sub, counts, counts[1:]))
     best = max(gaps, default=0)
     if best == 0:
-        return frozenset(ids)
+        return frozenset(row)
     if ties == "high":
         cut = gaps.index(best)
     else:
         cut = len(gaps) - 1 - gaps[::-1].index(best)
-    # counts fall by best > 0 after the cut, so the head set is a prefix
-    return frozenset(ids[: cut + 1])
+    # counts fall by best > 0 after the cut: no count below it equals the cut's
+    return frozenset(compress(row, map(ge, row.values(), repeat(counts[cut]))))
 
 
 def extract_clusters(
@@ -210,24 +205,21 @@ def extract_clusters(
     _check_ties(ties)
     n = grid.n
     rows = grid.rows
-    heads = {v: _head_set(rows[v], ties) for v in range(n)}
-    neighbours = {v: {w for w in heads[v] if v in heads[w]} for v in range(n)}
+    heads = [_head_set(row, ties) for row in rows]
+    neighbours = [{w for w in heads[v] if v in heads[w]} for v in range(n)]
 
-    component_of: dict[int, int] = {}
+    seen: set[int] = set()
     components: list[list[int]] = []
     for start in range(n):
-        if start in component_of:
+        if start in seen:
             continue
-        comp = [start]
-        component_of[start] = len(components)
-        queue = [start]
+        seen.add(start)
+        comp, queue = [start], [start]
         while queue:
-            node = queue.pop()
-            for w in sorted(neighbours[node]):
-                if w not in component_of:
-                    component_of[w] = len(components)
-                    comp.append(w)
-                    queue.append(w)
+            for w in neighbours[queue.pop()] - seen:
+                seen.add(w)
+                comp.append(w)
+                queue.append(w)
         components.append(sorted(comp))
 
     clusters = tuple(frozenset(c) for c in components if len(c) >= 2)
@@ -239,14 +231,13 @@ def extract_clusters(
     for a, ca in enumerate(cluster_of):
         if ca < 0:
             continue
-        row = rows[a]
-        ids = sorted(row)
-        links.extend(
-            InterPatternLink(a, b, row[b])
-            for b in ids[bisect_right(ids, a) :]
-            if row[b] >= tau_link and -1 < cluster_of[b] != ca
+        # off-diagonal cells >= tau_link >= 1 make valid links, sorted by b
+        links += sorted(
+            _trusted_link((a, b, c))
+            for b, c in rows[a].items()
+            if b > a and c >= tau_link and -1 < cluster_of[b] != ca
         )
-    return GridClusterResult(partition, tuple(links), heads)
+    return GridClusterResult(partition, tuple(links))
 
 
 def _rendered_rows(grid: CountMatrix, diagonal: str = "x"):

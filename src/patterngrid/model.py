@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DataError(ValueError):
@@ -239,16 +240,24 @@ def partition_from_label_sets(
     return Partition(len(labels), tuple(clusters), unassigned)
 
 
-@dataclass(frozen=True, slots=True)
-class InterPatternLink:
-    """A residual cross-cluster co-occurrence, reported rather than merged."""
-
+class _Link(NamedTuple):
     a: int
     b: int
     strength: int | float
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
+
+class InterPatternLink(_Link):
+    """A residual cross-cluster co-occurrence, reported rather than merged."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, strength: int | float) -> InterPatternLink:
+        if a == b:
             raise DataError("link endpoints must differ")
-        if self.strength <= 0:
+        if strength <= 0:
             raise DataError("link strength must be positive")
+        return super().__new__(cls, a, b, strength)
+
+
+# unchecked, for grid extraction, whose positive off-diagonal cells make valid links
+_trusted_link = partial(tuple.__new__, InterPatternLink)

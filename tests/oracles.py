@@ -174,7 +174,7 @@ def dense_extract_clusters(
             if a in cluster_of and b in cluster_of and cluster_of[a] != cluster_of[b]:
                 if grid.cells[a][b] >= tau_link:
                     links.append(InterPatternLink(a, b, grid.cells[a][b]))
-    return GridClusterResult(partition, tuple(links), heads)
+    return GridClusterResult(partition, tuple(links))
 
 
 def dense_matrix_json(grid: DenseGrid, labels) -> dict:

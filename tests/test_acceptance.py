@@ -60,6 +60,17 @@ def _label_sets(partition, labels):
     return {frozenset(group) for group in partition.label_clusters(labels)}
 
 
+def _first_difference(got: str, expected: str, context: int = 100) -> str:
+    """Where two long texts first differ, with ``context`` characters each
+    side: an assertion message that pytest need not build by diffing them."""
+    at = len(os.path.commonprefix([got, expected]))
+    window = slice(max(0, at - context), at + context)
+    return (
+        f"texts of {len(got)} and {len(expected)} characters differ at offset {at}:\n"
+        f"got      {got[window]!r}\nexpected {expected[window]!r}"
+    )
+
+
 def test_01_variable_counts_and_bands_exact(seven):
     best = float("inf")
     for _ in range(5):
@@ -333,7 +344,11 @@ def test_13_transposed_grid_count_and_extract_under_one_second():
     dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events)
     assert count_matrix(dense.cells) == matrix
     assert matrix.increments == dense.increments
-    assert repr(result) == repr(dense_extract_clusters(dense, 2))
+    # over a million characters each: compared to a bool, so pytest does
+    # not diff them on a mismatch
+    got, expected = repr(result), repr(dense_extract_clusters(dense, 2))
+    same = got == expected
+    assert same, _first_difference(got, expected)
 
 
 def test_14_low_duplication_hierarchy_under_point_six_seconds():

@@ -731,6 +731,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "config error: method 'grid' is repeated\n"
 
+    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
+    def test_compare_checks_tau_link_only_for_grid(self, capsys, tmp_path, method):
+        # only grid extraction reads --tau-link; the other engines ignore it
+        ref = tmp_path / "ref.json"
+        ref.write_text('{"clusters": [["A", "B", "C", "D"], ["E", "F", "G"]]}')
+        code, out, err = run(
+            capsys, "compare", "--fixture", "seven_event", "--reference", str(ref),
+            "--method", method, "--tau-link", "0",
+        )
+        if method == "grid":
+            assert (code, out) == (2, "")
+            assert err.endswith("\nconfig error: tau_link must be at least 1 and finite\n")
+        else:
+            assert code == 0
+            assert out.startswith(f"reference: {ref} (2 clusters)\nmethod: {method}\n")
+
     def test_bad_reference_shape_is_an_input_error(self, capsys, small_corpus, tmp_path):
         ref = tmp_path / "ref.json"
         ref.write_text('{"clusters": null}')

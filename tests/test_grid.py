@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from contextlib import suppress
 
 import pytest
 from hypothesis import example, given
@@ -25,6 +26,7 @@ from .oracles import (
     count_matrix,
     dense_count_events,
     dense_extract_clusters,
+    dense_head_set,
     dense_matrix_csv,
     dense_matrix_json,
     dense_matrix_text,
@@ -208,10 +210,6 @@ class TestExtraction:
         assert result.partition.clusters == (frozenset({0, 1}),)
         assert result.partition.unassigned == frozenset({2, 3})
 
-    def test_head_sets_are_reported(self, seven):
-        result = extract_clusters(_seven_matrix(seven), 2)
-        assert set(result.head_sets) == set(range(seven.n))
-
     @given(st.integers(0, 10_000))
     def test_partition_is_valid_and_links_cross_clusters(self, seed):
         dataset = random_dataset(seed, max_vars=8, max_events=25)
@@ -348,6 +346,21 @@ def test_sparse_grid_equals_dense_oracle(case):
 
     merged = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(dense.cells, prefilled.cells)]
     assert repr(grid_merge(sparse, prefilled).cells) == repr(merged)
+
+
+@given(_grid_cases())
+def test_head_sets_equal_dense_oracle(case):
+    n, _, (before, w0), (batch, w1), _, _, _ = case
+    sparse, dense = CountMatrix.zeros(n), DenseGrid.zeros(n)
+    for events, weight in ((before, w0), (batch, w1)):
+        # an out-of-range event stops both counts after the same events
+        with suppress(DataError):
+            count_events(sparse, events, weight)
+        with suppress(DataError):
+            dense_count_events(dense, events, weight)
+    for ties in ("high", "low"):
+        for v in range(n):
+            assert head_set(sparse, v, ties=ties) == dense_head_set(dense, v, ties=ties)
 
 
 # labels of any width, quoted by json where needed; none breaks a line, so

@@ -1,7 +1,11 @@
+import io
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from patterngrid import grid
+from patterngrid.ingest import parse_transactions
 from patterngrid.model import (
     ConfigError,
     DataError,
@@ -16,6 +20,7 @@ from patterngrid.model import (
     partition_from_label_sets,
     validate_event,
 )
+from patterngrid.synth import synthetic_plants_text
 
 
 class TestEvent:
@@ -165,10 +170,31 @@ class TestInterPatternLink:
     def test_rejects_self_link(self):
         with pytest.raises(DataError):
             InterPatternLink(1, 1, 2)
+        with pytest.raises(DataError):
+            InterPatternLink(a=3, b=3, strength=0.5)
 
     def test_rejects_nonpositive_strength(self):
+        for strength in (0, -1, 0.0, -0.5):
+            with pytest.raises(DataError):
+                InterPatternLink(0, 1, strength)
         with pytest.raises(DataError):
-            InterPatternLink(0, 1, 0)
+            InterPatternLink(a=0, b=1, strength=0)
+
+    def test_fixture_link_repr(self, seven):
+        matrix = grid.count_events(grid.CountMatrix.zeros(seven.n), seven.events)
+        assert repr(grid.extract_clusters(matrix, 2).links) == (
+            "(InterPatternLink(a=0, b=4, strength=2),)"
+        )
+
+    @given(st.integers(0, 10_000), st.sampled_from([1, 0.7, 2.5]), st.sampled_from([1, 2, 2.5]))
+    def test_extracted_links_equal_checked_ones(self, seed, weight, tau):
+        # extraction builds links unchecked; each must pass the checks. A
+        # small synthetic corpus has clusters, and so links between them
+        dataset = parse_transactions(io.BytesIO(synthetic_plants_text(120, seed).encode()))
+        matrix = grid.count_events(grid.CountMatrix.zeros(dataset.n), dataset.events, weight)
+        links = grid.extract_clusters(matrix, tau).links
+        assert all(type(link) is InterPatternLink for link in links)
+        assert repr(links) == repr(tuple(InterPatternLink(a, b, c) for a, b, c in links))
 
 
 def test_dataset_rejects_out_of_range_events():
