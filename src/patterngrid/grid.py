@@ -175,16 +175,17 @@ def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]
 
 
 def _head_set(row: dict[int, int | float], ties: str) -> frozenset[int]:
-    counts = sorted(row.values(), reverse=True)
+    # a gap between equal counts is 0, the largest only when all counts are
+    # equal, so the cut is found among the distinct counts
+    counts = sorted(set(row.values()), reverse=True)
     gaps = list(map(sub, counts, counts[1:]))
-    best = max(gaps, default=0)
-    if best == 0:
+    if not gaps:
         return frozenset(row)
+    best = max(gaps)
     if ties == "high":
         cut = gaps.index(best)
     else:
         cut = len(gaps) - 1 - gaps[::-1].index(best)
-    # counts fall by best > 0 after the cut: no count below it equals the cut's
     return frozenset(compress(row, map(ge, row.values(), repeat(counts[cut]))))
 
 
@@ -231,12 +232,11 @@ def extract_clusters(
     for a, ca in enumerate(cluster_of):
         if ca < 0:
             continue
-        # off-diagonal cells >= tau_link >= 1 make valid links, sorted by b
-        links += sorted(
-            _trusted_link((a, b, c))
-            for b, c in rows[a].items()
-            if b > a and c >= tau_link and -1 < cluster_of[b] != ca
-        )
+        row = rows[a]
+        ids = [b for b, c in row.items() if b > a and c >= tau_link and -1 < cluster_of[b] != ca]
+        ids.sort()
+        # off-diagonal cells >= tau_link >= 1: each makes a valid link
+        links += [_trusted_link((a, b, row[b])) for b in ids]
     return GridClusterResult(partition, tuple(links))
 
 
