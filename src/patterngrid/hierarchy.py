@@ -20,18 +20,19 @@ rule it re-tests only the nodes the rule touched and re-keys only the nodes
 it moved.
 
 Presentation never walks the forest. The store keeps a private index with
-three parts: a dict from each pattern to the first node in walk order that
+four parts: a dict from each pattern to the first node in walk order that
 holds it, per-variable postings listing the nodes whose pattern holds that
-variable, and each node's walk-order key, its path tuple ``(root index,
-extension index, ...)``. Path tuples compare in the order ``walk`` visits
-nodes, and appending a root or an extension gives the new node a fresh path
-without moving any other, so presentation extends the index in place. An
-event is looked up in the dict first; otherwise counting its members
-through the postings gives every node's overlap with it, a node being
-covered when the overlap is its whole pattern. Nodes the event does not
-touch have zero overlap and cannot reach ``theta_new``, so skipping them
-picks the same node the full walk would. The index is built from ``walk``
-on the first presentation, so hand-built stores work too, and
+variable, each node's pattern size, and each node's walk-order key, its path
+tuple ``(root index, extension index, ...)``. Path tuples compare in the
+order ``walk`` visits nodes, and appending a root or an extension gives the
+new node a fresh path without moving any other, so presentation extends the
+index in place. An event is looked up in the dict first; otherwise counting
+its members through the postings gives every node's overlap with it, a node
+being covered when the overlap is its size. Nodes the event does not touch
+have zero overlap and cannot reach ``theta_new``, so skipping them picks the
+same node the full walk would; paths are compared only when several nodes
+share the largest overlap. The index is built from ``walk`` when
+``present_all`` starts on a store without one, so hand-built stores work, and
 ``consolidate`` drops it, to be rebuilt on the next presentation. Code that
 changes ``roots``, ``extensions`` or a node's pattern by hand after
 presenting must set ``store._index = None`` the same way.
@@ -41,16 +42,17 @@ count it bumps) depends on the nodes and their patterns, never on their
 counts, and presentation only ever adds nodes. So ``present_all`` keeps a
 memo from member tuple to outcome for the length of one call and replays a
 repeated event from it, and clears the memo whenever a presentation adds a
-node. ``present_pattern`` keeps no memo.
+node. ``present_pattern`` is ``present_all`` of one event.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import _count_elements, defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, count
+from operator import countOf
 from typing import Iterator, Sequence
 
 from . import jsonout
@@ -112,21 +114,23 @@ class _Index:
 
     Nodes are numbered by slot in the order they were indexed, which is not
     walk order once presentation has added nodes; ``paths`` holds walk
-    order.
+    order and ``sizes`` each pattern's length.
     """
 
     exact: dict[frozenset[int], int] = field(default_factory=dict)
-    postings: dict[int, list[int]] = field(default_factory=dict)
+    postings: defaultdict[int, list[int]] = field(default_factory=lambda: defaultdict(list))
     nodes: list[PatternNode] = field(default_factory=list)
     paths: list[tuple[int, ...]] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
 
     def add(self, node: PatternNode, path: tuple[int, ...]) -> None:
         slot = len(self.nodes)
         self.nodes.append(node)
         self.paths.append(path)
+        self.sizes.append(len(node.pattern))
         self.exact.setdefault(node.pattern, slot)
         for v in node.pattern:
-            self.postings.setdefault(v, []).append(slot)
+            self.postings[v].append(slot)
 
 
 def walk(store: HierarchyStore) -> Iterator[PatternNode]:
@@ -155,88 +159,70 @@ def _build_index(store: HierarchyStore) -> _Index:
 
 
 def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
-    """Record one presentation.
+    """Record one presentation: ``present_all`` of the one event."""
+    return present_all(store, (event,))
+
+
+def present_all(store: HierarchyStore, events) -> HierarchyStore:
+    """Record a presentation of each event in turn.
 
     Priority order: exact match on a stored pattern, extension of the most
     specific stored pattern the event covers, partial-overlap bookkeeping
     on the best-overlapping node when the fraction reaches theta_new, and
-    finally a brand-new root.
+    finally a brand-new root. Outcomes are memoised by member tuple until
+    a node is added (see the module docstring).
     """
-    _present(store, event.member_set())
-    return store
-
-
-# What one presentation did: ``(node, None)`` when it counted an occurrence
-# of ``node``, ``(node, key)`` when it counted ``key`` in ``node``'s
-# ``subset_counts``, and ``None`` when it added a node.
-_Outcome = tuple[PatternNode, frozenset[int] | None] | None
-
-
-def _present(store: HierarchyStore, members: frozenset[int]) -> _Outcome:
-    """``present_pattern`` on a member set, returning its outcome."""
-    store.presentations += 1
     index = store._index
     if index is None:
         index = store._index = _build_index(store)
-    nodes, paths = index.nodes, index.paths
-
-    slot = index.exact.get(members)
-    if slot is not None:
-        nodes[slot].occurrences += 1
-        return nodes[slot], None
-
-    overlap = Counter(chain.from_iterable(index.postings.get(v, ()) for v in members))
-    covered = [s for s, k in overlap.items() if k == len(nodes[s].pattern)]
-    if covered:
-        # a covered node's overlap is its size: largest pattern, then walk order
-        slot = min(covered, key=lambda s: (-overlap[s], paths[s]))
-        best = nodes[slot]
-        adds = frozenset(members - best.pattern)
-        for ext in best.extensions:
-            if ext.adds == adds:
-                ext.node.occurrences += 1
-                return ext.node, None
-        best.extensions.append(Extension(adds, PatternNode(members, 1)))
-        index.add(best.extensions[-1].node, (*paths[slot], len(best.extensions) - 1))
-        return None
-
-    if overlap:
-        slot = min(overlap, key=lambda s: (-overlap[s], paths[s]))
-        if overlap[slot] / len(members) >= store.theta_new:
-            best = nodes[slot]
-            key = frozenset(best.pattern & members)
-            best.subset_counts[key] = best.subset_counts.get(key, 0) + 1
-            return best, key
-
-    store.roots.append(PatternNode(frozenset(members), 1))
-    index.add(store.roots[-1], (len(store.roots) - 1,))
-    return None
-
-
-def present_all(store: HierarchyStore, events) -> HierarchyStore:
-    """``present_pattern`` on each event in turn.
-
-    An outcome depends only on the nodes present, never on their counts, so
-    it holds until the next node is added. Outcomes are memoised by member
-    tuple and replayed, and the memo is cleared whenever a node is added.
-    """
-    memo: dict[tuple[int, ...], _Outcome] = {}
+    exact, posting, nodes, paths, sizes = (
+        index.exact, index.postings.__getitem__, index.nodes, index.paths, index.sizes
+    )
+    # member tuple -> (node, None) to count an occurrence of node, or
+    # (node, key) to count key in node.subset_counts
+    memo: dict[tuple[int, ...], tuple[PatternNode, frozenset[int] | None]] = {}
     for event in events:
-        members = event.members
-        outcome = memo.get(members)
+        store.presentations += 1
+        outcome = memo.get(members := event.members)
         if outcome is None:
-            outcome = _present(store, event.member_set())
+            member_set = frozenset(members)
+            slot = exact.get(member_set)
+            if slot is not None:
+                outcome = nodes[slot], None
+            else:
+                # the private C loop behind Counter.update, into a plain dict:
+                # building a Counter per event cost a quarter of this loop
+                overlap: dict[int, int] = {}
+                _count_elements(overlap, chain.from_iterable(map(posting, member_set)))
+                covered = [s for s, k in overlap.items() if k == sizes[s]]
+                # the largest overlap, ties to walk order (a tie with a node
+                # outside the pool costs only the path lookups); a covered
+                # node's overlap is its size, so among them the largest pattern
+                if pool := covered or overlap:
+                    slot = max(pool, key=overlap.__getitem__)
+                    if countOf(overlap.values(), top := overlap[slot]) > 1:
+                        slot = min([s for s in pool if overlap[s] == top], key=paths.__getitem__)
+                    best = nodes[slot]
+                if covered:
+                    adds = member_set - best.pattern
+                    outcome = next(((e.node, None) for e in best.extensions if e.adds == adds), None)
+                    if outcome is None:
+                        best.extensions.append(Extension(adds, PatternNode(member_set, 1)))
+                        index.add(best.extensions[-1].node, (*paths[slot], len(best.extensions) - 1))
+                elif pool and top / len(member_set) >= store.theta_new:
+                    outcome = best, best.pattern & member_set
+                else:
+                    store.roots.append(PatternNode(member_set, 1))
+                    index.add(store.roots[-1], (len(store.roots) - 1,))
             if outcome is None:
                 memo.clear()
-            else:
-                memo[members] = outcome
-            continue
-        store.presentations += 1
+                continue
+            memo[members] = outcome
         node, key = outcome
         if key is None:
             node.occurrences += 1
         else:
-            node.subset_counts[key] += 1
+            node.subset_counts[key] = node.subset_counts.get(key, 0) + 1
     return store
 
 
@@ -426,12 +412,18 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             return
 
 
+def _parts(node: PatternNode) -> list[tuple[list[int], int | float]]:
+    """A node's parts as ``(sorted ids, count)`` pairs, in sorted-ids order."""
+    counts = node.subset_counts
+    return sorted(zip(map(sorted, counts), counts.values()))
+
+
 def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
     """Indented text rendering, one line per node, part and extension link.
     Walks with its own stack, so any depth renders."""
 
-    def name(ids: frozenset[int]) -> str:
-        return "{" + ",".join(labels[i] for i in sorted(ids)) + "}"
+    def name(ids: list[int]) -> str:
+        return "{" + ",".join([labels[i] for i in ids]) + "}"
 
     lines: list[str] = []
     # (depth, node, the adds of the link it hangs from, None for a root)
@@ -439,12 +431,9 @@ def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
     while stack:
         depth, node, adds = stack.pop()
         if adds is not None:
-            lines.append(f"{'  ' * (depth - 1)}+{name(adds)} ->")
-        lines.append(f"{'  ' * depth}{name(node.pattern)} x{node.occurrences}")
-        for subset in sorted(node.subset_counts, key=sorted):
-            lines.append(
-                f"{'  ' * (depth + 1)}part {name(subset)} x{node.subset_counts[subset]}"
-            )
+            lines.append(f"{'  ' * (depth - 1)}+{name(sorted(adds))} ->")
+        lines.append(f"{'  ' * depth}{name(sorted(node.pattern))} x{node.occurrences}")
+        lines += [f"{'  ' * (depth + 1)}part {name(ids)} x{n}" for ids, n in _parts(node)]
         stack.extend((depth + 2, e.node, e.adds) for e in reversed(node.extensions))
     return lines
 
@@ -453,7 +442,11 @@ def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 
     """Write the forest as the ``"roots"`` list ``depth`` levels in of
     ``json.dumps(payload, indent=2)``, a node per ``write`` call, walking
     with its own stack so any depth is written; returns the characters written."""
-    name, pad, template = jsonout.names(labels, by_label=False), jsonout.pad, jsonout.template
+    quoted, pad, template, array = list(map(jsonout.quote, labels)), jsonout.pad, jsonout.template, jsonout.array
+
+    def name(ids: frozenset[int], depth: int) -> str:
+        return array([quoted[i] for i in sorted(ids)], depth)
+
     roots = [(depth + 1, r, ("," if i else "[") + pad(depth + 1)) for i, r in enumerate(store.roots)]
     # text to write as it stands, or (depth, node, the text ahead of it)
     stack: list = [pad(depth) + "]" if roots else "[]", *reversed(roots)]
@@ -463,9 +456,14 @@ def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 
         if not isinstance(item, str):
             d, node, item = item
             head, tail = template(d, "pattern", "occurrences", "parts", "extensions").rsplit("%s", 1)
-            part, counts = template(d + 2, "members", "count"), node.subset_counts
-            parts = [part % (name(s, d + 3), counts[s]) for s in sorted(counts, key=sorted)]
-            item += head % (name(node.pattern, d + 1), node.occurrences, jsonout.array(parts, d + 1))
+            # each part's members from its sorted ids, as ``array`` would write them
+            part, inner = template(d + 2, "members", "count"), pad(d + 4)
+            opening, comma, closing = "[" + inner, "," + inner, pad(d + 3) + "]"
+            parts = [
+                part % (opening + comma.join(map(quoted.__getitem__, ids)) + closing if ids else "[]", n)
+                for ids, n in _parts(node)
+            ]
+            item += head % (name(node.pattern, d + 1), node.occurrences, array(parts, d + 1))
             exts = node.extensions
             if not exts:
                 item += "[]" + tail

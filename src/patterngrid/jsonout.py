@@ -27,11 +27,11 @@ def template(depth: int, *keys: str) -> str:
     return "{" + ",".join(f'{pad(depth + 1)}"{key}": %s' for key in keys) + pad(depth) + "}"
 
 
-def names(labels: Sequence[str], by_label: bool = True):
+def names(labels: Sequence[str]):
     """``name(ids, depth)``, the JSON list ``depth`` levels in of the ids'
-    labels, sorted by label or else by id. Each label is quoted once."""
-    quoted, key = list(map(quote, labels)), labels.__getitem__ if by_label else None
-    return lambda ids, depth: array([quoted[i] for i in sorted(ids, key=key)], depth)
+    labels, sorted by label. Each label is quoted once."""
+    quoted = list(map(quote, labels))
+    return lambda ids, depth: array([quoted[i] for i in sorted(ids, key=labels.__getitem__)], depth)
 
 
 def array(texts: Sequence[str], depth: int) -> str:

@@ -258,6 +258,11 @@ class InterPatternLink(_Link):
             raise DataError("link strength must be positive")
         return super().__new__(cls, a, b, strength)
 
+    @classmethod
+    def _make(cls, iterable) -> InterPatternLink:
+        """namedtuple's ``_make``, which ``_replace`` calls, with the checks."""
+        return cls(*iterable)
+
 
 # unchecked, for grid extraction, whose positive off-diagonal cells make valid links
 _trusted_link = partial(tuple.__new__, InterPatternLink)

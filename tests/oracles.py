@@ -393,6 +393,29 @@ def tree_json(store, labels) -> dict:
     return {"roots": [node_dict(r) for r in store.roots], "presentations": store.presentations}
 
 
+def tree_text_oracle(store, labels) -> list[str]:
+    """The hierarchy's indented text lines, one per node, part and extension
+    link, sorting each part's ids to order the parts and again to name them."""
+
+    def name(ids: frozenset[int]) -> str:
+        return "{" + ",".join(labels[i] for i in sorted(ids)) + "}"
+
+    lines: list[str] = []
+    # (depth, node, the adds of the link it hangs from, None for a root)
+    stack = [(0, root, None) for root in reversed(store.roots)]
+    while stack:
+        depth, node, adds = stack.pop()
+        if adds is not None:
+            lines.append(f"{'  ' * (depth - 1)}+{name(adds)} ->")
+        lines.append(f"{'  ' * depth}{name(node.pattern)} x{node.occurrences}")
+        for subset in sorted(node.subset_counts, key=sorted):
+            lines.append(
+                f"{'  ' * (depth + 1)}part {name(subset)} x{node.subset_counts[subset]}"
+            )
+        stack.extend((depth + 2, e.node, e.adds) for e in reversed(node.extensions))
+    return lines
+
+
 def instances_json_oracle(store, labels) -> list:
     """The cm instances as JSON-ready dicts, each pattern's labels sorted."""
     return [

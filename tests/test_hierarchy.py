@@ -16,7 +16,7 @@ from patterngrid.hierarchy import (
     tree_text,
     walk,
 )
-from patterngrid.model import ConfigError, Event
+from patterngrid.model import ConfigError, DataError, Event
 
 from .oracles import (
     consolidate_oracle,
@@ -25,6 +25,7 @@ from .oracles import (
     hierarchy_walk_oracle,
     random_dataset,
     tree_json,
+    tree_text_oracle,
 )
 
 A, B, C, D, E, F, G = range(7)
@@ -275,6 +276,50 @@ def repeated_events(draw) -> list[Event]:
     return draw(st.lists(st.sampled_from(shared), max_size=200))
 
 
+def _json_text(store: HierarchyStore, labels) -> str:
+    pieces: list[str] = []
+    hierarchy.tree_json(store, labels, pieces.append)
+    return "".join(pieces)
+
+
+class TestPresentAll:
+    """``present_all`` is the one presentation loop; ``present_pattern`` is
+    that loop on one event."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 60), st.booleans())
+    def test_raising_events_leave_k_presentations(self, seed, k, hand_built):
+        # the k events before the failure are each presented once, and the
+        # store is the one those k events alone give
+        dataset = random_dataset(seed, max_vars=6, max_events=60)
+        head = dataset.events[:k]
+
+        def events():
+            yield from head
+            raise DataError("the source failed")
+
+        store, expected = (_hand_built_store() if hand_built else HierarchyStore() for _ in range(2))
+        presented, mass = store.presentations, total_mass(store)
+        with pytest.raises(DataError):
+            present_all(store, events())
+        assert store.presentations - presented == total_mass(store) - mass == len(head)
+        assert repr(store) == repr(present_all(expected, head))
+
+    @given(
+        st.one_of(repeated_events(), events_over_six),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.booleans(),
+    )
+    def test_present_pattern_folded_equals_present_all(self, events, theta_new, hand_built):
+        folded, batch = (_hand_built_store() if hand_built else HierarchyStore() for _ in range(2))
+        folded.theta_new = batch.theta_new = theta_new
+        for event in events:
+            assert present_pattern(folded, event) is folded
+        assert present_all(batch, events) is batch
+        assert repr(folded) == repr(batch)
+        assert tree_json(folded, LABELS) == tree_json(batch, LABELS)
+        assert _json_text(folded, LABELS) == _json_text(batch, LABELS)
+
+
 class TestMemoMatchesWalk:
     """``present_all`` replays memoised outcomes; the per-event walk in
     tests/oracles.py applies every presentation afresh."""
@@ -497,6 +542,23 @@ class TestRendering:
             "  +{E} ->",
             "    {A,B,C,D,E} x1",
         ]
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.25, 0.5, 1.0]), st.booleans())
+    def test_tree_text_matches_oracle(self, seed, theta_new, consolidated):
+        # ids up to 23, so a frozenset does not iterate in sorted order
+        dataset = random_dataset(seed, max_vars=24, max_events=60)
+        store = present_all(HierarchyStore(theta_new=theta_new), dataset.events)
+        if consolidated:
+            consolidate(store)
+        assert tree_text(store, dataset.labels) == tree_text_oracle(store, dataset.labels)
+
+    @given(events_over_six)
+    def test_tree_text_matches_oracle_on_hand_built_store(self, events):
+        store = present_all(_hand_built_store(), events)
+        # parts whose ids sort unlike their sets iterate, with a float count
+        store.roots[0].subset_counts.update({frozenset({8, 1}): 2.5, frozenset({0, 9, 16}): 1})
+        labels = [f"v{i}" for i in range(17)]
+        assert tree_text(store, labels) == tree_text_oracle(store, labels)
 
     def test_tree_text_any_depth(self):
         # a chain of single-member extensions 2,000 levels deep, beyond

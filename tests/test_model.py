@@ -180,6 +180,24 @@ class TestInterPatternLink:
         with pytest.raises(DataError):
             InterPatternLink(a=0, b=1, strength=0)
 
+    def test_make_and_replace_check(self):
+        # namedtuple's own constructors go through the checked one
+        link = InterPatternLink(0, 1, 2)
+        assert InterPatternLink._make((0, 1, 2.5)) == (0, 1, 2.5)
+        assert type(InterPatternLink._make([0, 1, 2])) is InterPatternLink
+        assert repr(link._replace(b=3)) == "InterPatternLink(a=0, b=3, strength=2)"
+        for bad in ((3, 3, 1), (3, 4, -1), (0, 1, 0)):
+            with pytest.raises(DataError):
+                InterPatternLink._make(bad)
+        with pytest.raises(DataError):
+            link._replace(b=0)
+        with pytest.raises(DataError):
+            link._replace(strength=0)
+        with pytest.raises(TypeError):
+            InterPatternLink._make((0, 1))
+        with pytest.raises(ValueError):
+            link._replace(c=1)
+
     def test_fixture_link_repr(self, seven):
         matrix = grid.count_events(grid.CountMatrix.zeros(seven.n), seven.events)
         assert repr(grid.extract_clusters(matrix, 2).links) == (
