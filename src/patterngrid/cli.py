@@ -5,9 +5,9 @@ or more engines against a reference clustering, ``tables`` renders the
 three worked-example tables from the built-in fixture, and ``hierarchy``
 builds and consolidates a pattern hierarchy.
 
-Each engine run yields one ``EngineRun`` record, rendered once and in the
-requested format only: a text body, a JSON ``detail`` or CSV sections.
-``compare`` scores the partitions, keeping no engine result. JSON output
+Each engine run yields one ``EngineRun``: what it found, and renderers that
+``_run_method`` binds to the engine's result, so nothing else reads it. Only
+the requested format's renderer runs; ``compare`` runs none. JSON output
 is ``json.dumps(payload, indent=2)`` text, its large sections written to
 standard output a record or matrix row at a time by ``jsonout``.
 
@@ -28,7 +28,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import counting, grid, hierarchy, jsonout, reinforce
 from .evaluate import agreement_json, agreement_text, best_matches_json, pairwise_agreement
@@ -203,61 +203,54 @@ def _load_dataset(args, timing: Timing) -> tuple[Dataset, str]:
     return dataset, source
 
 
-def _cluster_section(partition: Partition, labels: Sequence[str]) -> list[str]:
-    lines = []
-    if partition.clusters:
-        lines.append("clusters:")
-        lines.extend(f"  {','.join(group)}" for group in partition.label_clusters(labels))
-    else:
-        lines.append("clusters: (none)")
+def _listed(title: str, rows) -> list[str]:
+    """``title:`` over the rows, indented, or ``title: (none)`` when there are none."""
+    rows = [f"  {row}" for row in rows]
+    return [f"{title}:", *rows] if rows else [f"{title}: (none)"]
+
+
+def _cluster_section(partition: Partition, links, labels: Sequence[str]) -> list[str]:
     unassigned = partition.label_unassigned(labels)
-    lines.append(f"unassigned: {','.join(unassigned) if unassigned else '(none)'}")
-    return lines
+    link_rows = (f"{labels[l.a]}-{labels[l.b]} strength {l.strength}" for l in links or ())
+    return [
+        *_listed("clusters", map(",".join, partition.label_clusters(labels))),
+        f"unassigned: {','.join(unassigned) if unassigned else '(none)'}",
+        *_listed("links", link_rows),
+    ]
 
 
-def _link_section(links, labels: Sequence[str]) -> list[str]:
-    if not links:
-        return ["links: (none)"]
-    return ["links:"] + [f"  {labels[l.a]}-{labels[l.b]} strength {l.strength}" for l in links]
-
-
-def _reinforce_text(state: reinforce.ReinforceState, bands, labels) -> list[str]:
-    lines = ["counts:"]
+def _reinforce_text(state: reinforce.ReinforceState, bands, labels, write) -> None:
     width = max(len(l) for l in labels)
-    lines.extend(f"  {labels[v].ljust(width)} {state.counts[v]}" for v in range(state.n))
-    lines.append("bands:")
-    lines.extend(f"  {value}: {','.join(sorted(labels[v] for v in members))}" for value, members in bands)
-    return lines
+    counts = (f"{labels[v].ljust(width)} {state.counts[v]}" for v in range(state.n))
+    groups = (f"{value}: {','.join(sorted(labels[v] for v in group))}" for value, group in bands)
+    write("\n".join([*_listed("counts", counts), *_listed("bands", groups)]) + "\n")
 
 
-def _instances_text(store: counting.InstanceStore, labels) -> list[str]:
+def _instances_text(store: counting.InstanceStore, labels, write) -> None:
     names = [",".join(sorted(labels[v] for v in r.pattern)) for r in store.records]
     width = max((len(n) for n in names), default=0)
-    lines = ["instances:"]
-    for name, record in zip(names, store.records):
-        lines.append(
-            f"  {name.ljust(width)}  I={record.local_count}  G={record.global_count}"
-            f"  coherence={counting.coherence(record)}"
-        )
-    return lines
+    rows = (
+        f"{name.ljust(width)}  I={r.local_count}  G={r.global_count}  coherence={counting.coherence(r)}"
+        for name, r in zip(names, store.records)
+    )
+    write("\n".join(_listed("instances", rows)) + "\n")
 
 
 @dataclass(frozen=True, slots=True)
 class EngineRun:
-    """One engine's count and extract: what it found and the engine's own
-    result for the renderers to read. ``result`` is
-    ``(ReinforceState, bands)`` for reinforce, the ``InstanceStore`` for cm
-    and the ``CountMatrix`` for grid."""
+    """One engine's count and extract: what it found, and renderers bound to its
+    result, called as ``text(labels, write)``, ``detail(labels)`` and ``csv(labels,
+    write)``. ``links`` is None for an engine that reports none (reinforce, cm)."""
 
-    method: str
     partition: Partition
-    links: tuple
-    result: object
+    links: tuple | None
+    text: Callable[..., object]
+    detail: Callable[..., tuple[dict, list]]
+    csv: Callable[..., object]
 
 
 def _run_method(method: str, dataset: Dataset, weights: Weights, args, timing: Timing) -> EngineRun:
     """Count and extract with one engine, timing each stage. Renders nothing."""
-    links: tuple = ()
     n = dataset.n
     if method == "reinforce":
         with timing.stage("count"):
@@ -266,22 +259,30 @@ def _run_method(method: str, dataset: Dataset, weights: Weights, args, timing: T
         with timing.stage("extract"):
             bands = reinforce.band_clusters(state)
             partition = reinforce.bands_to_partition(bands, state.n)
-        result = (state, bands)
-    elif method == "cm":
+        return EngineRun(
+            partition, None, partial(_reinforce_text, state, bands),
+            partial(_reinforce_json, state, bands), partial(_counts_csv, state),
+        )
+    if method == "cm":
         with timing.stage("count"):
-            result = counting.present_all(counting.InstanceStore.empty(n), dataset.events, weights)
-        _refuse_overflow("omega_i", weights, (r.local_count for r in result.records))
-        _refuse_overflow("omega_g", weights, (r.global_count for r in result.records))
+            store = counting.present_all(counting.InstanceStore.empty(n), dataset.events, weights)
+        _refuse_overflow("omega_i", weights, (r.local_count for r in store.records))
+        _refuse_overflow("omega_g", weights, (r.global_count for r in store.records))
         with timing.stage("extract"):
-            partition = counting.select_clusters(result)
-    else:
-        with timing.stage("count"):
-            result = grid.count_events(grid.CountMatrix.zeros(n), dataset.events, weights.omega_i)
-        _refuse_overflow("omega_i", weights, (c for row in result.rows for c in row.values()))
-        with timing.stage("extract"):
-            extracted = grid.extract_clusters(result, args.tau_link, ties=args.gap_ties)
-        partition, links = extracted.partition, extracted.links
-    return EngineRun(method, partition, links, result)
+            partition = counting.select_clusters(store)
+        return EngineRun(
+            partition, None, partial(_instances_text, store),
+            partial(_streamed, "instances", _instances_json, store), partial(_instances_csv, store),
+        )
+    with timing.stage("count"):
+        matrix = grid.count_events(grid.CountMatrix.zeros(n), dataset.events, weights.omega_i)
+    _refuse_overflow("omega_i", weights, (c for row in matrix.rows for c in row.values()))
+    with timing.stage("extract"):
+        extracted = grid.extract_clusters(matrix, args.tau_link, ties=args.gap_ties)
+    return EngineRun(
+        extracted.partition, extracted.links, partial(grid.matrix_text, matrix),
+        partial(_streamed, "matrix", grid.matrix_json, matrix), partial(grid.matrix_csv, matrix),
+    )
 
 
 def _refuse_overflow(name: str, weights: Weights, counts) -> None:
@@ -294,32 +295,19 @@ def _refuse_overflow(name: str, weights: Weights, counts) -> None:
         raise ConfigError(f"{flag} {value:g} makes a count overflow to infinity")
 
 
-def _write_text_body(run: EngineRun, labels) -> None:
-    """Write the engine's text section; a grid's matrix goes out a row at a time."""
-    if run.method == "grid":
-        grid.matrix_text(run.result, labels, sys.stdout.write)
-    elif run.method == "reinforce":
-        print("\n".join(_reinforce_text(*run.result, labels)))
-    else:
-        print("\n".join(_instances_text(run.result, labels)))
+def _reinforce_json(state: reinforce.ReinforceState, bands, labels) -> tuple[dict, list]:
+    return {
+        "counts": {labels[v]: state.counts[v] for v in range(state.n)},
+        "bands": [
+            {"count": value, "members": sorted(labels[v] for v in members)}
+            for value, members in bands
+        ],
+    }, []
 
 
-def _detail_json(run: EngineRun, labels) -> tuple[dict, list]:
-    """A cluster payload's ``detail``, and the ``jsonout.write_payload``
-    fills for a grid's links and matrix or cm's instances."""
-    if run.method == "reinforce":
-        state, bands = run.result
-        return {
-            "counts": {labels[v]: state.counts[v] for v in range(state.n)},
-            "bands": [
-                {"count": value, "members": sorted(labels[v] for v in members)}
-                for value, members in bands
-            ],
-        }, []
-    if run.method == "cm":
-        return {"instances": None}, [("instances", partial(_instances_json, run.result, labels))]
-    matrix = partial(grid.matrix_json, run.result, labels)
-    return {"matrix": None}, [("links", partial(_links_json, run.links, labels)), ("matrix", matrix)]
+def _streamed(key: str, writer, result, labels) -> tuple[dict, list]:
+    """A payload's ``detail`` of one section ``key``, which ``writer`` streams."""
+    return {key: None}, [(key, partial(writer, result, labels))]
 
 
 def _instances_json(store: counting.InstanceStore, labels, write, depth: int) -> int:
@@ -339,22 +327,6 @@ def _links_json(links, labels, write, depth: int) -> int:
     link = jsonout.template(depth + 1, "a", "b", "strength")
     texts = (link % (quoted[l.a], quoted[l.b], l.strength) for l in links)
     return jsonout.write_list(texts, depth, write)
-
-
-def _write_csv(run: EngineRun, partition: Partition, labels) -> None:
-    """Write the CSV sections, a blank line between each: the engine's
-    counts (a grid's matrix a row at a time), the assignment and a grid's
-    links."""
-    if run.method == "grid":
-        grid.matrix_csv(run.result, labels, sys.stdout.write)
-        sys.stdout.write("\n")
-        links = [f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in run.links]
-        sections = [_assignment_csv(partition, labels), ["a,b,strength", *links]]
-    elif run.method == "reinforce":
-        sections = [_counts_csv(run.result[0], labels), _assignment_csv(partition, labels)]
-    else:
-        sections = [_instances_csv(run.result, labels), _assignment_csv(partition, labels)]
-    print("\n\n".join("\n".join(s) for s in sections))
 
 
 def _parameters(args, source: str) -> dict:
@@ -382,22 +354,27 @@ def _parameters(args, source: str) -> dict:
     return params
 
 
-def _counts_csv(state: reinforce.ReinforceState, labels) -> list[str]:
-    return ["variable,count"] + [f"{labels[v]},{state.counts[v]}" for v in range(state.n)]
+def _counts_csv(state: reinforce.ReinforceState, labels, write) -> None:
+    rows = ["variable,count"] + [f"{labels[v]},{state.counts[v]}" for v in range(state.n)]
+    write("\n".join(rows) + "\n")
 
 
-def _instances_csv(store: counting.InstanceStore, labels) -> list[str]:
+def _instances_csv(store: counting.InstanceStore, labels, write) -> None:
     rows = ["pattern,local,global,coherence"]
     for r in store.records:
         pattern = ";".join(sorted(labels[v] for v in r.pattern))
         rows.append(f"{pattern},{r.local_count},{r.global_count},{counting.coherence(r)}")
-    return rows
+    write("\n".join(rows) + "\n")
 
 
-def _assignment_csv(partition: Partition, labels) -> list[str]:
+def _assignment_csv(partition: Partition, links, labels) -> list[str]:
+    """The CSV sections after the engine's: the assignment and a grid's links."""
     rows = ["variable,cluster"]
     for label, ci in zip(labels, partition.cluster_ids()):
         rows.append(f"{label},{ci if ci >= 0 else ''}")
+    if links is not None:
+        rows += ["", "a,b,strength"]
+        rows.extend(f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in links)
     return rows
 
 
@@ -418,26 +395,26 @@ def cmd_cluster(args) -> int:
     print(timing.line(), file=sys.stderr)
 
     if args.format == "json":
-        detail, fills = _detail_json(run, labels)
+        detail, fills = run.detail(labels)
         payload = {
             "method": args.method,
             "parameters": _parameters(args, source),
             "clusters": partition.label_clusters(labels),
             "unassigned": partition.label_unassigned(labels),
-            # reinforce and cm report no links; a grid's fill their slot
-            "links": None if args.method == "grid" else [],
+            "links": None,
             "detail": detail,
         }
         if args.timing:
             payload["timing_ms"] = timing
-        jsonout.write_payload(payload, fills, sys.stdout.write)
+        links = partial(_links_json, run.links or (), labels)
+        jsonout.write_payload(payload, [("links", links), *fills], sys.stdout.write)
     elif args.format == "csv":
-        _write_csv(run, partition, labels)
+        run.csv(labels, sys.stdout.write)
+        print("\n" + "\n".join(_assignment_csv(partition, run.links, labels)))
     else:
         print(f"method: {args.method}\nvariables: {dataset.n}\nevents: {len(dataset.events)}")
-        _write_text_body(run, labels)
-        lines = _cluster_section(partition, labels)
-        lines += _link_section(run.links, labels)
+        run.text(labels, sys.stdout.write)
+        lines = _cluster_section(partition, run.links, labels)
         if args.timing:
             lines.append(timing.line())
         print("\n".join(lines))
@@ -513,16 +490,14 @@ def cmd_tables(args) -> int:
     runs = {m: _run_method(m, dataset, Weights(), args, Timing()) for m in METHODS}
 
     print("== variable counts ==")
-    _write_text_body(runs["reinforce"], labels)
+    runs["reinforce"].text(labels, sys.stdout.write)
     print("\n== unique instances ==")
-    _write_text_body(runs["cm"], labels)
-    selected = runs["cm"].partition.label_clusters(labels)
-    print("\n".join(["selected:", *(f"  {','.join(group)}" for group in selected)]))
+    runs["cm"].text(labels, sys.stdout.write)
+    selected = map(",".join, runs["cm"].partition.label_clusters(labels))
+    print("\n".join(_listed("selected", selected)))
     print("\n== co-occurrence grid ==")
-    _write_text_body(runs["grid"], labels)
-    lines = _cluster_section(runs["grid"].partition, labels)
-    lines += _link_section(runs["grid"].links, labels)
-    print("\n".join(lines))
+    runs["grid"].text(labels, sys.stdout.write)
+    print("\n".join(_cluster_section(runs["grid"].partition, runs["grid"].links, labels)))
     return 0
 
 
@@ -571,10 +546,7 @@ def entry(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

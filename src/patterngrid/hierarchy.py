@@ -258,9 +258,9 @@ def _split(
     grand: PatternNode | None,
     node: PatternNode,
     subset: frozenset[int],
-) -> None:
-    """The dominant subset becomes its own node; the full pattern stays as
-    an extension of it, keeping its own count and children."""
+) -> PatternNode:
+    """The dominant subset becomes its own node, which is returned; the full
+    pattern stays as an extension of it, keeping its own count and children."""
     count = node.subset_counts.pop(subset)
     head = PatternNode(subset, count, [Extension(frozenset(node.pattern - subset), node)])
     if grand is None:
@@ -276,6 +276,7 @@ def _split(
         # cannot hang where the old one did.
         grand.extensions = [e for e in grand.extensions if e.node is not node]
         store.roots.append(head)
+    return head
 
 
 def consolidate(store: HierarchyStore) -> HierarchyStore:
@@ -394,8 +395,7 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             grand = parents[id(node)]
             yield _split, grand, node, subset
             key, roots = keys[id(node)], len(store.roots)
-            link = None if grand is None else next(e for e in grand.extensions if e.node is node)
-            _split(store, grand, node, subset)
+            head = _split(store, grand, node, subset)
             dominant[id(node)].pop()
             # the head takes the node's place or is detached as a new root
             # with the node's subtree under it; the grandparent's extension
@@ -403,7 +403,6 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             if len(store.roots) > roots:
                 place_roots(roots)
             else:
-                head = store.roots[key[0]] if grand is None else link.node
                 place(head, grand, key)
                 place(node, head, (*key, next(below_head)))
             if grand is not None:

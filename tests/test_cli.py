@@ -150,25 +150,44 @@ class TestGolden:
 class TestRenderOnce:
     """Each engine result is rendered only in the format asked for."""
 
-    @staticmethod
-    def refuse(monkeypatch, *targets):
+    # each format's engine renderers: reinforce's, cm's and the grid's
+    RENDERERS = {
+        "text": ((cli, "_reinforce_text"), (cli, "_instances_text"), (grid, "matrix_text")),
+        "json": ((cli, "_reinforce_json"), (cli, "_instances_json"), (grid, "matrix_json")),
+        "csv": ((cli, "_counts_csv"), (cli, "_instances_csv"), (grid, "matrix_csv")),
+    }
+
+    @classmethod
+    def refuse(cls, monkeypatch, *formats):
         def refused(*args, **kwargs):
             raise AssertionError("renderer called for a format nobody asked for")
 
-        for module, name in targets:
-            monkeypatch.setattr(module, name, refused)
+        for fmt in formats:
+            for module, name in cls.RENDERERS[fmt]:
+                monkeypatch.setattr(module, name, refused)
 
-    TEXT = ((grid, "matrix_text"), (cli, "_reinforce_text"), (cli, "_instances_text"))
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
-    def test_cluster_renders_no_text(self, capsys, monkeypatch, method, fmt):
-        self.refuse(monkeypatch, *self.TEXT)
+    def check_cluster(self, capsys, monkeypatch, method, fmt):
+        self.refuse(monkeypatch, *(other for other in self.RENDERERS if other != fmt))
         code, out, _ = run(
             capsys, "cluster", "--method", method, "--fixture", "seven_event", "--format", fmt
         )
         assert code == 0
-        assert out == (GOLDEN / f"cluster_{method}.{fmt}").read_text()
+        suffix = "txt" if fmt == "text" else fmt
+        assert out == (GOLDEN / f"cluster_{method}.{suffix}").read_text()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
+    def test_cluster_renders_no_text(self, capsys, monkeypatch, method, fmt):
+        # and no CSV renderer for json, nor a JSON one for csv
+        self.check_cluster(capsys, monkeypatch, method, fmt)
+
+    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
+    def test_cluster_text_renders_no_json_or_csv(self, capsys, monkeypatch, method):
+        self.check_cluster(capsys, monkeypatch, method, "text")
+
+    def test_tables_renders_no_json_or_csv(self, capsys, monkeypatch):
+        self.refuse(monkeypatch, "json", "csv")
+        assert run(capsys, "tables")[:2] == (0, (GOLDEN / "tables.txt").read_text())
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_compare_renders_no_engine_result(self, capsys, monkeypatch, small_corpus, fmt):
@@ -177,7 +196,7 @@ class TestRenderOnce:
             "--reference", "plants_reference", "--format", fmt,
         )
         expected = run(capsys, *argv)[:2]
-        self.refuse(monkeypatch, *self.TEXT, (grid, "matrix_json"))
+        self.refuse(monkeypatch, *self.RENDERERS)
         assert run(capsys, *argv)[:2] == expected
         assert expected[0] == 0
 
@@ -321,6 +340,14 @@ class TestCsv:
         instances, assignment = out.rstrip("\n").split("\n\n")
         assert instances.splitlines()[0] == "pattern,local,global,coherence"
         assert instances.splitlines()[1] == "A;B;C;D;E,1,7,6"
+
+    def test_grid_without_links_keeps_its_links_section(self, capsys):
+        # no link reaches tau_link; a grid still reports its empty links, in
+        # every format, unlike reinforce and cm, which report none
+        argv = ("cluster", "--method", "grid", "--fixture", "seven_event", "--tau-link", "100")
+        assert run(capsys, *argv, "--format", "csv")[1].endswith("\nG,1\n\na,b,strength\n")
+        assert run(capsys, *argv)[1].endswith("\nlinks: (none)\n")
+        assert run_json(capsys, *argv, "--format", "json")["links"] == []
 
 
 class TestComparisons:

@@ -231,6 +231,22 @@ class TestInvariants:
                 assert ext.node.pattern == node.pattern | ext.adds
                 assert node.pattern < ext.node.pattern
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="merging a node that is not a root grows its pattern, but its"
+        " parent's Extension.adds still names the old difference",
+    )
+    def test_extension_invariant_after_a_non_root_merge(self):
+        # {A} x2, extended by {A,B} x1, extended by {A,B,C} x2: the merge
+        # rule folds {A,B,C} into {A,B}, which hangs from the root {A}
+        store = _store((A,), (A,), (A, B), (A, B, C), (A, B, C))
+        consolidate(store)
+        (root,) = store.roots
+        (ext,) = root.extensions
+        assert (root.pattern, ext.node.pattern, ext.node.occurrences) == ({A}, {A, B, C}, 3)
+        assert ext.node.pattern == root.pattern | ext.adds
+
 
 def _oracle_present_all(store: HierarchyStore, events) -> HierarchyStore:
     for event in events:
