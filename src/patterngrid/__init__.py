@@ -22,7 +22,6 @@ from .grid import (
     GridClusterResult,
     extract_clusters,
     grid_merge,
-    grid_update,
     head_set,
 )
 from .hierarchy import HierarchyStore, PatternNode, consolidate, present_pattern, total_mass
@@ -73,7 +72,6 @@ __all__ = [
     "consolidate",
     "extract_clusters",
     "grid_merge",
-    "grid_update",
     "head_set",
     "load_fixture",
     "pairwise_agreement",

@@ -3,16 +3,22 @@
 The grid is a square count matrix over the whole vocabulary, every variable
 listed both as a row and as a column. Presenting an event bumps the cell
 for each unordered pair of its members in both orientations, so the matrix
-stays symmetric; a variable's relation to itself is never written, leaving
+stays symmetric; a variable's relation to itself is never kept, leaving
 the diagonal empty. Counting is a single pass over the events and is
 order independent, so shards counted separately merge into the same matrix.
 
 The matrix is stored sparse, one dict of nonzero cells per row, since wide
 grids (a ``--transpose`` pivot) are mostly zeros. Counting takes each
 distinct member set once, weighted by how often it occurs, as an FP-tree
-does (Han, Pei & Yin, SIGMOD 2000). The renderers lay the matrix out
-densely one row at a time, passing each row to a ``write`` callable as it
-is made, so no n x n text or list of cells is held at once.
+does (Han, Pei & Yin, SIGMOD 2000), and counts a row at a time: each
+member's row tallies the set's members, its own entry included and
+dropped at the end. With the weight 1 the tallies of a row that starts
+empty are its cells; any other weight is folded in from them row by row,
+each row's tallies freed once written, so the counts are never held
+twice. No reader depends on the order a row's cells were inserted in.
+The renderers lay the matrix out densely one row at a time, passing each
+row to a ``write`` callable as it is made, so no n x n text or list of
+cells is held at once.
 
 Extraction reads the finished grid. Each row nominates the variables above
 the largest gap in its sorted nonzero counts (the row's head set); clusters
@@ -26,9 +32,9 @@ classification of the categories.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, compress, repeat
 from operator import ge, sub
 from typing import Sequence
 
@@ -36,7 +42,6 @@ from . import jsonout
 from .model import (
     ConfigError,
     DataError,
-    Event,
     InterPatternLink,
     Partition,
     _trusted_link,
@@ -98,14 +103,10 @@ def _check_ties(ties: str) -> None:
         raise ConfigError(f"unknown gap tie rule {ties!r}")
 
 
-def grid_update(grid: CountMatrix, event: Event, weight: int | float = 1) -> CountMatrix:
-    """Count one event: each unordered member pair gains ``weight`` in both
-    orientations. Singleton events leave the matrix unchanged."""
-    return count_events(grid, (event,), weight)
-
-
 def count_events(grid: CountMatrix, events, weight: int | float = 1) -> CountMatrix:
-    """Count the events in one pass, as the fold of ``grid_update`` would.
+    """Count the events in one pass: each unordered member pair of an event
+    gains ``weight`` in both orientations, and a singleton leaves the matrix
+    unchanged.
 
     Equal member tuples are grouped first, in first-appearance order, and
     each distinct one is checked once. A pair's cell then takes the ``+=``
@@ -129,23 +130,43 @@ def count_events(grid: CountMatrix, events, weight: int | float = 1) -> CountMat
 
 
 def _count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> None:
-    """Add each member set's pairs, ``sets`` giving how often it occurs."""
-    # pairs (a, b), a < b -> events holding both; sets seen once are counted in C
-    together = Counter(
-        chain.from_iterable(combinations(sorted(m), 2) for m, times in sets.items() if times == 1)
-    )
-    for members, times in sets.items():
-        if times > 1:
-            for pair in combinations(sorted(members), 2):
-                together[pair] += times
-        grid.increments += times * len(members) * (len(members) - 1)
-    # fresh[k]: k folds of weight from 0, for every cell that starts empty
-    fresh = folds(weight, together.values())
+    """Add each member set's pairs, ``sets`` giving how often it occurs.
+
+    Each row is counted on its own: a member's row gains one per member of
+    a set seen once, in C, and ``times`` per member of a repeated set. The
+    row's own entry, its count of sets, is dropped afterwards.
+    """
     rows = grid.rows
-    for (a, b), k in together.items():
-        row_a, row_b = rows[a], rows[b]
-        row_a[b] = fold(row_a[b], weight, k) if b in row_a else fresh[k]
-        row_b[a] = fold(row_b[a], weight, k) if a in row_b else fresh[k]
+    # k folds of the int 1 from 0 are k, so a row that starts empty is
+    # counted in place; any other row is counted aside and folded in
+    unit = type(weight) is int and weight == 1
+    counts = [row if unit and not row else {} for row in rows]
+    for members, times in sets.items():
+        grid.increments += times * len(members) * (len(members) - 1)
+        if len(members) < 2:
+            continue
+        if times == 1:
+            for v in members:
+                _count_elements(counts[v], members)
+        else:
+            for v in members:
+                counted = counts[v]
+                for w in members:
+                    counted[w] = counted.get(w, 0) + times
+    for v, counted in enumerate(counts):
+        counted.pop(v, None)
+    aside = [v for v, counted in enumerate(counts) if counted is not rows[v]]
+    # fresh[k]: k folds of weight from 0, for every cell that starts empty
+    fresh = folds(weight, chain.from_iterable(counts[v].values() for v in aside))
+    for v in aside:
+        row, counted = rows[v], counts[v]
+        # released once written, so the counts are never held beside the rows
+        counts[v] = None
+        if row:
+            for w, k in counted.items():
+                row[w] = fold(row[w], weight, k) if w in row else fresh[k]
+        else:
+            row.update(zip(counted, map(fresh.__getitem__, counted.values())))
 
 
 def grid_merge(a: CountMatrix, b: CountMatrix) -> CountMatrix:
@@ -171,6 +192,8 @@ def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]
     keeps all of them; an all-zero row nominates nothing.
     """
     _check_ties(ties)
+    if not 0 <= v < grid.n:
+        raise DataError(f"variable id {v} outside vocabulary of size {grid.n}")
     return _head_set(grid.rows[v], ties)
 
 

@@ -3,9 +3,11 @@
 Everything here is written the slow, obvious way on purpose: membership
 tests over whole event lists, pair loops, and exhaustive enumeration. None
 of it shares code with the engines beyond their data types, the parse
-oracle's use of the public, fully checked ``build_vocabulary``, and the
-consolidation oracle's use of the hierarchy's ``_merge`` and ``_split``:
-it checks which rule is applied, not how.
+oracle's use of the public, fully checked ``build_vocabulary``, the
+consolidation oracle's use of the hierarchy's ``_merge`` and ``_split``
+(it checks which rule is applied, not how), and the sparse grid
+references' use of ``grid.count_events`` and of the ``model.fold`` a
+grid cell takes.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 import math
 import re
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
-from patterngrid.grid import CountMatrix, GridClusterResult
+from patterngrid.grid import CountMatrix, GridClusterResult, count_events
 from patterngrid.hierarchy import Extension, PatternNode, _merge, _split
 from patterngrid.ingest import LabelPolicy
 from patterngrid.model import (
@@ -26,6 +30,8 @@ from patterngrid.model import (
     InterPatternLink,
     Partition,
     build_vocabulary,
+    fold,
+    folds,
     validate_event,
 )
 
@@ -84,6 +90,32 @@ def count_matrix(cells) -> CountMatrix:
         assert row[v] == 0 and min(row) >= 0, f"not a grid row: {row}"
         rows.append({w: c for w, c in enumerate(row) if c})
     return CountMatrix(rows)
+
+
+def grid_update(grid: CountMatrix, event: Event, weight: int | float = 1) -> CountMatrix:
+    """Count one event into a sparse grid: each unordered member pair gains
+    ``weight`` in both orientations. Singleton events leave the matrix
+    unchanged."""
+    return count_events(grid, (event,), weight)
+
+
+def pair_count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> None:
+    """``grid._count_sets`` by pair tuples: one ``Counter`` of every member
+    pair (a, b), a < b, then each pair's fold written into both rows."""
+    together = Counter(
+        chain.from_iterable(combinations(sorted(m), 2) for m, times in sets.items() if times == 1)
+    )
+    for members, times in sets.items():
+        if times > 1:
+            for pair in combinations(sorted(members), 2):
+                together[pair] += times
+        grid.increments += times * len(members) * (len(members) - 1)
+    fresh = folds(weight, together.values())
+    rows = grid.rows
+    for (a, b), k in together.items():
+        row_a, row_b = rows[a], rows[b]
+        row_a[b] = fold(row_a[b], weight, k) if b in row_a else fresh[k]
+        row_b[a] = fold(row_b[a], weight, k) if a in row_b else fresh[k]
 
 
 def dense_grid_update(grid: DenseGrid, event: Event, weight: int | float = 1) -> DenseGrid:

@@ -6,8 +6,8 @@ invariance, corpus-scale performance, reference agreement, hierarchy fixed
 point, byte determinism, corpus-scale hierarchy performance,
 corpus-scale reinforcement with the absence decrement, cm counting
 on a corpus of mostly distinct event sets, the grid on a wide sparse
-transposed corpus, and the hierarchy on the corpus of mostly distinct
-event sets.
+transposed corpus, the hierarchy on the corpus of mostly distinct
+event sets, and the memory the grid count of that corpus peaks at.
 """
 
 import io
@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import patterngrid
@@ -364,3 +365,18 @@ def test_14_low_duplication_hierarchy_under_point_six_seconds():
     assert hierarchy.total_mass(store) == len(events)
     assert find_merge_oracle(store) is None
     assert find_split_oracle(store) is None
+
+
+def test_15_low_duplication_grid_count_peak_under_one_and_a_half_times_its_rows():
+    # counted a row at a time, the counts are never held beside the rows
+    # they become; a table of pairs beside the rows doubled the peak
+    events = _block_events(8000, seed=3)
+    matrix = grid.CountMatrix.zeros(360)
+    tracemalloc.start()
+    try:
+        grid.count_events(matrix, events)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.increments == sum(len(e.members) * (len(e.members) - 1) for e in events)
+    assert peak < 1.5 * retained, f"peak {peak:,} B for {retained:,} B of rows"

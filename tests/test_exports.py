@@ -21,6 +21,12 @@ def test_every_exported_name_resolves():
     assert [name for name in patterngrid.__all__ if not hasattr(patterngrid, name)] == []
 
 
+def test_reference_functions_are_not_exported():
+    # the one-event grid count lives with the other references in tests/oracles.py
+    assert "grid_update" not in patterngrid.__all__
+    assert not hasattr(grid, "grid_update")
+
+
 @pytest.fixture()
 def tracing(monkeypatch):
     """``perfbench/tracing.py`` loaded by path, writing no bytecode beside it."""

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 from contextlib import suppress
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from patterngrid.grid import (
     CountMatrix,
+    _count_sets,
     count_events,
     extract_clusters,
     grid_merge,
-    grid_update,
     head_set,
     matrix_csv,
     matrix_json,
@@ -30,6 +31,8 @@ from .oracles import (
     dense_matrix_csv,
     dense_matrix_json,
     dense_matrix_text,
+    grid_update,
+    pair_count_sets,
     random_dataset,
 )
 
@@ -146,6 +149,12 @@ class TestHeadSet:
             ]
         )
         assert head_set(matrix, 0) == {1}
+
+    @pytest.mark.parametrize("v", [-1, 3, 4])
+    def test_rejects_an_id_outside_the_vocabulary(self, v):
+        matrix = count_matrix([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+        with pytest.raises(DataError, match=f"variable id {v} outside vocabulary of size 3"):
+            head_set(matrix, v)
 
     def test_rejects_unknown_tie_rule(self):
         with pytest.raises(ConfigError):
@@ -346,6 +355,71 @@ def test_sparse_grid_equals_dense_oracle(case):
 
     merged = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(dense.cells, prefilled.cells)]
     assert repr(grid_merge(sparse, prefilled).cells) == repr(merged)
+
+
+@st.composite
+def _count_cases(draw):
+    """A grid with some cells already set (to ints or floats, not
+    symmetric), distinct member sets each with how often it occurs, and a
+    weight."""
+    n = draw(st.integers(1, 8))
+    value = st.integers(1, 50) | st.floats(1e-3, 1e3)
+    rows = [
+        {w: c for w, c in draw(st.dictionaries(st.integers(0, n - 1), value, max_size=n)).items() if w != v}
+        for v in range(n)
+    ]
+    member_set = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(tuple)
+    sets = draw(st.dictionaries(member_set, st.integers(1, 12) | st.just(1), max_size=12))
+    weight = draw(st.just(1) | st.integers(1, 4) | st.floats(1e-3, 1e3) | st.sampled_from([0.1, 1.0]))
+    return rows, sets, weight
+
+
+@given(_count_cases())
+# ten folds of 0.1 from 0 give 0.9999999999999999, not 10 * 0.1
+@example(([{}, {}], {(0, 1): 10, (1,): 3}, 0.1))
+@example(([{1: 2}, {}, {}], {(0, 1, 2): 1, (1, 2): 4}, 1))
+@example(([{1: 0.5}, {0: 3}, {}], {(0, 1, 2): 1, (2, 0): 2}, 0.1))
+def test_row_count_equals_pair_count_oracle(case):
+    """Counting a row at a time gives the cells and increments the pair
+    tuples of the reference give, on empty and prefilled rows alike."""
+    rows, sets, weight = case
+    counted = CountMatrix([dict(row) for row in rows], 5)
+    reference = CountMatrix([dict(row) for row in rows], 5)
+    _count_sets(counted, sets, weight)
+    pair_count_sets(reference, sets, weight)
+    assert repr(counted.cells) == repr(reference.cells)
+    assert counted.increments == reference.increments
+    assert all(v not in row for v, row in enumerate(counted.rows))
+
+
+def _shuffled_rows(matrix: CountMatrix, seed: int) -> CountMatrix:
+    """The same cells with each row's entries inserted in a random order."""
+    rng = random.Random(seed)
+    rows = []
+    for row in matrix.rows:
+        items = list(row.items())
+        rng.shuffle(items)
+        rows.append(dict(items))
+    return CountMatrix(rows, matrix.increments)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 10_000),
+    st.sampled_from([1, 3, 0.1, 2.5]),
+    st.sampled_from([1, 2, 2.5, 4]),
+    st.sampled_from(["high", "low"]),
+)
+def test_readers_ignore_row_order(seed, shuffle, weight, tau, ties):
+    """Extraction and every renderer read a row's cells, never the order
+    they were inserted in."""
+    dataset = random_dataset(seed, max_vars=12, max_events=40)
+    labels = [f"v{v}" for v in range(dataset.n)]
+    matrix = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
+    shuffled = _shuffled_rows(matrix, shuffle)
+    assert repr(extract_clusters(shuffled, tau, ties=ties)) == repr(extract_clusters(matrix, tau, ties=ties))
+    for renderer in (matrix_text, matrix_json, matrix_csv):
+        assert _render(renderer, shuffled, labels) == _render(renderer, matrix, labels)
 
 
 @given(_grid_cases())
