@@ -369,7 +369,7 @@ def test_14_low_duplication_hierarchy_under_point_six_seconds():
 
 def test_15_low_duplication_grid_count_peak_under_one_and_a_half_times_its_rows():
     # counted a row at a time, the counts are never held beside the rows
-    # they become; a table of pairs beside the rows doubled the peak
+    # they become; a table of pairs kept beside the rows would double the peak
     events = _block_events(8000, seed=3)
     matrix = grid.CountMatrix.zeros(360)
     tracemalloc.start()
