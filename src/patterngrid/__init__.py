@@ -12,7 +12,6 @@ from .counting import (
     InstanceRecord,
     InstanceStore,
     coherence,
-    present,
     present_all,
     select_clusters,
 )
@@ -24,7 +23,7 @@ from .grid import (
     grid_merge,
     head_set,
 )
-from .hierarchy import HierarchyStore, PatternNode, consolidate, present_pattern, total_mass
+from .hierarchy import HierarchyStore, PatternNode, consolidate, total_mass
 from .ingest import (
     LabelPolicy,
     ReferenceClusters,
@@ -78,9 +77,7 @@ __all__ = [
     "parse_transactions",
     "parse_transactions_path",
     "partition_from_label_sets",
-    "present",
     "present_all",
-    "present_pattern",
     "select_clusters",
     "total_mass",
 ]

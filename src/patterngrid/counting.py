@@ -12,12 +12,13 @@ Presentation is strictly sequential: results depend on event order through
 the creation indices, so the contract is single writer, deterministic given
 the event sequence. Reads are safe once presentation completes.
 
-``present`` applies one event and is the reference. ``present_all`` gives
-the same store for a whole event sequence from a vertical layout, the
-tid bitmaps of Eclat (Zaki, TKDE 2000) and MAFIA (Burdick, Calimlim &
-Gehrke, ICDE 2001): bit t of ``occ[v]`` is set when event t holds v, so the
-events overlapping a pattern created at event c are the set bits of the OR
-of its members' rows from bit c on.
+``present_all`` is the package's only presentation path. It leaves the
+store that the per-event reference ``present`` in ``tests/oracles.py``
+does, but works from a vertical layout, the tid bitmaps of Eclat (Zaki,
+TKDE 2000) and MAFIA (Burdick, Calimlim & Gehrke, ICDE 2001): bit t of
+``occ[v]`` is set when event t holds v, so the events overlapping a
+pattern created at event c are the set bits of the OR of its members' rows
+from bit c on.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .model import Event, Partition, Weights, fold, folds, validate_event
+from .model import Partition, Weights, fold, folds, validate_event
 
 # Bytes of occurrence bitsets ``present_all`` holds at once. Past it, the
 # events are taken in consecutive blocks of at most this many bytes of rows.
@@ -56,58 +57,34 @@ class InstanceStore:
     records: list[InstanceRecord] = field(default_factory=list)
     event_counter: int = 0
     _by_pattern: dict[frozenset[int], int] = field(default_factory=dict)
-    _postings: dict[int, list[int]] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, n: int) -> InstanceStore:
         return cls(n)
 
 
-def present(store: InstanceStore, event: Event, weights: Weights = Weights()) -> InstanceStore:
-    """Present one event to the store.
+def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> InstanceStore:
+    """Fold ``events`` into ``store``, one event after another.
 
-    Every pre-existing instance sharing at least one member with the event
+    Every pre-existing record sharing at least one member with an event
     gains omega_g on its global count (an exact match is also an overlap of
     itself). An exact-set match gains omega_i on its local count; otherwise
-    a new instance is created with I = omega_i and G = omega_g, the creation
-    event counting as the instance's first overlap exactly once.
-    """
-    validate_event(event, store.n)
-    key = event.member_set()
-    touched: set[int] = set()
-    for v in key:
-        touched.update(store._postings.get(v, ()))
-    for idx in touched:
-        store.records[idx].global_count += weights.omega_g
-    hit = store._by_pattern.get(key)
-    if hit is not None:
-        store.records[hit].local_count += weights.omega_i
-    else:
-        record = InstanceRecord(key, weights.omega_i, weights.omega_g, store.event_counter)
-        store._by_pattern[key] = len(store.records)
-        for v in sorted(key):
-            store._postings.setdefault(v, []).append(len(store.records))
-        store.records.append(record)
-    store.event_counter += 1
-    return store
+    a new record is created with I = omega_i and G = omega_g, the creation
+    event counting as the record's first overlap exactly once.
 
-
-def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> InstanceStore:
-    """Fold ``events`` into ``store``; equal to calling ``present`` on each.
-
-    One pass over the events creates records as ``present`` does, tallies
-    each record's exact repeats and sets bit t of ``rows[v]`` for every
-    member v of block event t. Each distinct member tuple is checked and
-    looked up once. Each block then adds to a record's overlap
-    count the popcount of its members' rows ORed, shifted past its
-    creation if that lies in the block. Counters are written last, as left
-    folds of the weight, so float sums round as the per-event ``+=`` does.
-    The write is in a ``finally``: a bad event part-way leaves the store the
-    fold over the events before it. ``events`` is read into a tuple first,
-    so an error raised while reading it leaves the store as it was.
+    One pass over the events creates the new records, tallies each record's
+    exact repeats and sets bit t of ``rows[v]`` for every member v of block
+    event t. Each distinct member tuple is checked and looked up once. Each
+    block then adds to a record's overlap count the popcount of its members'
+    rows ORed, shifted past its creation if that lies in the block. Counters
+    are written last, as left folds of the weight, so float sums round as
+    the per-event ``+=`` does. The write is in a ``finally``: a bad event
+    part-way leaves the store the fold over the events before it. ``events``
+    is read into a tuple first, so an error raised while reading it leaves
+    the store as it was.
     """
     n, records = store.n, store.records
-    by_pattern, postings = store._by_pattern, store._postings
+    by_pattern = store._by_pattern
     omega_i, omega_g = weights.omega_i, weights.omega_g
     size = max(8, OCCURRENCE_BUDGET // max(n, 1) * 8)  # events per block
     old = len(records)
@@ -133,8 +110,6 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
                     if idx is None:
                         idx = len(records)
                         by_pattern[key] = idx
-                        for v in sorted(key):
-                            postings.setdefault(v, []).append(idx)
                         records.append(InstanceRecord(key, omega_i, omega_g, start + t))
                         hits.append(0)
                         overlaps.append(0)

@@ -42,7 +42,8 @@ count it bumps) depends on the nodes and their patterns, never on their
 counts, and presentation only ever adds nodes. So ``present_all`` keeps a
 memo from member tuple to outcome for the length of one call and replays a
 repeated event from it, and clears the memo whenever a presentation adds a
-node. ``present_pattern`` is ``present_all`` of one event.
+node. ``present_all`` is the package's only presentation path; one event
+is presented as ``present_all(store, (event,))``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from operator import countOf
 from typing import Iterator, Sequence
 
 from . import jsonout
-from .model import ConfigError, Event
+from .model import ConfigError
 
 
 @dataclass(slots=True)
@@ -156,11 +157,6 @@ def _build_index(store: HierarchyStore) -> _Index:
         index.add(node, path)
         stack.extend(((*path, j), e.node) for j, e in reversed(list(enumerate(node.extensions))))
     return index
-
-
-def present_pattern(store: HierarchyStore, event: Event) -> HierarchyStore:
-    """Record one presentation: ``present_all`` of the one event."""
-    return present_all(store, (event,))
 
 
 def present_all(store: HierarchyStore, events) -> HierarchyStore:

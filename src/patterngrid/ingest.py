@@ -173,18 +173,20 @@ def reference_from_clusters(cluster_label_sets) -> ReferenceClusters:
     clusters mention, in first-mention order."""
     clusters = tuple(tuple(c) for c in cluster_label_sets)
     labels: list[str] = []
-    seen: set[str] = set()
-    for cluster in clusters:
+    seen: dict[str, int] = {}  # label -> the index of its cluster
+    for i, cluster in enumerate(clusters):
         if not cluster:
             raise DataError("reference contains an empty cluster")
         for label in cluster:
             try:
-                repeated = label in seen
+                where = seen.get(label)
             except TypeError:
                 raise DataError(f"reference label {label!r} is not hashable") from None
-            if repeated:
+            if where == i:
+                raise DataError(f"label {label!r} repeats within one reference cluster")
+            if where is not None:
                 raise DataError(f"label {label!r} appears in two reference clusters")
-            seen.add(label)
+            seen[label] = i
             labels.append(label)
     if not clusters:
         raise DataError("reference contains no clusters")

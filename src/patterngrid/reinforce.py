@@ -7,18 +7,18 @@ comparison baseline; it deliberately ignores any structure inside the
 events, which is exactly why its clusters come out wrong on structured
 input.
 
-``update`` applies one event eagerly and is the reference. ``count_events``
-applies absence decrements late: a variable's missed steps are applied when
-it next appears and once at the end, so absent variables are never visited
-per event. The counts equal the fold of ``update``, value and type, for
-integer and float weights alike.
+``count_events`` is the package's only counting path. It applies absence
+decrements late: a variable's missed steps are applied when it next appears
+and once at the end, so absent variables are never visited per event. The
+counts equal the fold of the eager one-event reference ``update`` in
+``tests/oracles.py``, value and type, for integer and float weights alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DataError, Event, Partition, Weights, validate_event
+from .model import DataError, Partition, Weights, validate_event
 
 Band = tuple[float, frozenset[int]]
 
@@ -44,19 +44,6 @@ class ReinforceState:
         return len(self.counts)
 
 
-def update(state: ReinforceState, event: Event, weights: Weights = Weights()) -> ReinforceState:
-    """Apply one event: members gain omega_i, absentees lose delta, floored at 0."""
-    validate_event(event, state.n)
-    for v in event.members:
-        state.counts[v] += weights.omega_i
-    if weights.delta:
-        present = event.member_set()
-        for w in range(state.n):
-            if w not in present:
-                state.counts[w] = max(0, state.counts[w] - weights.delta)
-    return state
-
-
 def _decay(count: int | float, steps: int, delta: int | float) -> int | float:
     """Apply ``steps >= 1`` eager absence steps, stopping once floored.
 
@@ -71,7 +58,7 @@ def _decay(count: int | float, steps: int, delta: int | float) -> int | float:
 
 
 def count_events(state: ReinforceState, events, weights: Weights = Weights()) -> ReinforceState:
-    """Fold ``events`` into ``state``; equal to calling ``update`` on each.
+    """Fold ``events`` into ``state``; equal to the eager one-event fold.
 
     Absence decrements are applied late: ``seen[v]`` is how many events have
     been applied to ``v``, and its pending steps run when it next appears

@@ -8,6 +8,22 @@ consolidation oracle's use of the hierarchy's ``_merge`` and ``_split``
 (it checks which rule is applied, not how), and the sparse grid
 references' use of ``grid.count_events`` and of the ``model.fold`` a
 grid cell takes.
+
+The per-event references each engine's batch call is compared with live
+here too, not in the package:
+
+- ``update`` applies one event to a ``reinforce.ReinforceState`` eagerly,
+  every absence step at once; ``reinforce.count_events`` must equal its
+  fold. It shares only ``model.validate_event`` with the engine.
+- ``present`` presents events to a ``counting.InstanceStore`` one at a
+  time with ``+=``; ``counting.present_all`` must equal it. It shares
+  ``model.validate_event`` and the store's own pattern index
+  ``_by_pattern``, so the two may take turns on one store.
+- ``grid_update`` counts one event into a sparse ``grid.CountMatrix``
+  through ``grid.count_events``.
+
+The hierarchy has none: one event is ``hierarchy.present_all(store,
+(event,))``, and ``hierarchy_walk_oracle`` is its reference.
 """
 
 from __future__ import annotations
@@ -19,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
+from patterngrid.counting import InstanceRecord, InstanceStore
 from patterngrid.grid import CountMatrix, GridClusterResult, count_events
 from patterngrid.hierarchy import Extension, PatternNode, _merge, _split
 from patterngrid.ingest import LabelPolicy
@@ -29,11 +46,13 @@ from patterngrid.model import (
     Event,
     InterPatternLink,
     Partition,
+    Weights,
     build_vocabulary,
     fold,
     folds,
     validate_event,
 )
+from patterngrid.reinforce import ReinforceState
 
 
 def frequency_oracle(events, n: int, omega_i=1, delta=0) -> list:
@@ -50,6 +69,19 @@ def frequency_oracle(events, n: int, omega_i=1, delta=0) -> list:
                 value = max(0, value - delta)
         counts.append(value)
     return counts
+
+
+def update(state: ReinforceState, event: Event, weights: Weights = Weights()) -> ReinforceState:
+    """Apply one event: members gain omega_i, absentees lose delta, floored at 0."""
+    validate_event(event, state.n)
+    for v in event.members:
+        state.counts[v] += weights.omega_i
+    if weights.delta:
+        present = event.member_set()
+        for w in range(state.n):
+            if w not in present:
+                state.counts[w] = max(0, state.counts[w] - weights.delta)
+    return state
 
 
 def cooccurrence_oracle(events, n: int, weight=1) -> list[list]:
@@ -264,6 +296,42 @@ def cm_replay_oracle(events, omega_i=1, omega_g=1) -> dict[frozenset[int], tuple
                 global_ += omega_g
         result[pattern] = (local, global_)
     return result
+
+
+def present(store: InstanceStore, events, weights: Weights = Weights()) -> InstanceStore:
+    """Present each event to the store in turn, with ``+=`` on the counters.
+
+    Every pre-existing instance sharing at least one member with the event
+    gains omega_g on its global count (an exact match is also an overlap of
+    itself). An exact-set match gains omega_i on its local count; otherwise
+    a new instance is created with I = omega_i and G = omega_g, the creation
+    event counting as the instance's first overlap exactly once. The
+    per-variable postings that find the overlapping instances are built
+    from ``store.records`` when the call starts and kept for this call only.
+    """
+    records, by_pattern = store.records, store._by_pattern
+    postings: dict[int, list[int]] = {}
+    for idx, record in enumerate(records):
+        for v in record.pattern:
+            postings.setdefault(v, []).append(idx)
+    for event in events:
+        validate_event(event, store.n)
+        key = event.member_set()
+        touched: set[int] = set()
+        for v in key:
+            touched.update(postings.get(v, ()))
+        for idx in touched:
+            records[idx].global_count += weights.omega_g
+        hit = by_pattern.get(key)
+        if hit is not None:
+            records[hit].local_count += weights.omega_i
+        else:
+            by_pattern[key] = len(records)
+            for v in key:
+                postings.setdefault(v, []).append(len(records))
+            records.append(InstanceRecord(key, weights.omega_i, weights.omega_g, store.event_counter))
+        store.event_counter += 1
+    return store
 
 
 def sort_group_oracle(counts) -> list[tuple]:

@@ -38,9 +38,11 @@ from .oracles import (
     find_split_oracle,
     frequency_oracle,
     permute_events,
+    present,
     relabel_dataset,
     random_dataset,
     tree_json,
+    update,
 )
 
 A, B, C, D, E, F, G = range(7)
@@ -289,7 +291,7 @@ def test_11_corpus_reinforce_with_delta_under_point_two_seconds(plants_path):
     assert elapsed < 0.2, f"count_events with delta=1 took {elapsed:.2f}s"
     eager = reinforce.ReinforceState.empty(dataset.n)
     for event in dataset.events:
-        reinforce.update(eager, event, weights)
+        update(eager, event, weights)
     assert [repr(c) for c in state.counts] == [repr(c) for c in eager.counts]
 
 
@@ -322,9 +324,7 @@ def test_12_low_duplication_cm_under_point_three_seconds():
         best = min(best, time.perf_counter() - started)
 
     assert best < 0.3, f"present_all took {best:.2f}s"
-    folded = counting.InstanceStore.empty(n)
-    for event in events:
-        counting.present(folded, event)
+    folded = present(counting.InstanceStore.empty(n), events)
     assert repr(store.records) == repr(folded.records)
     assert store.event_counter == folded.event_counter == len(events)
 

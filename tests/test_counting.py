@@ -9,14 +9,13 @@ from patterngrid.counting import (
     InstanceRecord,
     InstanceStore,
     coherence,
-    present,
     present_all,
     select_clusters,
     selection_key,
 )
 from patterngrid.model import DataError, Event, Weights
 
-from .oracles import cm_replay_oracle, lexmin_selection_oracle, random_dataset
+from .oracles import cm_replay_oracle, lexmin_selection_oracle, present, random_dataset
 
 
 def _table(store: InstanceStore, labels) -> dict:
@@ -47,7 +46,7 @@ def test_seven_event_selection(seven):
 
 def test_creation_counts_overlap_once():
     store = InstanceStore.empty(3)
-    present(store, Event((0, 1)))
+    present(store, [Event((0, 1))])
     record = store.records[0]
     assert (record.local_count, record.global_count) == (1, 1)
 
@@ -163,11 +162,11 @@ def test_selection_is_maximal_and_disjoint(seed):
 def test_validates_event_range():
     store = InstanceStore.empty(2)
     with pytest.raises(DataError):
-        present(store, Event((5,)))
+        present(store, [Event((5,))])
 
 
 def _store_state(store: InstanceStore) -> str:
-    return repr((store.records, store._by_pattern, store._postings, store.event_counter))
+    return repr((store.records, store._by_pattern, store.event_counter))
 
 
 @st.composite
@@ -196,14 +195,12 @@ def _batch_cases(draw):
 def test_present_all_equals_fold_of_present_and_oracle(case):
     n, before, batch, bad, after, weights, budget = case
     folded, batched = InstanceStore.empty(n), InstanceStore.empty(n)
-    for event in before:
-        present(folded, event, weights)
-        present(batched, event, weights)
+    present(folded, before, weights)
+    present(batched, before, weights)
 
     errors = []
     try:
-        for event in batch:
-            present(folded, event, weights)
+        present(folded, batch, weights)
     except DataError as exc:
         errors.append(str(exc))
     with mock.patch.object(counting, "OCCURRENCE_BUDGET", budget):
@@ -219,9 +216,8 @@ def test_present_all_equals_fold_of_present_and_oracle(case):
     got = {r.pattern: (r.local_count, r.global_count) for r in batched.records}
     assert repr(got) == repr(expected)
 
-    for event in after:
-        present(folded, event, weights)
-        present(batched, event, weights)
+    present(folded, after, weights)
+    present(batched, after, weights)
     assert _store_state(batched) == _store_state(folded)
 
 
@@ -240,7 +236,5 @@ def test_bitsets_stay_within_budget():
     ):
         store = present_all(InstanceStore.empty(n), events)
     assert held == [15, 15, 10]  # 24, 24 and 12 events, one bit each per variable
-    folded = InstanceStore.empty(n)
-    for event in events:
-        present(folded, event)
+    folded = present(InstanceStore.empty(n), events)
     assert _store_state(store) == _store_state(folded)

@@ -1,8 +1,10 @@
 """The names that code outside the package reaches patterngrid by: the
 package's ``__all__``, and what the tracer in ``perfbench/tracing.py``
 wraps and ``perfbench/inproc.py`` reads. A name deleted here would
-otherwise fail only in a traced benchmark run."""
+otherwise fail only in a traced benchmark run. Also the names the package
+no longer has, and a check that each module uses what it imports."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -14,7 +16,9 @@ import patterngrid
 from patterngrid import cli, counting, grid, hierarchy, ingest, reinforce
 from patterngrid.synth import synthetic_plants_text
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "patterngrid"
 
 
 def test_every_exported_name_resolves():
@@ -22,9 +26,47 @@ def test_every_exported_name_resolves():
 
 
 def test_reference_functions_are_not_exported():
-    # the one-event grid count lives with the other references in tests/oracles.py
-    assert "grid_update" not in patterngrid.__all__
-    assert not hasattr(grid, "grid_update")
+    # the one-event references live in tests/oracles.py; each engine keeps its batch call
+    assert {"grid_update", "present", "present_pattern"} & set(patterngrid.__all__) == set()
+    gone = [
+        (grid, "grid_update"),
+        (counting, "present"),
+        (reinforce, "update"),
+        (hierarchy, "present_pattern"),
+        (counting.InstanceStore, "_postings"),
+    ]
+    assert [f"{owner.__name__}.{attr}" for owner, attr in gone if hasattr(owner, attr)] == []
+
+
+# names a module imports for code outside the package to reach through it
+REEXPORTED = {("ingest", "build_vocabulary")}  # perfbench traces ingest.build_vocabulary
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module-level import binds, with the import's line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_no_unused_module_level_import(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for name, line in _imported_names(tree).items()
+        if name not in used and (path.stem, name) not in REEXPORTED
+    ]
+    assert unused == []
 
 
 @pytest.fixture()

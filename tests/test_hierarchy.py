@@ -11,7 +11,6 @@ from patterngrid.hierarchy import (
     PatternNode,
     consolidate,
     present_all,
-    present_pattern,
     total_mass,
     tree_text,
     walk,
@@ -325,11 +324,11 @@ class TestPresentAll:
         st.sampled_from([0.25, 0.5, 1.0]),
         st.booleans(),
     )
-    def test_present_pattern_folded_equals_present_all(self, events, theta_new, hand_built):
+    def test_one_event_calls_folded_equal_present_all(self, events, theta_new, hand_built):
         folded, batch = (_hand_built_store() if hand_built else HierarchyStore() for _ in range(2))
         folded.theta_new = batch.theta_new = theta_new
         for event in events:
-            assert present_pattern(folded, event) is folded
+            assert present_all(folded, (event,)) is folded
         assert present_all(batch, events) is batch
         assert repr(folded) == repr(batch)
         assert tree_json(folded, LABELS) == tree_json(batch, LABELS)
@@ -510,7 +509,7 @@ class TestIndexMatchesWalk:
         assert store._index is not None
         consolidate(store)
         assert store._index is None
-        present_pattern(store, Event((A, B, C, D, E)))
+        present_all(store, (Event((A, B, C, D, E)),))
         (root,) = store.roots
         assert root.occurrences == 9
 

@@ -386,8 +386,9 @@ class TestReference:
             ('{"clusters": []}', "reference contains no clusters"),
             ('{"clusters": [["a"], []]}', "reference contains an empty cluster"),
             ('{"clusters": [["a", "b"], ["b"]]}', "label 'b' appears in two reference clusters"),
+            ('{"clusters": [["A", "A"]]}', "label 'A' repeats within one reference cluster"),
         ],
-        ids=["no-clusters", "empty-cluster", "repeated-label"],
+        ids=["no-clusters", "empty-cluster", "repeated-label", "label-repeated-in-cluster"],
     )
     def test_load_reference_path_names_file_on_content_error(self, tmp_path, text, message):
         path = tmp_path / "ref.json"

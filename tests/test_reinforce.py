@@ -9,10 +9,9 @@ from patterngrid.reinforce import (
     bands_to_partition,
     count_events,
     merge,
-    update,
 )
 
-from .oracles import frequency_oracle, random_dataset, sort_group_oracle
+from .oracles import frequency_oracle, random_dataset, sort_group_oracle, update
 
 # integers and non-integral floats, so an int count turning into a float
 # (0 into 0.0) shows up in a repr comparison
