@@ -77,9 +77,9 @@ def update(state: ReinforceState, event: Event, weights: Weights = Weights()) ->
     for v in event.members:
         state.counts[v] += weights.omega_i
     if weights.delta:
-        present = event.member_set()
+        members = event.member_set()
         for w in range(state.n):
-            if w not in present:
+            if w not in members:
                 state.counts[w] = max(0, state.counts[w] - weights.delta)
     return state
 
