@@ -19,23 +19,24 @@ walk order and keeps the merge and split candidates on two heaps; after each
 rule it re-tests only the nodes the rule touched and re-keys only the nodes
 it moved.
 
-Presentation never walks the forest. The store keeps a private index with
-four parts: a dict from each pattern to the first node in walk order that
-holds it, per-variable postings listing the nodes whose pattern holds that
-variable, each node's pattern size, and each node's walk-order key, its path
-tuple ``(root index, extension index, ...)``. Path tuples compare in the
-order ``walk`` visits nodes, and appending a root or an extension gives the
-new node a fresh path without moving any other, so presentation extends the
-index in place. An event is looked up in the dict first; otherwise counting
-its members through the postings gives every node's overlap with it, a node
-being covered when the overlap is its size. Nodes the event does not touch
-have zero overlap and cannot reach ``theta_new``, so skipping them picks the
-same node the full walk would; paths are compared only when several nodes
-share the largest overlap. The index is built from ``walk`` when
-``present_all`` starts on a store without one, so hand-built stores work, and
-``consolidate`` drops it, to be rebuilt on the next presentation. Code that
-changes ``roots``, ``extensions`` or a node's pattern by hand after
-presenting must set ``store._index = None`` the same way.
+Every order that decides a tie is the one preorder walk, ``_preorder``:
+roots in order, each followed by its extension subtrees in order. It
+yields each node with its parent and its path ``(root index, extension
+index, ...)``; paths compare in walk order, and appending a root or an
+extension gives the new node a fresh path without moving any other.
+
+Presentation never walks the forest per event. ``present_all`` builds an
+index from the walk when it starts and drops it when it returns, so a
+store edited by hand between calls needs no reset. The index has four
+parts: a dict from each pattern to the first node in walk order that holds
+it, per-variable postings listing the nodes whose pattern holds that
+variable, each node's pattern size, and each node's path. Presentation
+extends it in place as it adds nodes. An event is looked up in the dict
+first; otherwise counting its members through the postings gives every
+node's overlap with it, a node being covered when the overlap is its size.
+Nodes the event does not touch have zero overlap and cannot reach
+``theta_new``, so skipping them picks the same node the full walk would;
+paths are compared only when several nodes share the largest overlap.
 
 A presentation's outcome (which node gains an occurrence, or which part
 count it bumps) depends on the nodes and their patterns, never on their
@@ -43,7 +44,8 @@ counts, and presentation only ever adds nodes. So ``present_all`` keeps a
 memo from member tuple to outcome for the length of one call and replays a
 repeated event from it, and clears the memo whenever a presentation adds a
 node. ``present_all`` is the package's only presentation path; one event
-is presented as ``present_all(store, (event,))``.
+is presented as ``present_all(store, (event,))``, though each call indexes
+the whole store first, so many events belong in one call.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class HierarchyStore:
     theta_split: float = 2.0
     theta_new: float = 0.5
     presentations: int = 0
-    _index: _Index | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 < self.theta_merge < math.inf:
@@ -109,54 +110,22 @@ class HierarchyStore:
             raise ConfigError("theta_new must be in (0, 1]")
 
 
-@dataclass(slots=True)
-class _Index:
-    """Presentation lookup over a store's nodes; see the module docstring.
-
-    Nodes are numbered by slot in the order they were indexed, which is not
-    walk order once presentation has added nodes; ``paths`` holds walk
-    order and ``sizes`` each pattern's length.
-    """
-
-    exact: dict[frozenset[int], int] = field(default_factory=dict)
-    postings: defaultdict[int, list[int]] = field(default_factory=lambda: defaultdict(list))
-    nodes: list[PatternNode] = field(default_factory=list)
-    paths: list[tuple[int, ...]] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
-
-    def add(self, node: PatternNode, path: tuple[int, ...]) -> None:
-        slot = len(self.nodes)
-        self.nodes.append(node)
-        self.paths.append(path)
-        self.sizes.append(len(node.pattern))
-        self.exact.setdefault(node.pattern, slot)
-        for v in node.pattern:
-            self.postings[v].append(slot)
+def _preorder(store: HierarchyStore, start: int = 0) -> Iterator[tuple]:
+    """``(path, parent, node)`` for every node under the roots from index
+    ``start`` on, in walk order, the parent ``None`` for a root. Walks with
+    its own stack, so any depth is walked."""
+    stack = [((i,), None, store.roots[i]) for i in reversed(range(start, len(store.roots)))]
+    while stack:
+        path, _, node = item = stack.pop()
+        yield item
+        exts = node.extensions
+        stack.extend(((*path, j), node, exts[j].node) for j in reversed(range(len(exts))))
 
 
 def walk(store: HierarchyStore) -> Iterator[PatternNode]:
     """All nodes, depth first, roots in creation order. This is the tie
-    order everywhere a best node is chosen.
-
-    A node's path tuple ``(root index, extension index, ...)`` sorts in this
-    order, which is how the presentation index breaks ties without walking.
-    That index is rebuilt from this walk after ``consolidate``.
-    """
-    stack = list(reversed(store.roots))
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed([e.node for e in node.extensions]))
-
-
-def _build_index(store: HierarchyStore) -> _Index:
-    index = _Index()
-    stack = [((i,), root) for i, root in reversed(list(enumerate(store.roots)))]
-    while stack:
-        path, node = stack.pop()
-        index.add(node, path)
-        stack.extend(((*path, j), e.node) for j, e in reversed(list(enumerate(node.extensions))))
-    return index
+    order everywhere a best node is chosen."""
+    return (node for _, _, node in _preorder(store))
 
 
 def present_all(store: HierarchyStore, events) -> HierarchyStore:
@@ -168,12 +137,25 @@ def present_all(store: HierarchyStore, events) -> HierarchyStore:
     finally a brand-new root. Outcomes are memoised by member tuple until
     a node is added (see the module docstring).
     """
-    index = store._index
-    if index is None:
-        index = store._index = _build_index(store)
-    exact, posting, nodes, paths, sizes = (
-        index.exact, index.postings.__getitem__, index.nodes, index.paths, index.sizes
-    )
+    # the index of the module docstring, by slot in the order nodes were
+    # added, which is not walk order once presentation adds nodes
+    exact: dict[frozenset[int], int] = {}
+    postings: defaultdict[int, list[int]] = defaultdict(list)
+    nodes: list[PatternNode] = []
+    paths: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+
+    def add(path: tuple[int, ...], node: PatternNode) -> None:
+        exact.setdefault(node.pattern, len(nodes))
+        for v in node.pattern:
+            postings[v].append(len(nodes))
+        nodes.append(node)
+        paths.append(path)
+        sizes.append(len(node.pattern))
+
+    for path, _, node in _preorder(store):
+        add(path, node)
+    posting = postings.__getitem__
     # member tuple -> (node, None) to count an occurrence of node, or
     # (node, key) to count key in node.subset_counts
     memo: dict[tuple[int, ...], tuple[PatternNode, frozenset[int] | None]] = {}
@@ -204,12 +186,12 @@ def present_all(store: HierarchyStore, events) -> HierarchyStore:
                     outcome = next(((e.node, None) for e in best.extensions if e.adds == adds), None)
                     if outcome is None:
                         best.extensions.append(Extension(adds, PatternNode(member_set, 1)))
-                        index.add(best.extensions[-1].node, (*paths[slot], len(best.extensions) - 1))
+                        add((*paths[slot], len(best.extensions) - 1), best.extensions[-1].node)
                 elif pool and top / len(member_set) >= store.theta_new:
                     outcome = best, best.pattern & member_set
                 else:
                     store.roots.append(PatternNode(member_set, 1))
-                    index.add(store.roots[-1], (len(store.roots) - 1,))
+                    add((len(store.roots) - 1,), store.roots[-1])
             if outcome is None:
                 memo.clear()
                 continue
@@ -282,10 +264,8 @@ def consolidate(store: HierarchyStore) -> HierarchyStore:
     split candidate, until neither exists (see ``_rules``), so the result is
     order deterministic. Terminates because a split always retires one
     tracked subset entry and a merge always retires one node while creating
-    no subset entries. Drops the presentation index, since both rules move
-    nodes.
+    no subset entries.
     """
-    store._index = None
     for _rule in _rules(store):
         pass
     return store
@@ -304,15 +284,15 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
     re-tested and re-keyed; a heap entry whose key is no longer its node's,
     or whose node no longer passes, is dropped when it reaches the top.
 
-    Keys: root ``i`` is keyed ``(i,)``, since roots are only appended or
-    replaced in place, and the nodes under it ``(i, 0)``, ``(i, 1)``, ...
-    in walk order; a new root's subtree is keyed the same way. Merging
+    Keys: the first walk keys every node by its path from ``_preorder``,
+    and a root a rule appends has its subtree keyed the same way; roots
+    are only appended or replaced in place, so no other key moves. Merging
     keeps the walk order of every node that stays in place, so the moved-up
-    extensions keep their keys. A head that takes a node's place takes its
-    key, and the node gets that key extended by a negative number, each one
-    smaller than the last, which sorts it after the head and before
-    everything that sorted after it; its subtree keeps its keys. So no rule
-    re-keys more than the subtrees it moves to the end.
+    extensions keep their keys, though not their paths. A head that takes
+    a node's place takes its key, and the node gets that key extended by a
+    negative number, each one smaller than the last, which sorts it after
+    the head and before everything that sorted after it; its subtree keeps
+    its keys. So no rule re-keys more than the subtrees it moves to the end.
 
     A node's dominant subsets are listed once, in reverse sorted-member
     order, and listed again only when a merge changes its counts; a split
@@ -349,14 +329,8 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
         retest(node)
 
     def place_roots(start: int) -> None:
-        for i in range(start, len(store.roots)):
-            walked, key = count(), (i,)
-            stack = [(None, store.roots[i])]
-            while stack:
-                parent, node = stack.pop()
-                place(node, parent, key)
-                key = (i, next(walked))
-                stack.extend((node, e.node) for e in reversed(node.extensions))
+        for path, parent, node in _preorder(store, start):
+            place(node, parent, path)
 
     def first(heap: list, test) -> tuple | None:
         while heap:
@@ -414,22 +388,19 @@ def _parts(node: PatternNode) -> list[tuple[list[int], int | float]]:
 
 
 def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
-    """Indented text rendering, one line per node, part and extension link.
-    Walks with its own stack, so any depth renders."""
+    """Indented text rendering, one line per node, part and extension link,
+    in walk order, so any depth renders."""
 
     def name(ids: list[int]) -> str:
         return "{" + ",".join([labels[i] for i in ids]) + "}"
 
     lines: list[str] = []
-    # (depth, node, the adds of the link it hangs from, None for a root)
-    stack = [(0, root, None) for root in reversed(store.roots)]
-    while stack:
-        depth, node, adds = stack.pop()
-        if adds is not None:
-            lines.append(f"{'  ' * (depth - 1)}+{name(sorted(adds))} ->")
-        lines.append(f"{'  ' * depth}{name(sorted(node.pattern))} x{node.occurrences}")
-        lines += [f"{'  ' * (depth + 1)}part {name(ids)} x{n}" for ids, n in _parts(node)]
-        stack.extend((depth + 2, e.node, e.adds) for e in reversed(node.extensions))
+    for path, parent, node in _preorder(store):
+        pad = "    " * (len(path) - 1)
+        if parent is not None:
+            lines.append(f"{pad[2:]}+{name(sorted(parent.extensions[path[-1]].adds))} ->")
+        lines.append(f"{pad}{name(sorted(node.pattern))} x{node.occurrences}")
+        lines += [f"{pad}  part {name(ids)} x{n}" for ids, n in _parts(node)]
     return lines
 
 

@@ -456,7 +456,6 @@ def consolidate_oracle(store):
     """Hierarchy merge and split to a fixed point, rescanning the whole
     forest for each rule: the first merge candidate, else the first split
     candidate."""
-    store._index = None
     while True:
         merge = find_merge_oracle(store)
         if merge is not None:

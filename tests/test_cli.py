@@ -109,6 +109,25 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "hierarchy_rules.json").read_text()
 
+    def test_hierarchy_rules_text(self, capsys, monkeypatch, tmp_path):
+        # the same forest as text: a detached root and two extension links
+        monkeypatch.chdir(tmp_path)
+        Path("hierarchy_rules.data").write_text(
+            "D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n"
+        )
+        code, out, _ = run(
+            capsys, "hierarchy", "--label-policy", "members", "--input", "hierarchy_rules.data"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "hierarchy_rules.txt").read_text()
+
+    def test_ci_diffs_every_golden_file(self):
+        # the README says CI diffs the installed command's output against
+        # every file in tests/golden/
+        workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+        diffed = re.findall(r'diff - "\$GITHUB_WORKSPACE/tests/golden/([^"]+)"', workflow.read_text())
+        assert sorted(diffed) == sorted(path.name for path in GOLDEN.iterdir())
+
     def test_compare_json(self, capsys, monkeypatch, tmp_path):
         # every engine's best matches against an inline reference; the
         # relative paths keep "source" and "reference" fixed

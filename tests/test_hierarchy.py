@@ -504,14 +504,25 @@ class TestIndexMatchesWalk:
             assert repr(fast) == repr(slow)
         assert total_mass(fast) == len(head) + len(tail)
 
-    def test_index_rebuilt_after_consolidate(self):
+    def test_present_after_consolidate(self):
         store = _store(*([(A, B, C, D)] * 2 + [(A, B, C, D, E)] * 6))
-        assert store._index is not None
         consolidate(store)
-        assert store._index is None
         present_all(store, (Event((A, B, C, D, E)),))
         (root,) = store.roots
         assert root.occurrences == 9
+
+    def test_present_after_a_root_added_by_hand(self):
+        # each presentation indexes the store as it finds it, so the root
+        # added between the two calls takes the exact match
+        fast, slow = HierarchyStore(), HierarchyStore()
+        present_all(fast, (Event((A, B)),))
+        hierarchy_walk_oracle(slow, Event((A, B)))
+        for store in (fast, slow):
+            store.roots.append(PatternNode(frozenset({C, D})))
+        present_all(fast, (Event((C, D)),))
+        hierarchy_walk_oracle(slow, Event((C, D)))
+        assert repr(fast) == repr(slow)
+        assert [root.occurrences for root in fast.roots] == [1, 1]
 
 
 def test_seven_event_fixture_tree(seven):
@@ -582,11 +593,19 @@ class TestRendering:
         node = PatternNode(frozenset(range(2_001)), 1)
         for depth in range(2_000, 0, -1):
             node = PatternNode(frozenset(range(depth)), 1, [Extension(frozenset({depth}), node)])
-        lines = tree_text(HierarchyStore(roots=[node], presentations=2_001), labels)
+        store = HierarchyStore(roots=[node], presentations=2_001)
+        lines = tree_text(store, labels)
         assert len(lines) == 2 * 2_001 - 1
         assert lines[:3] == ["{v0} x1", "  +{v1} ->", "    {v0,v1} x1"]
         assert lines[-2] == "  " * 3_999 + "+{v2000} ->"
         assert lines[-1].startswith("  " * 4_000 + "{v0,v1,")
+        # presentation, consolidation and every walk run at this depth too:
+        # a second count on the deepest node merges the chain bottom up
+        present_all(store, (Event(tuple(range(2_001))),))
+        assert len(list(walk(store))) == 2_001
+        consolidate(store)
+        assert len(list(walk(store))) == 1
+        assert total_mass(store) == store.roots[0].occurrences == 2_002
 
     def test_tree_json(self):
         store = _store((A, B), (A, B, C))
