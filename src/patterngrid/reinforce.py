@@ -9,7 +9,10 @@ input.
 
 ``count_events`` is the package's only counting path. It applies absence
 decrements late: a variable's missed steps are applied when it next appears
-and once at the end, so absent variables are never visited per event. The
+and once at the end, so absent variables are never visited per event. With
+int weights and int counts the missed steps are taken in closed form, as
+one subtraction floored at zero; with any float they are taken one by one,
+so they round as the eager loop does. That is ``model.fold``'s rule. The
 counts equal the fold of the eager one-event reference ``update`` in
 ``tests/oracles.py``, value and type, for integer and float weights alike.
 """
@@ -45,7 +48,8 @@ class ReinforceState:
 
 
 def _decay(count: int | float, steps: int, delta: int | float) -> int | float:
-    """Apply ``steps >= 1`` eager absence steps, stopping once floored.
+    """Apply ``steps >= 1`` eager absence steps one by one, stopping once
+    floored; the path for a float count or weight.
 
     ``max(0, x)`` returns the int 0 whenever ``x <= 0``, and every later
     step leaves that 0 unchanged, so the early stop is exact.
@@ -57,14 +61,23 @@ def _decay(count: int | float, steps: int, delta: int | float) -> int | float:
     return count
 
 
+def _int_decay(count: int, steps: int, delta: int) -> int:
+    """``_decay`` for an int count and an int delta, in closed form: int
+    steps do not round, so they add up to one subtraction."""
+    return max(0, count - steps * delta)
+
+
 def count_events(state: ReinforceState, events, weights: Weights = Weights()) -> ReinforceState:
     """Fold ``events`` into ``state``; equal to the eager one-event fold.
 
     Absence decrements are applied late: ``seen[v]`` is how many events have
     been applied to ``v``, and its pending steps run when it next appears
-    and, for every variable, once after the loop. That last step is in a
-    ``finally``, so a DataError part-way through leaves the state the eager
-    fold over the events before the bad one would.
+    and, for every variable, once after the loop. Which loop runs is decided
+    once per call: when both weights and every starting count are ints, the
+    steps are taken in closed form (``_int_decay``, inlined); otherwise
+    ``_decay`` takes them one by one. The last step is in a ``finally``, so
+    a DataError part-way through leaves the state the eager fold over the
+    events before the bad one would.
     """
     counts = state.counts
     n = state.n
@@ -77,19 +90,34 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
         return state
     seen = [0] * n
     applied = 0
+    exact = type(omega_i) is int and type(delta) is int and all(type(c) is int for c in counts)
     try:
-        for t, event in enumerate(events):
-            validate_event(event, n)
-            for v in event.members:
-                if seen[v] < t:
-                    counts[v] = _decay(counts[v], t - seen[v], delta)
-                counts[v] += omega_i
-                seen[v] = t + 1
-            applied = t + 1
+        if exact:
+            for t, event in enumerate(events):
+                validate_event(event, n)
+                for v in event.members:
+                    c = counts[v]
+                    if seen[v] < t:
+                        c -= (t - seen[v]) * delta
+                        if c < 0:
+                            c = 0
+                    counts[v] = c + omega_i
+                    seen[v] = t + 1
+                applied = t + 1
+        else:
+            for t, event in enumerate(events):
+                validate_event(event, n)
+                for v in event.members:
+                    if seen[v] < t:
+                        counts[v] = _decay(counts[v], t - seen[v], delta)
+                    counts[v] += omega_i
+                    seen[v] = t + 1
+                applied = t + 1
     finally:
+        decay = _int_decay if exact else _decay
         for v in range(n):
             if seen[v] < applied:
-                counts[v] = _decay(counts[v], applied - seen[v], delta)
+                counts[v] = decay(counts[v], applied - seen[v], delta)
     return state
 
 

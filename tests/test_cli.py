@@ -121,6 +121,23 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "hierarchy_rules.txt").read_text()
 
+    @pytest.mark.parametrize(
+        ("golden", "weights"),
+        [
+            # int weights: absence steps taken in closed form
+            ("cluster_reinforce_delta.json", ("--delta", "1")),
+            # float weights: absence steps taken one by one
+            ("cluster_reinforce_float_delta.json", ("--omega-i", "0.5", "--delta", "0.3")),
+        ],
+    )
+    def test_reinforce_delta_json(self, capsys, golden, weights):
+        code, out, _ = run(
+            capsys, "cluster", "--method", "reinforce", *weights, "--fixture", "seven_event",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
     def test_ci_diffs_every_golden_file(self):
         # the README says CI diffs the installed command's output against
         # every file in tests/golden/

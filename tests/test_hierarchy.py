@@ -298,8 +298,8 @@ def _json_text(store: HierarchyStore, labels) -> str:
 
 
 class TestPresentAll:
-    """``present_all`` is the one presentation loop; ``present_pattern`` is
-    that loop on one event."""
+    """``present_all`` is the one presentation loop; these tests also call
+    it on one event at a time and compare with one batch call."""
 
     @given(st.integers(0, 10_000), st.integers(0, 60), st.booleans())
     def test_raising_events_leave_k_presentations(self, seed, k, hand_built):

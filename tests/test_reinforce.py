@@ -152,24 +152,45 @@ def test_lazy_decrement_matches_eager_fold(drawn, omega_i, delta):
     assert [repr(c) for c in lazy] == [repr(c) for c in oracle]
 
 
-@given(_events(), _omega_i, st.one_of(_delta, st.just(0.0)), st.data())
-def test_lazy_decrement_from_any_start(drawn, omega_i, delta, data):
+@st.composite
+def _events_from_start(draw):
+    n, events = draw(_events())
+    return n, events, draw(st.lists(_hand_built_count, min_size=n, max_size=n))
+
+
+@given(_events_from_start(), _omega_i, st.one_of(_delta, st.just(0.0)))
+# int weights and int starts take the closed form: a negative start stays
+# negative while its variable misses no event, and gaps outlast the counts
+@example((3, [Event((0,)), Event((0, 1)), Event((0, 1)), Event((0, 2))], [-3, -1, 2]), 1, 1)
+# a float start sends int weights down the stepwise path: 0.0 becomes the
+# int 0, and 2.0 steps through 1.0 to the int 0 where 2.0 - 2 is 0.0
+@example((4, [Event((0,)), Event((1,)), Event((0, 3))], [2.5, 0.0, 0.0, 2.0]), 1, 1)
+# a float delta with an int omega_i: three steps of 0.1 from 3 are not
+# 3 - 0.3, nor four steps 3 - 0.4
+@example((3, [Event((1,)), Event((1,)), Event((1,)), Event((0, 1))], [3, 0, 3]), 1, 0.1)
+def test_lazy_decrement_from_any_start(drawn, omega_i, delta):
     # a state built by hand may hold 0.0 or negative counts; the first
     # absence step turns those into the int 0, as the eager loop does, and
     # a delta of 0.0 applies no step at all
-    n, events = drawn
-    start = data.draw(st.lists(_hand_built_count, min_size=n, max_size=n))
+    n, events, start = drawn
     weights = Weights(omega_i=omega_i, delta=delta)
     lazy = count_events(ReinforceState(list(start)), events, weights).counts
     eager = _eager(ReinforceState(list(start)), events, weights).counts
     assert [repr(c) for c in lazy] == [repr(c) for c in eager]
 
 
-@given(_events(), _omega_i, _delta, st.data())
-def test_bad_event_leaves_eager_prefix(drawn, omega_i, delta, data):
-    n, events = drawn
-    cut = data.draw(st.integers(0, len(events)))
-    bad = Event((data.draw(st.integers(0, n - 1)), n))
+@st.composite
+def _events_with_bad(draw):
+    n, events = draw(_events())
+    cut = draw(st.integers(0, len(events)))
+    return n, events, cut, Event((draw(st.integers(0, n - 1)), n))
+
+
+@given(_events_with_bad(), _omega_i, _delta)
+# the bad event follows a repeated valid tuple
+@example((2, [Event((0, 1)), Event((1,)), Event((0, 1))], 3, Event((0, 2))), 1, 1)
+def test_bad_event_leaves_eager_prefix(drawn, omega_i, delta):
+    n, events, cut, bad = drawn
     weights = Weights(omega_i=omega_i, delta=delta)
     lazy = ReinforceState.empty(n)
     with pytest.raises(DataError):
