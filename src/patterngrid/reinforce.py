@@ -78,14 +78,20 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
     ``_decay`` takes them one by one. The last step is in a ``finally``, so
     a DataError part-way through leaves the state the eager fold over the
     events before the bad one would.
+
+    Each event's ids are checked against the vocabulary by one set lookup
+    in C; ``validate_event`` runs only to raise for an event that fails it.
     """
     counts = state.counts
     n = state.n
     omega_i, delta = weights.omega_i, weights.delta
+    in_range = frozenset(range(n)).issuperset
     if not delta:
         for event in events:
-            validate_event(event, n)
-            for v in event.members:
+            members = event.members
+            if not in_range(members):
+                validate_event(event, n)
+            for v in members:
                 counts[v] += omega_i
         return state
     seen = [0] * n
@@ -94,20 +100,25 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
     try:
         if exact:
             for t, event in enumerate(events):
-                validate_event(event, n)
-                for v in event.members:
+                members = event.members
+                if not in_range(members):
+                    validate_event(event, n)
+                applied = t + 1
+                for v in members:
+                    s = seen[v]
                     c = counts[v]
-                    if seen[v] < t:
-                        c -= (t - seen[v]) * delta
+                    if s < t:
+                        c -= (t - s) * delta
                         if c < 0:
                             c = 0
                     counts[v] = c + omega_i
-                    seen[v] = t + 1
-                applied = t + 1
+                    seen[v] = applied
         else:
             for t, event in enumerate(events):
-                validate_event(event, n)
-                for v in event.members:
+                members = event.members
+                if not in_range(members):
+                    validate_event(event, n)
+                for v in members:
                     if seen[v] < t:
                         counts[v] = _decay(counts[v], t - seen[v], delta)
                     counts[v] += omega_i

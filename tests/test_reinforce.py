@@ -183,12 +183,15 @@ def test_lazy_decrement_from_any_start(drawn, omega_i, delta):
 def _events_with_bad(draw):
     n, events = draw(_events())
     cut = draw(st.integers(0, len(events)))
-    return n, events, cut, Event((draw(st.integers(0, n - 1)), n))
+    bad = draw(st.one_of(st.just(n), st.integers(-3, -1)))
+    return n, events, cut, Event((draw(st.integers(0, n - 1)), bad))
 
 
 @given(_events_with_bad(), _omega_i, _delta)
 # the bad event follows a repeated valid tuple
 @example((2, [Event((0, 1)), Event((1,)), Event((0, 1))], 3, Event((0, 2))), 1, 1)
+# a negative id would index the counts from the end
+@example((2, [Event((0, 1)), Event((1,))], 1, Event((0, -1))), 1, 0)
 def test_bad_event_leaves_eager_prefix(drawn, omega_i, delta):
     n, events, cut, bad = drawn
     weights = Weights(omega_i=omega_i, delta=delta)
