@@ -249,8 +249,12 @@ class EngineRun:
     csv: Callable[..., object]
 
 
-def _run_method(method: str, dataset: Dataset, weights: Weights, args, timing: Timing) -> EngineRun:
-    """Count and extract with one engine, timing each stage. Renders nothing."""
+def _run_method(
+    method: str, dataset: Dataset, weights: Weights, args, timing: Timing, *, links: bool = True
+) -> EngineRun:
+    """Count and extract with one engine, timing each stage. Renders nothing.
+    With ``links=False`` the grid derives no links, for a caller that only
+    reads the partition."""
     n = dataset.n
     if method == "reinforce":
         with timing.stage("count"):
@@ -278,7 +282,7 @@ def _run_method(method: str, dataset: Dataset, weights: Weights, args, timing: T
         matrix = grid.count_events(grid.CountMatrix.zeros(n), dataset.events, weights.omega_i)
     _refuse_overflow("omega_i", weights, (c for row in matrix.rows for c in row.values()))
     with timing.stage("extract"):
-        extracted = grid.extract_clusters(matrix, args.tau_link, ties=args.gap_ties)
+        extracted = grid.extract_clusters(matrix, args.tau_link, ties=args.gap_ties, links=links)
     return EngineRun(
         extracted.partition, extracted.links, partial(grid.matrix_text, matrix),
         partial(_streamed, "matrix", grid.matrix_json, matrix), partial(grid.matrix_csv, matrix),
@@ -456,7 +460,7 @@ def cmd_compare(args) -> int:
     for method in methods:
         timing[method] = Timing()
         # only the partition is kept, so each engine's result is freed here
-        partition = _run_method(method, dataset, weights, args, timing[method]).partition
+        partition = _run_method(method, dataset, weights, args, timing[method], links=False).partition
         reports[method] = pairwise_agreement(partition, reference_partition)
         timing_lines.append(timing[method].line(f"timing[{method}]"))
         print(timing_lines[-1], file=sys.stderr)

@@ -11,6 +11,12 @@ Pairwise F1 is the headline number because reference clusterings here are
 singleton heavy and the Rand index saturates; Rand is still computed for
 completeness. When a side has no positive pairs at all its precision or
 recall is 1 by convention (nothing claimed, nothing wrong).
+
+Each produced cluster is also matched to the reference cluster it shares
+the most members with, ties going to the earlier reference cluster. The
+overlaps are read from the contingency table the pair counts are built
+from, so matching costs one pass over its nonzero cells rather than an
+intersection of every produced cluster with every reference cluster.
 """
 
 from __future__ import annotations
@@ -25,7 +31,10 @@ from .model import DataError, Partition
 @dataclass(frozen=True, slots=True)
 class MatchRow:
     """One produced cluster against the reference cluster sharing the most
-    members with it. ``reference`` is None when nothing overlaps."""
+    members with it, the earlier one in the reference's cluster order on a
+    tie, as read from the contingency table. ``reference`` is None when
+    nothing overlaps, which ``pairwise_agreement`` never reports: both
+    sides cover every variable there."""
 
     produced: frozenset[int]
     reference: frozenset[int] | None
@@ -80,15 +89,17 @@ def pairwise_agreement(produced: Partition, reference: Partition) -> AgreementRe
 
     exact = len(set(prod.clusters) & set(ref.clusters))
 
+    # each produced cluster's largest overlap, the lowest reference index on
+    # a tie; every produced cluster has a cell, since both sides cover all ids
+    best: dict[int, tuple[int, int]] = {}
+    for (p, r), overlap in contingency.items():
+        kept = best.get(p)
+        if kept is None or overlap > kept[1] or overlap == kept[1] and r < kept[0]:
+            best[p] = (r, overlap)
     rows = []
-    for cluster in prod.clusters:
-        best: frozenset[int] | None = None
-        best_overlap = 0
-        for candidate in ref.clusters:
-            overlap = len(cluster & candidate)
-            if overlap > best_overlap:
-                best, best_overlap = candidate, overlap
-        rows.append(MatchRow(cluster, best, best_overlap))
+    for p, cluster in enumerate(prod.clusters):
+        r, overlap = best[p]
+        rows.append(MatchRow(cluster, ref.clusters[r], overlap))
 
     return AgreementReport(
         produced_pairs=produced_pairs,

@@ -213,7 +213,7 @@ def _head_set(row: dict[int, int | float], ties: str) -> frozenset[int]:
 
 
 def extract_clusters(
-    grid: CountMatrix, tau_link: int | float = 2, *, ties: str = "high"
+    grid: CountMatrix, tau_link: int | float = 2, *, ties: str = "high", links: bool = True
 ) -> GridClusterResult:
     """Read clusters and residual links out of a finished grid.
 
@@ -222,7 +222,9 @@ def extract_clusters(
     size one components staying unassigned (no fallback reassignment is
     attempted). Links are every cross-cluster pair whose cell reaches
     ``tau_link``, reported with the cell value as strength, in (a, b)
-    order with a < b.
+    order with a < b. With ``links=False`` the rows are not scanned for
+    them and the result's ``links`` is empty; ``tau_link`` is checked all
+    the same.
     """
     if not 1 <= tau_link < math.inf:
         raise ConfigError("tau_link must be at least 1 and finite")
@@ -249,9 +251,11 @@ def extract_clusters(
     clusters = tuple(frozenset(c) for c in components if len(c) >= 2)
     unassigned = frozenset(c[0] for c in components if len(c) == 1)
     partition = Partition(n, clusters, unassigned)
+    if not links:
+        return GridClusterResult(partition, ())
 
     cluster_of = partition.cluster_ids()
-    links = []
+    found = []
     for a, ca in enumerate(cluster_of):
         if ca < 0:
             continue
@@ -259,8 +263,8 @@ def extract_clusters(
         ids = [b for b, c in row.items() if b > a and c >= tau_link and -1 < cluster_of[b] != ca]
         ids.sort()
         # off-diagonal cells >= tau_link >= 1: each makes a valid link
-        links += [_trusted_link((a, b, row[b])) for b in ids]
-    return GridClusterResult(partition, tuple(links))
+        found += [_trusted_link((a, b, row[b])) for b in ids]
+    return GridClusterResult(partition, tuple(found))
 
 
 def _rendered_rows(grid: CountMatrix, diagonal: str = "x"):

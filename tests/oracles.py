@@ -7,7 +7,8 @@ oracle's use of the public, fully checked ``build_vocabulary``, the
 consolidation oracle's use of the hierarchy's ``_merge`` and ``_split``
 (it checks which rule is applied, not how), and the sparse grid
 references' use of ``grid.count_events`` and of the ``model.fold`` a
-grid cell takes.
+grid cell takes, and the agreement oracle's use of
+``evaluate.pairwise_agreement`` for every score but the best matches.
 
 The per-event references each engine's batch call is compared with live
 here too, not in the package:
@@ -32,10 +33,11 @@ import math
 import re
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 
 from patterngrid.counting import InstanceRecord, InstanceStore
+from patterngrid.evaluate import AgreementReport, MatchRow, pairwise_agreement
 from patterngrid.grid import CountMatrix, GridClusterResult, count_events
 from patterngrid.hierarchy import Extension, PatternNode, _merge, _split
 from patterngrid.ingest import LabelPolicy
@@ -542,6 +544,24 @@ def best_matches_oracle(report, labels) -> list:
         }
         for row in report.per_cluster_table
     ]
+
+
+def agreement_oracle(produced: Partition, reference: Partition) -> AgreementReport:
+    """``evaluate.pairwise_agreement`` with its best matches found by
+    intersecting every produced cluster with every reference cluster,
+    keeping the first strictly larger overlap in reference order."""
+    ref = reference.with_singleton_clusters()
+    rows = []
+    for cluster in produced.with_singleton_clusters().clusters:
+        best: frozenset[int] | None = None
+        best_overlap = 0
+        for candidate in ref.clusters:
+            overlap = len(cluster & candidate)
+            if overlap > best_overlap:
+                best, best_overlap = candidate, overlap
+        rows.append(MatchRow(cluster, best, best_overlap))
+    report = pairwise_agreement(produced, reference)
+    return replace(report, per_cluster_table=tuple(rows))
 
 
 def transpose_oracle(records: list[list[str]]) -> list[list[str]]:

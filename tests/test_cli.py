@@ -145,7 +145,8 @@ class TestGolden:
         diffed = re.findall(r'diff - "\$GITHUB_WORKSPACE/tests/golden/([^"]+)"', workflow.read_text())
         assert sorted(diffed) == sorted(path.name for path in GOLDEN.iterdir())
 
-    def test_compare_json(self, capsys, monkeypatch, tmp_path):
+    @staticmethod
+    def compare(capsys, monkeypatch, tmp_path, *argv: str) -> str:
         # every engine's best matches against an inline reference; the
         # relative paths keep "source" and "reference" fixed
         monkeypatch.chdir(tmp_path)
@@ -155,10 +156,19 @@ class TestGolden:
         Path("ref.json").write_text('{"clusters": [["A","B","C"],["D","E","F"],["G","H","I"]]}')
         code, out, _ = run(
             capsys, "compare", "--method", "reinforce,cm,grid", "--label-policy", "members",
-            "--input", "hierarchy_rules.data", "--reference", "ref.json", "--format", "json",
+            "--input", "hierarchy_rules.data", "--reference", "ref.json", *argv,
         )
         assert code == 0
+        return out
+
+    def test_compare_json(self, capsys, monkeypatch, tmp_path):
+        out = self.compare(capsys, monkeypatch, tmp_path, "--format", "json")
         assert out == (GOLDEN / "compare.json").read_text()
+
+    def test_compare_text(self, capsys, monkeypatch, tmp_path):
+        # the best-match lines, ties going to the earlier reference cluster
+        out = self.compare(capsys, monkeypatch, tmp_path)
+        assert out == (GOLDEN / "compare.txt").read_text()
 
     @pytest.mark.parametrize(
         "argv",
@@ -406,6 +416,21 @@ class TestComparisons:
         assert set(payload["reports"]) == {"grid", "cm", "reinforce"}
         for report in payload["reports"].values():
             assert 0.0 <= report["pairwise_f1"] <= 1.0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_compare_output_ignores_tau_link(self, capsys, small_corpus, fmt):
+        # compare scores partitions only, and tau_link moves no cluster; the
+        # JSON payload's parameters echo it, so that one value is masked
+        outputs = set()
+        for tau in ("1", "2", "1000000"):
+            code, out, _ = run(
+                capsys,
+                "compare", "--input", small_corpus, "--method", "reinforce,cm,grid",
+                "--reference", "plants_reference", "--tau-link", tau, "--format", fmt,
+            )
+            assert code == 0
+            outputs.add(out.replace(f'"tau_link": {tau},', '"tau_link": T,'))
+        assert len(outputs) == 1
 
     def test_reference_from_json_file(self, capsys, small_corpus, tmp_path):
         ref = tmp_path / "ref.json"

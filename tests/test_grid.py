@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from patterngrid.grid import (
     CountMatrix,
+    GridClusterResult,
     _count_sets,
     count_events,
     extract_clusters,
@@ -234,6 +235,19 @@ class TestExtraction:
             assert cluster_of[link.a] != cluster_of[link.b]
             assert cells[link.a][link.b] >= 2
 
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([1, 3, 0.1]),
+        st.sampled_from([1, 2, 2.5, 1e6]),
+        st.sampled_from(["high", "low"]),
+    )
+    def test_without_links_same_partition(self, seed, weight, tau, ties):
+        dataset = random_dataset(seed, max_vars=12, max_events=40)
+        matrix = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
+        full = extract_clusters(matrix, tau, ties=ties)
+        bare = extract_clusters(matrix, tau, ties=ties, links=False)
+        assert repr(bare) == repr(GridClusterResult(full.partition, ()))
+
 
 @given(st.integers(0, 10_000))
 def test_matrix_is_symmetric_with_empty_diagonal(seed):
@@ -301,6 +315,19 @@ class TestArguments:
     def test_ties_checked_up_front(self, n):
         with pytest.raises(ConfigError):
             extract_clusters(CountMatrix.zeros(n), ties="sideways")
+
+    @pytest.mark.parametrize(
+        ("tau", "ties"), [(0, "high"), (math.inf, "high"), (math.nan, "low"), (2, "sideways")]
+    )
+    def test_without_links_same_checks(self, seven, tau, ties):
+        # the link threshold is checked even when no link is derived
+        matrix = _seven_matrix(seven)
+        errors = []
+        for links in (True, False):
+            with pytest.raises(ConfigError) as raised:
+                extract_clusters(matrix, tau, ties=ties, links=links)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
 
 
 @st.composite
