@@ -1,12 +1,12 @@
 """Unique-instance counting with local and global counters.
 
-Every distinct member set presented becomes a stored instance of its own.
-The local count I tracks exact re-presentations of the instance's set; the
-global count G tracks every event from the instance's creation onward
-(creation included) that shares at least one member with it. The gap
-between G and I measures coherence: a group whose members rarely fire
-without the whole group keeps G close to I, and such groups make the best
-cluster candidates.
+Every distinct member set presented becomes a stored instance of its own,
+kept as its member ids in an ascending tuple. The local count I tracks
+exact re-presentations of the instance's set; the global count G tracks
+every event from the instance's creation onward (creation included) that
+shares at least one member with it. The gap between G and I measures
+coherence: a group whose members rarely fire without the whole group keeps
+G close to I, and such groups make the best cluster candidates.
 
 Presentation is strictly sequential: results depend on event order through
 the creation indices, so the contract is single writer, deterministic given
@@ -38,12 +38,14 @@ OCCURRENCE_BUDGET = 32 << 20
 class InstanceRecord:
     """A unique pattern instance with its two counters.
 
+    ``pattern`` is the instance's member ids as an ascending tuple, which
+    holds a set of five or more ids in a fraction of a frozenset's memory.
     ``local_count`` is bumped only by exact-set presentations and
     ``global_count`` by any overlapping presentation since creation, so
     ``global_count >= local_count >= 1`` always holds.
     """
 
-    pattern: frozenset[int]
+    pattern: tuple[int, ...]
     local_count: int | float
     global_count: int | float
     created_at: int
@@ -51,12 +53,12 @@ class InstanceRecord:
 
 @dataclass(slots=True, eq=False)
 class InstanceStore:
-    """Unique instances keyed by pattern set, in creation order."""
+    """Unique instances in creation order, indexed by their ascending id tuples."""
 
     n: int
     records: list[InstanceRecord] = field(default_factory=list)
     event_counter: int = 0
-    _by_pattern: dict[frozenset[int], int] = field(default_factory=dict)
+    _by_pattern: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, n: int) -> InstanceStore:
@@ -105,7 +107,7 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
                 idx = seen.get(members)
                 if idx is None:
                     validate_event(event, n)
-                    key = event.member_set()
+                    key = tuple(sorted(members))
                     idx = by_pattern.get(key)
                     if idx is None:
                         idx = len(records)
@@ -163,8 +165,8 @@ def coherence(record: InstanceRecord) -> int | float:
 
 def selection_key(record: InstanceRecord):
     """Deterministic sort key: best coherence first, then larger I, smaller
-    pattern, and finally the sorted id tuple."""
-    return (coherence(record), -record.local_count, len(record.pattern), tuple(sorted(record.pattern)))
+    pattern, and finally the pattern's ascending id tuple itself."""
+    return (coherence(record), -record.local_count, len(record.pattern), record.pattern)
 
 
 def select_clusters(store: InstanceStore) -> Partition:
@@ -174,6 +176,6 @@ def select_clusters(store: InstanceStore) -> Partition:
     taken: set[int] = set()
     for record in sorted(store.records, key=selection_key):
         if taken.isdisjoint(record.pattern):
-            accepted.append(record.pattern)
-            taken |= record.pattern
+            accepted.append(frozenset(record.pattern))
+            taken.update(record.pattern)
     return Partition(store.n, tuple(accepted), frozenset(range(store.n)) - taken)

@@ -32,12 +32,11 @@ from .model import DataError, Partition
 class MatchRow:
     """One produced cluster against the reference cluster sharing the most
     members with it, the earlier one in the reference's cluster order on a
-    tie, as read from the contingency table. ``reference`` is None when
-    nothing overlaps, which ``pairwise_agreement`` never reports: both
-    sides cover every variable there."""
+    tie, as read from the contingency table. Both sides cover every
+    variable, so each produced cluster has one."""
 
     produced: frozenset[int]
-    reference: frozenset[int] | None
+    reference: frozenset[int]
     overlap: int
 
 
@@ -128,8 +127,8 @@ def agreement_text(report: AgreementReport, labels: Sequence[str]) -> list[str]:
         "best matches:",
     ]
     for row in report.per_cluster_table:
-        target = "-" if row.reference is None else _names(row.reference, labels)
-        lines.append(f"  {_names(row.produced, labels)} ~ {target} overlap={row.overlap}")
+        produced, reference = _names(row.produced, labels), _names(row.reference, labels)
+        lines.append(f"  {produced} ~ {reference} overlap={row.overlap}")
     return lines
 
 
@@ -153,8 +152,6 @@ def best_matches_json(report: AgreementReport, labels: Sequence[str], write, dep
     row per ``write`` call; returns the number of characters written."""
     name, d = jsonout.names(labels), depth + 2
     row = jsonout.template(depth + 1, "produced", "reference", "overlap")
-    rows = (
-        row % (name(r.produced, d), "null" if r.reference is None else name(r.reference, d), r.overlap)
-        for r in report.per_cluster_table
-    )
+    table = report.per_cluster_table
+    rows = (row % (name(r.produced, d), name(r.reference, d), r.overlap) for r in table)
     return jsonout.write_list(rows, depth, write)

@@ -275,10 +275,11 @@ def dense_matrix_text(grid: DenseGrid, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cm_replay_oracle(events, omega_i=1, omega_g=1) -> dict[frozenset[int], tuple]:
-    """(local, global) per distinct pattern, straight from the definitions:
-    local counts exact-set presentations, global counts overlapping events
-    from the pattern's first presentation onward, that one included."""
+def cm_replay_oracle(events, omega_i=1, omega_g=1) -> dict[tuple[int, ...], tuple]:
+    """(local, global) per distinct pattern, keyed by its ascending id
+    tuple, straight from the definitions: local counts exact-set
+    presentations, global counts overlapping events from the pattern's
+    first presentation onward, that one included."""
     patterns: list[frozenset[int]] = []
     first_seen: dict[frozenset[int], int] = {}
     for pos, event in enumerate(events):
@@ -296,7 +297,7 @@ def cm_replay_oracle(events, omega_i=1, omega_g=1) -> dict[frozenset[int], tuple
                 local += omega_i
             if pos >= first_seen[pattern] and pattern & e.member_set():
                 global_ += omega_g
-        result[pattern] = (local, global_)
+        result[tuple(sorted(pattern))] = (local, global_)
     return result
 
 
@@ -307,8 +308,9 @@ def present(store: InstanceStore, events, weights: Weights = Weights()) -> Insta
     gains omega_g on its global count (an exact match is also an overlap of
     itself). An exact-set match gains omega_i on its local count; otherwise
     a new instance is created with I = omega_i and G = omega_g, the creation
-    event counting as the instance's first overlap exactly once. The
-    per-variable postings that find the overlapping instances are built
+    event counting as the instance's first overlap exactly once. An
+    instance's pattern, and its key in ``_by_pattern``, is its ascending id
+    tuple. The per-variable postings that find the overlapping instances are built
     from ``store.records`` when the call starts and kept for this call only.
     """
     records, by_pattern = store.records, store._by_pattern
@@ -318,7 +320,7 @@ def present(store: InstanceStore, events, weights: Weights = Weights()) -> Insta
             postings.setdefault(v, []).append(idx)
     for event in events:
         validate_event(event, store.n)
-        key = event.member_set()
+        key = tuple(sorted(event.members))
         touched: set[int] = set()
         for v in key:
             touched.update(postings.get(v, ()))
@@ -532,14 +534,14 @@ def instances_json_oracle(store, labels) -> list:
 
 def best_matches_oracle(report, labels) -> list:
     """An agreement report's best matches as JSON-ready dicts, each
-    cluster's labels sorted and None for no reference."""
+    cluster's labels sorted."""
     def names(ids):
         return sorted(labels[i] for i in ids)
 
     return [
         {
             "produced": names(row.produced),
-            "reference": None if row.reference is None else names(row.reference),
+            "reference": names(row.reference),
             "overlap": row.overlap,
         }
         for row in report.per_cluster_table

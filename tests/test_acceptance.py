@@ -94,10 +94,10 @@ def test_02_instance_counts_and_selection_exact(seven):
     store = counting.present_all(counting.InstanceStore.empty(seven.n), seven.events, Weights())
     table = {r.pattern: (r.local_count, r.global_count) for r in store.records}
     assert table == {
-        frozenset({A, B, C, D, E}): (1, 7),
-        frozenset({A, B, C, D}): (3, 4),
-        frozenset({A, E, F, G}): (1, 3),
-        frozenset({E, F, G}): (2, 2),
+        (A, B, C, D, E): (1, 7),
+        (A, B, C, D): (3, 4),
+        (A, E, F, G): (1, 3),
+        (E, F, G): (2, 2),
     }
     selected = counting.select_clusters(store)
     assert set(selected.clusters) == {frozenset({A, B, C, D}), frozenset({E, F, G})}
@@ -380,3 +380,24 @@ def test_15_low_duplication_grid_count_peak_under_one_and_a_half_times_its_rows(
         tracemalloc.stop()
     assert matrix.increments == sum(len(e.members) * (len(e.members) - 1) for e in events)
     assert peak < 1.5 * retained, f"peak {peak:,} B for {retained:,} B of rows"
+
+
+def test_16_low_duplication_cm_store_under_400_bytes_per_instance():
+    # a pattern of five or more ids takes 728 B as a frozenset (a 32-slot
+    # table) and under 110 B as an ascending tuple
+    events = _block_events(8000, seed=3)
+    store = counting.InstanceStore.empty(360)
+    tracemalloc.start()
+    try:
+        counting.present_all(store, events)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    instances = len(store.records)
+    assert instances > 0.9 * len(events)
+    for record in store.records:
+        pattern = record.pattern
+        assert type(pattern) is tuple and all(type(v) is int for v in pattern), pattern
+        assert all(a < b for a, b in zip(pattern, pattern[1:])), pattern
+    assert retained < 400 * instances, f"store holds {retained / instances:.0f} B per instance"
+    assert peak < 500 * instances, f"present_all peaked at {peak / instances:.0f} B per instance"

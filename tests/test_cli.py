@@ -79,6 +79,19 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / f"cluster_{method}.{fmt}").read_text()
 
+    @pytest.mark.parametrize(("fmt", "suffix"), [("text", "txt"), ("csv", "csv")])
+    def test_cm_label_order_unlike_id_order(self, capsys, tmp_path, fmt, suffix):
+        # ids follow first appearance, so E,C,A,D,B takes ids 0-4: each
+        # pattern is written in label order, not in its id tuple's order
+        path = tmp_path / "cm_order.data"
+        path.write_text("E,C,A,D,B\nC,A\nE,C,A,D,B\nA,D,B\nD,B\nF,E\nF,E,G\nC,A\nB,F\n")
+        code, out, _ = run(
+            capsys, "cluster", "--method", "cm", "--label-policy", "members", "--input", str(path),
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out == (GOLDEN / f"cluster_cm_members.{suffix}").read_text()
+
     def test_hierarchy_text(self, capsys):
         code, out, _ = run(capsys, "hierarchy", "--fixture", "seven_event")
         assert code == 0

@@ -81,7 +81,7 @@ def test_earlier_events_do_not_count():
     store = InstanceStore.empty(3)
     present_all(store, [Event((0, 1)), Event((0, 1)), Event((0, 2))])
     late = store.records[-1]
-    assert late.pattern == {0, 2}
+    assert late.pattern == (0, 2)
     assert (late.local_count, late.global_count) == (1, 1)
 
 
@@ -90,7 +90,7 @@ def test_weights_scale_counts():
     weights = Weights(omega_i=2, omega_g=3)
     present_all(store, [Event((0, 1)), Event((1, 2)), Event((0, 1))], weights)
     first = store.records[0]
-    assert first.pattern == {0, 1}
+    assert first.pattern == (0, 1)
     assert (first.local_count, first.global_count) == (4, 9)
 
 
@@ -115,8 +115,8 @@ def test_selection_is_lexmin_maximal_family():
         dataset = random_dataset(seed, max_vars=8, max_events=15)
         store = present_all(InstanceStore.empty(dataset.n), dataset.events)
         partition = select_clusters(store)
-        patterns = [r.pattern for r in store.records]
-        by_pattern = {r.pattern: r for r in store.records}
+        patterns = [frozenset(r.pattern) for r in store.records]
+        by_pattern = {frozenset(r.pattern): r for r in store.records}
         expected = lexmin_selection_oracle(
             patterns, key=lambda p: selection_key(by_pattern[p])
         )
@@ -125,11 +125,11 @@ def test_selection_is_lexmin_maximal_family():
 
 def test_selection_key_tie_order():
     # equal coherence: larger local count first, then smaller pattern, then ids
-    strong = InstanceRecord(frozenset({1, 2}), 2, 3, 0)
-    weak = InstanceRecord(frozenset({0, 1}), 1, 2, 1)
-    small = InstanceRecord(frozenset({3}), 1, 2, 2)
-    early_ids = InstanceRecord(frozenset({0, 4}), 1, 2, 3)
-    late_ids = InstanceRecord(frozenset({0, 5}), 1, 2, 4)
+    strong = InstanceRecord((1, 2), 2, 3, 0)
+    weak = InstanceRecord((0, 1), 1, 2, 1)
+    small = InstanceRecord((3,), 1, 2, 2)
+    early_ids = InstanceRecord((0, 4), 1, 2, 3)
+    late_ids = InstanceRecord((0, 5), 1, 2, 4)
     assert selection_key(strong) < selection_key(weak)
     assert selection_key(small) < selection_key(weak)
     assert selection_key(early_ids) < selection_key(late_ids)

@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patterngrid.evaluate import (
-    AgreementReport,
     MatchRow,
     agreement_json,
     agreement_text,
@@ -186,38 +185,29 @@ def test_best_matches_scale_with_ids():
 
 
 class TestRendering:
-    REPORT = AgreementReport(
-        produced_pairs=9,
-        reference_pairs=11,
-        shared_pairs=7,
-        pairwise_precision=7 / 9,
-        pairwise_recall=7 / 11,
-        pairwise_f1=0.7,
-        rand_index=15 / 21,
-        exact_cluster_matches=0,
-        per_cluster_table=(
-            MatchRow(frozenset({0, 1}), frozenset({0, 1, 2}), 2),
-            MatchRow(frozenset({3}), None, 0),
-        ),
-    )
+    # {C,D} overlaps {A,B,C} and {D} by one each and takes the earlier one;
+    # E is unassigned on both sides
+    REPORT = pairwise_agreement(_partition(5, {A, B}, {C, D}), _partition(5, {A, B, C}))
 
     def test_text(self):
-        assert agreement_text(self.REPORT, "ABCD") == [
-            "pairs: produced=9 reference=11 shared=7",
-            "pairwise: precision=0.7778 recall=0.6364 f1=0.7000",
-            "rand_index=0.7143 exact_cluster_matches=0",
+        assert agreement_text(self.REPORT, "ABCDE") == [
+            "pairs: produced=2 reference=3 shared=1",
+            "pairwise: precision=0.5000 recall=0.3333 f1=0.4000",
+            "rand_index=0.7000 exact_cluster_matches=1",
             "best matches:",
             "  {A,B} ~ {A,B,C} overlap=2",
-            "  {D} ~ - overlap=0",
+            "  {C,D} ~ {A,B,C} overlap=1",
+            "  {E} ~ {E} overlap=1",
         ]
 
     def test_json(self):
         payload = agreement_json(self.REPORT)
-        assert payload["pairwise_f1"] == 0.7
+        assert payload["pairwise_f1"] == pytest.approx(0.4)
         assert payload["best_matches"] is None
         pieces = []
-        assert best_matches_json(self.REPORT, "ABCD", pieces.append, 0) == len("".join(pieces))
+        assert best_matches_json(self.REPORT, "ABCDE", pieces.append, 0) == len("".join(pieces))
         assert json.loads("".join(pieces)) == [
             {"produced": ["A", "B"], "reference": ["A", "B", "C"], "overlap": 2},
-            {"produced": ["D"], "reference": None, "overlap": 0},
+            {"produced": ["C", "D"], "reference": ["A", "B", "C"], "overlap": 1},
+            {"produced": ["E"], "reference": ["E"], "overlap": 1},
         ]
