@@ -310,8 +310,9 @@ def present(store: InstanceStore, events, weights: Weights = Weights()) -> Insta
     a new instance is created with I = omega_i and G = omega_g, the creation
     event counting as the instance's first overlap exactly once. An
     instance's pattern, and its key in ``_by_pattern``, is its ascending id
-    tuple. The per-variable postings that find the overlapping instances are built
-    from ``store.records`` when the call starts and kept for this call only.
+    tuple. The per-variable postings that find the overlapping instances
+    are built from ``store.records`` when the call starts and kept for this
+    call only.
     """
     records, by_pattern = store.records, store._by_pattern
     postings: dict[int, list[int]] = {}

@@ -325,7 +325,11 @@ def test_12_low_duplication_cm_under_point_three_seconds():
 
     assert best < 0.3, f"present_all took {best:.2f}s"
     folded = present(counting.InstanceStore.empty(n), events)
-    assert repr(store.records) == repr(folded.records)
+    # about a million characters each: compared to a bool, so pytest does
+    # not diff them on a mismatch
+    got, expected = repr(store.records), repr(folded.records)
+    same = got == expected
+    assert same, _first_difference(got, expected)
     assert store.event_counter == folded.event_counter == len(events)
 
 
@@ -384,7 +388,7 @@ def test_15_low_duplication_grid_count_peak_under_one_and_a_half_times_its_rows(
 
 def test_16_low_duplication_cm_store_under_400_bytes_per_instance():
     # a pattern of five or more ids takes 728 B as a frozenset (a 32-slot
-    # table) and under 110 B as an ascending tuple
+    # table), and 40 B plus 8 B per id as an ascending tuple
     events = _block_events(8000, seed=3)
     store = counting.InstanceStore.empty(360)
     tracemalloc.start()
