@@ -21,12 +21,12 @@ row to a ``write`` callable as it is made, so no n x n text or list of
 cells is held at once.
 
 Extraction reads the finished grid. Each row nominates the variables above
-the largest gap in its sorted nonzero counts (the row's head set); clusters
-are the connected components of mutual nominations; and leftover
-cross-cluster counts at or above a threshold are reported as inter-pattern
-links rather than merged away. This is a frequency measurement over the
-whole dataset, not a similarity measure, and it needs no prior
-classification of the categories.
+the largest gap in its sorted nonzero counts (its head set, the cells at or
+above the row's floor); clusters are the connected components of mutual
+nominations, found from the floors alone; and leftover cross-cluster counts
+at or above a threshold are reported as inter-pattern links rather than
+merged away. This is a frequency measurement over the whole dataset, not a
+similarity measure, and it needs no prior classification of the categories.
 """
 
 from __future__ import annotations
@@ -194,22 +194,25 @@ def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]
     _check_ties(ties)
     if not 0 <= v < grid.n:
         raise DataError(f"variable id {v} outside vocabulary of size {grid.n}")
-    return _head_set(grid.rows[v], ties)
+    row = grid.rows[v]
+    return frozenset(compress(row, map(ge, row.values(), repeat(_floor(row, ties)))))
 
 
-def _head_set(row: dict[int, int | float], ties: str) -> frozenset[int]:
+def _floor(row: dict[int, int | float], ties: str) -> int | float:
+    """The smallest count in the row's head set (see ``head_set``), or
+    ``math.inf`` for an empty row."""
     # a gap between equal counts is 0, the largest only when all counts are
     # equal, so the cut is found among the distinct counts
     counts = sorted(set(row.values()), reverse=True)
+    if len(counts) < 2:
+        return counts[0] if counts else math.inf
     gaps = list(map(sub, counts, counts[1:]))
-    if not gaps:
-        return frozenset(row)
     best = max(gaps)
     if ties == "high":
         cut = gaps.index(best)
     else:
         cut = len(gaps) - 1 - gaps[::-1].index(best)
-    return frozenset(compress(row, map(ge, row.values(), repeat(counts[cut]))))
+    return counts[cut]
 
 
 def extract_clusters(
@@ -231,21 +234,22 @@ def extract_clusters(
     _check_ties(ties)
     n = grid.n
     rows = grid.rows
-    heads = [_head_set(row, ties) for row in rows]
-    neighbours = [{w for w in heads[v] if v in heads[w]} for v in range(n)]
+    floors = [_floor(row, ties) for row in rows]
 
-    seen: set[int] = set()
+    seen = bytearray(n)
     components: list[list[int]] = []
     for start in range(n):
-        if start in seen:
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = 1
         comp, queue = [start], [start]
         while queue:
-            for w in neighbours[queue.pop()] - seen:
-                seen.add(w)
-                comp.append(w)
-                queue.append(w)
+            # w's missing cell counts 0, which no row's floor admits
+            for w, c in rows[v := queue.pop()].items():
+                if c >= floors[v] and not seen[w] and rows[w].get(v, 0) >= floors[w]:
+                    seen[w] = 1
+                    comp.append(w)
+                    queue.append(w)
         components.append(sorted(comp))
 
     clusters = tuple(frozenset(c) for c in components if len(c) >= 2)

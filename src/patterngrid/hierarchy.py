@@ -79,10 +79,10 @@ class PatternNode:
     pattern: frozenset[int]
     occurrences: int = 0
     extensions: list[Extension] = field(default_factory=list)
-    # Partial presentations recorded against this node, keyed by the part
-    # of the event that fell inside the pattern. Only presented subsets are
-    # tracked, never the full powerset.
-    subset_counts: dict[frozenset[int], int] = field(default_factory=dict)
+    # Partial presentations recorded against this node, keyed by the part of
+    # the event that fell inside the pattern, as its ascending id tuple. Only
+    # presented subsets are tracked, never the full powerset.
+    subset_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -158,7 +158,7 @@ def present_all(store: HierarchyStore, events) -> HierarchyStore:
     posting = postings.__getitem__
     # member tuple -> (node, None) to count an occurrence of node, or
     # (node, key) to count key in node.subset_counts
-    memo: dict[tuple[int, ...], tuple[PatternNode, frozenset[int] | None]] = {}
+    memo: dict[tuple[int, ...], tuple[PatternNode, tuple[int, ...] | None]] = {}
     for event in events:
         store.presentations += 1
         outcome = memo.get(members := event.members)
@@ -188,7 +188,7 @@ def present_all(store: HierarchyStore, events) -> HierarchyStore:
                         best.extensions.append(Extension(adds, PatternNode(member_set, 1)))
                         add((*paths[slot], len(best.extensions) - 1), best.extensions[-1].node)
                 elif pool and top / len(member_set) >= store.theta_new:
-                    outcome = best, best.pattern & member_set
+                    outcome = best, tuple(sorted(best.pattern & member_set))
                 else:
                     store.roots.append(PatternNode(member_set, 1))
                     add((len(store.roots) - 1,), store.roots[-1])
@@ -235,18 +235,19 @@ def _split(
     store: HierarchyStore,
     grand: PatternNode | None,
     node: PatternNode,
-    subset: frozenset[int],
+    subset: tuple[int, ...],
 ) -> PatternNode:
     """The dominant subset becomes its own node, which is returned; the full
     pattern stays as an extension of it, keeping its own count and children."""
     count = node.subset_counts.pop(subset)
-    head = PatternNode(subset, count, [Extension(frozenset(node.pattern - subset), node)])
+    pattern = frozenset(subset)
+    head = PatternNode(pattern, count, [Extension(node.pattern - pattern, node)])
     if grand is None:
         store.roots[store.roots.index(node)] = head
-    elif grand.pattern < subset:
+    elif grand.pattern < pattern:
         for ext in grand.extensions:
             if ext.node is node:
-                ext.adds = frozenset(subset - grand.pattern)
+                ext.adds = pattern - grand.pattern
                 ext.node = head
                 break
     else:
@@ -276,7 +277,7 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
     applied when the next one is asked for: ``(_merge, parent, extension)``
     for the first merge candidate in walk order, or else ``(_split, parent
     or None, node, subset)`` for the first split candidate, its smallest
-    dominant subset in sorted-member order.
+    dominant subset in ascending id-tuple order.
 
     One walk gives every node a key that sorts in walk order and queues it
     on a heap per rule when it passes that rule's test. A rule changes the
@@ -294,13 +295,13 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
     the head and before everything that sorted after it; its subtree keeps
     its keys. So no rule re-keys more than the subtrees it moves to the end.
 
-    A node's dominant subsets are listed once, in reverse sorted-member
-    order, and listed again only when a merge changes its counts; a split
+    A node's dominant subsets are listed once, in reverse id-tuple order,
+    and listed again only when a merge changes its counts; a split
     retires the last of them.
     """
     keys: dict[int, tuple[int, ...]] = {}
     parents: dict[int, PatternNode | None] = {}
-    dominant: dict[int, list[frozenset[int]]] = {}
+    dominant: dict[int, list[tuple[int, ...]]] = {}
     merges: list[tuple[tuple[int, ...], int, PatternNode]] = []
     splits: list[tuple[tuple[int, ...], int, PatternNode]] = []
     tiebreak, below_head = count(), count(-1, -1)
@@ -309,7 +310,7 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
         limit = store.theta_merge * node.occurrences
         return next((e for e in node.extensions if e.node.occurrences >= limit), None)
 
-    def split_subset(node: PatternNode) -> frozenset[int] | None:
+    def split_subset(node: PatternNode) -> tuple[int, ...] | None:
         subsets = dominant[id(node)]
         return subsets[-1] if subsets else None
 
@@ -325,7 +326,7 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
         if id(node) not in dominant:
             limit = store.theta_split * node.occurrences
             hits = [subset for subset, n in node.subset_counts.items() if n >= limit]
-            dominant[id(node)] = sorted(hits, key=sorted, reverse=True)
+            dominant[id(node)] = sorted(hits, reverse=True)
         retest(node)
 
     def place_roots(start: int) -> None:
@@ -381,17 +382,11 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
             return
 
 
-def _parts(node: PatternNode) -> list[tuple[list[int], int | float]]:
-    """A node's parts as ``(sorted ids, count)`` pairs, in sorted-ids order."""
-    counts = node.subset_counts
-    return sorted(zip(map(sorted, counts), counts.values()))
-
-
 def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
     """Indented text rendering, one line per node, part and extension link,
     in walk order, so any depth renders."""
 
-    def name(ids: list[int]) -> str:
+    def name(ids: Sequence[int]) -> str:
         return "{" + ",".join([labels[i] for i in ids]) + "}"
 
     lines: list[str] = []
@@ -400,7 +395,7 @@ def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
         if parent is not None:
             lines.append(f"{pad[2:]}+{name(sorted(parent.extensions[path[-1]].adds))} ->")
         lines.append(f"{pad}{name(sorted(node.pattern))} x{node.occurrences}")
-        lines += [f"{pad}  part {name(ids)} x{n}" for ids, n in _parts(node)]
+        lines += [f"{pad}  part {name(ids)} x{n}" for ids, n in sorted(node.subset_counts.items())]
     return lines
 
 
@@ -427,7 +422,7 @@ def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 
             opening, comma, closing = "[" + inner, "," + inner, pad(d + 3) + "]"
             parts = [
                 part % (opening + comma.join(map(quoted.__getitem__, ids)) + closing if ids else "[]", n)
-                for ids, n in _parts(node)
+                for ids, n in sorted(node.subset_counts.items())
             ]
             item += head % (name(node.pattern, d + 1), node.occurrences, array(parts, d + 1))
             exts = node.extensions

@@ -7,12 +7,12 @@ plants file, dropped from membership) or an ordinary member. Malformed
 lines are collected as diagnostics and skipped, never silently repaired;
 only a file with zero parseable records is fatal, a ``DataError``.
 
-Parsing is one pass: each line is tokenised, checked and encoded to dense
-ids in the same loop, and the Dataset is built once. The checks happen at
-this boundary, so the parser builds its Events and Dataset through the
-trusted constructors in ``model``; the public ``Event(...)``,
-``Dataset(...)`` and ``build_vocabulary`` keep every check for all other
-callers.
+Parsing is one pass: the stream is read a line at a time and left open,
+each line is tokenised, checked and encoded to dense ids in the same loop,
+and the Dataset is built once. The checks happen at this boundary, so the
+parser builds its Events and Dataset through the trusted constructors in
+``model``; the public ``Event(...)``, ``Dataset(...)`` and
+``build_vocabulary`` keep every check for all other callers.
 
 Real corpora repeat a few member lists many times, so the parser does
 that work once per distinct member text: it builds one Event object for
@@ -75,14 +75,6 @@ def parse_transactions(
     if transpose and policy is not LabelPolicy.RECORD_LABEL:
         raise ConfigError("transpose needs a record label to pivot on")
 
-    # tolerant decoding: species names in the plants file carry non-ASCII
-    # bytes; member tokens are plain ASCII either way. "utf-8-sig" drops
-    # one leading byte-order mark, which would otherwise join the first token
-    text = str(source.read(), "utf-8-sig", "replace")
-    # lines end only at "\n", "\r\n" and "\r"; str.splitlines would also
-    # break at U+0085, U+2028, "\x1c", "\v" and others inside a line
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     labelled = policy is LabelPolicy.RECORD_LABEL
     ids: dict[str, int] = {}
     events: list[Event] = []
@@ -93,37 +85,45 @@ def parse_transactions(
     by_member: dict[str, dict[str, None]] = {}
     diagnostics: list[str] = []
     empty_label = False  # the members policy has no label
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        key = line
-        if labelled:
-            cut = line.find(",")
-            if cut < 0:  # a label alone
-                diagnostics.append(f"line {lineno}: no members")
+    # tolerant decoding: species names carry non-ASCII bytes. "utf-8-sig"
+    # drops one leading byte-order mark, which would otherwise join the first
+    # token. Lines end only at "\n", "\r\n" and "\r", also across chunks;
+    # U+2028, U+0085, "\x1c" and the like stay inside a line
+    lines = io.TextIOWrapper(source, "utf-8-sig", "replace", newline=None)
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
                 continue
-            # the line is stripped, so a label is empty here or starts
-            # with a non-space and stays non-empty once stripped itself
-            key, empty_label = line[cut + 1 :], cut == 0
-        event = memo.get(key)
-        if event is not None and not empty_label:
-            events.append(event)
-            continue
-        members = list(map(str.strip, key.split(",")))
-        if empty_label or "" in members:
-            diagnostics.append(f"line {lineno}: empty field")
-            continue
-        if len(set(members)) != len(members):
-            diagnostics.append(f"line {lineno}: duplicate member")
-            continue
-        if transpose:
-            label = line[:cut].strip()
-            for m in members:
-                by_member.setdefault(m, {})[label] = None
-        else:
-            event = memo[key] = _trusted_event(_encode(members, ids))
-            events.append(event)
+            key = line
+            if labelled:
+                cut = line.find(",")
+                if cut < 0:  # a label alone
+                    diagnostics.append(f"line {lineno}: no members")
+                    continue
+                # the line is stripped, so a label is empty here or starts
+                # with a non-space and stays non-empty once stripped itself
+                key, empty_label = line[cut + 1 :], cut == 0
+            event = memo.get(key)
+            if event is not None and not empty_label:
+                events.append(event)
+                continue
+            members = list(map(str.strip, key.split(",")))
+            if empty_label or "" in members:
+                diagnostics.append(f"line {lineno}: empty field")
+                continue
+            if len(set(members)) != len(members):
+                diagnostics.append(f"line {lineno}: duplicate member")
+                continue
+            if transpose:
+                label = line[:cut].strip()
+                for m in members:
+                    by_member.setdefault(m, {})[label] = None
+            else:
+                event = memo[key] = _trusted_event(_encode(members, ids))
+                events.append(event)
+    finally:
+        lines.detach()  # the caller's stream stays open
     if transpose:
         events = [_trusted_event(_encode(group, ids)) for group in by_member.values()]
 

@@ -425,7 +425,7 @@ def hierarchy_walk_oracle(store, event):
         best = max(nodes, key=lambda n: len(n.pattern & members) / len(members))
         fraction = len(best.pattern & members) / len(members)
         if fraction >= store.theta_new:
-            key = frozenset(best.pattern & members)
+            key = tuple(sorted(best.pattern & members))
             best.subset_counts[key] = best.subset_counts.get(key, 0) + 1
             return store
 
@@ -444,14 +444,15 @@ def find_merge_oracle(store):
 
 
 def find_split_oracle(store):
-    """The hierarchy split candidate by sorting every node's subsets and
-    scanning in walk order: (parent or None, node, subset) or None."""
+    """The hierarchy split candidate by sorting every node's subsets (each
+    an ascending id tuple) and scanning in walk order: (parent or None,
+    node, subset) or None."""
     parents = {}
     for node in _preorder(store):
         for ext in node.extensions:
             parents[id(ext.node)] = node
     for node in _preorder(store):
-        for subset in sorted(node.subset_counts, key=sorted):
+        for subset in sorted(node.subset_counts):
             if node.subset_counts[subset] >= store.theta_split * node.occurrences:
                 return parents.get(id(node)), node, subset
     return None
@@ -476,7 +477,7 @@ def consolidate_oracle(store):
 def tree_json(store, labels) -> dict:
     """The hierarchy's JSON-ready dict, built recursively: a forest of
     ``{"pattern", "occurrences", "parts", "extensions"}`` node objects, each
-    label list sorted by id and the parts by their sorted ids."""
+    label list sorted by id and the parts by their ascending id tuples."""
 
     def name(ids: frozenset[int]) -> list:
         return [labels[i] for i in sorted(ids)]
@@ -487,7 +488,7 @@ def tree_json(store, labels) -> dict:
             "occurrences": node.occurrences,
             "parts": [
                 {"members": name(s), "count": node.subset_counts[s]}
-                for s in sorted(node.subset_counts, key=sorted)
+                for s in sorted(node.subset_counts)
             ],
             "extensions": [
                 {"adds": name(e.adds), "node": node_dict(e.node)} for e in node.extensions
@@ -499,7 +500,7 @@ def tree_json(store, labels) -> dict:
 
 def tree_text_oracle(store, labels) -> list[str]:
     """The hierarchy's indented text lines, one per node, part and extension
-    link, sorting each part's ids to order the parts and again to name them."""
+    link, the parts in the order of their ascending id tuples."""
 
     def name(ids: frozenset[int]) -> str:
         return "{" + ",".join(labels[i] for i in sorted(ids)) + "}"
@@ -512,7 +513,7 @@ def tree_text_oracle(store, labels) -> list[str]:
         if adds is not None:
             lines.append(f"{'  ' * (depth - 1)}+{name(adds)} ->")
         lines.append(f"{'  ' * depth}{name(node.pattern)} x{node.occurrences}")
-        for subset in sorted(node.subset_counts, key=sorted):
+        for subset in sorted(node.subset_counts):
             lines.append(
                 f"{'  ' * (depth + 1)}part {name(subset)} x{node.subset_counts[subset]}"
             )

@@ -405,3 +405,53 @@ def test_16_low_duplication_cm_store_under_400_bytes_per_instance():
         assert all(a < b for a, b in zip(pattern, pattern[1:])), pattern
     assert retained < 400 * instances, f"store holds {retained / instances:.0f} B per instance"
     assert peak < 500 * instances, f"present_all peaked at {peak / instances:.0f} B per instance"
+
+
+def test_17_corpus_parse_peaks_under_twice_its_input():
+    # read a line at a time, the parse holds one chunk of text and the
+    # Dataset it builds, never the whole decoded text and its lines
+    text = synthetic_plants_text(34781).encode()
+    source = io.BytesIO(text)
+    tracemalloc.start()
+    try:
+        dataset = parse_transactions(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.events) == 34781
+    assert peak < 2 * len(text), f"parse peaked at {peak / len(text):.2f} times its input"
+
+
+def test_18_low_duplication_hierarchy_under_300_bytes_per_part():
+    # a part of five or more ids takes 728 B as a frozenset key, and 40 B
+    # plus 8 B per id as an ascending tuple
+    events = _block_events(8000, seed=3)
+    store = hierarchy.HierarchyStore()
+    tracemalloc.start()
+    try:
+        hierarchy.present_all(store, events)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    keys = [key for node in hierarchy.walk(store) for key in node.subset_counts]
+    assert len(keys) > 0.5 * len(events)
+    for key in keys:
+        assert type(key) is tuple and all(type(v) is int for v in key), key
+        assert all(a < b for a, b in zip(key, key[1:])), key
+    assert retained < 300 * len(keys), f"store holds {retained / len(keys):.0f} B per part"
+
+
+def test_19_transposed_grid_extract_peak_under_4_bytes_per_cell():
+    # one floor per row, and no head set or neighbour set per row
+    text = synthetic_plants_text(3000).encode()
+    dataset = parse_transactions(io.BytesIO(text), transpose=True)
+    matrix = grid.count_events(grid.CountMatrix.zeros(dataset.n), dataset.events)
+    cells = sum(map(len, matrix.rows))
+    tracemalloc.start()
+    try:
+        result = grid.extract_clusters(matrix, 2, links=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.partition.n == 3000 and result.partition.clusters
+    assert peak < 4 * cells, f"extraction peaked at {peak / cells:.1f} B per nonzero cell"

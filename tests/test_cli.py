@@ -92,6 +92,22 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / f"cluster_cm_members.{suffix}").read_text()
 
+    def test_cm_line_ends(self, capsys, tmp_path):
+        # lines end at "\r\n", "\r" and "\n" only: U+2028 stays inside the
+        # label B C; the BOM is dropped, the invalid byte reads as
+        # U+FFFD and line 5's empty field is skipped with a diagnostic
+        path = tmp_path / "line_ends.data"
+        path.write_bytes(
+            b"\xef\xbb\xbfA,B\xe2\x80\xa8C,D\r\nA,B\xe2\x80\xa8C,D\rE,F\xff\nE,F\xff,G\r\n"
+            b"bad,,line\nA,B\xe2\x80\xa8C,D\nE,F\xff\r\nA,B\xe2\x80\xa8C\n"
+        )
+        code, out, err = run(
+            capsys, "cluster", "--method", "cm", "--label-policy", "members", "--input", str(path)
+        )
+        assert code == 0
+        assert "line 5: empty field" in err
+        assert out == (GOLDEN / "cluster_cm_line_ends.txt").read_text(encoding="utf-8")
+
     def test_hierarchy_text(self, capsys):
         code, out, _ = run(capsys, "hierarchy", "--fixture", "seven_event")
         assert code == 0

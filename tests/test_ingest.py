@@ -1,3 +1,4 @@
+import gc
 import io
 import re
 import time
@@ -194,6 +195,52 @@ class TestOnePassMatchesOracle:
         policy = LabelPolicy.RECORD_LABEL
         expected = _outcome(parse_oracle, data, policy, transpose)
         assert _outcome(parse_transactions, data, policy, transpose) == expected
+
+    @pytest.mark.parametrize(
+        "piece",
+        # a line end, split characters (é, U+2028, U+0085), a BOM inside a
+        # line, a lone "\r", an invalid byte and a truncated sequence
+        [b"\r\n", b"\r", b"\xc3\xa9", b"\xe2\x80\xa8", b"\xc2\x85", BOM, b"\xff", b"\xe2\x80"],
+    )
+    @pytest.mark.parametrize("policy", list(LabelPolicy))
+    def test_pieces_across_the_read_chunk(self, piece, policy):
+        # the parser decodes the stream a chunk at a time; the piece starts
+        # at every byte from wholly before to wholly after a chunk's end,
+        # and a bad line after it shows any shift in line numbers
+        chunk = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
+        for start in range(chunk - len(piece) - 1, chunk + 2):
+            data = _lines_of(start - 3) + b"s,x" + piece + b"y,z\nr3,,a\n" + _lines_of(chunk)
+            for transpose in (False, True):
+                expected = _outcome(parse_oracle, data, policy, transpose)
+                assert _outcome(parse_transactions, data, policy, transpose) == expected
+
+    def test_stream_stays_open(self, monkeypatch):
+        source = io.BytesIO(b"r1,a,b\n")
+        parse_transactions(source)
+        assert not source.closed and source.read() == b""
+        source = io.BytesIO(b"label-only\n")
+        with pytest.raises(DataError):
+            parse_transactions(source)
+        # a wrapper left attached would close the stream once collected
+        gc.collect()
+        assert not source.closed
+
+        def fail(tokens, ids):
+            raise RuntimeError("mid-parse")
+
+        monkeypatch.setattr(ingest, "_encode", fail)
+        source = io.BytesIO(b"r1,a,b\n")
+        with pytest.raises(RuntimeError):
+            parse_transactions(source)
+        gc.collect()
+        assert not source.closed
+
+
+def _lines_of(size: int) -> bytes:
+    """Lines ``r1,a,bc`` of ``size`` bytes in all (at least 8), the last
+    one's label lengthened to fit."""
+    lines, rest = divmod(size, 8)
+    return b"r1,a,bc\n" * (lines - 1) + b"r" * (rest + 2) + b",a,bc\n"
 
 
 class TestSharedEvents:

@@ -64,7 +64,7 @@ def _forests(draw):
     ids = _ids(labels)
 
     def node(depth):
-        parts = draw(st.dictionaries(ids, st.integers(1, 9), max_size=3))
+        parts = draw(st.dictionaries(ids.map(sorted).map(tuple), st.integers(1, 9), max_size=3))
         children = draw(st.lists(ids, max_size=0 if depth > 3 else 3))
         extensions = [Extension(adds, node(depth + 1)) for adds in children]
         return PatternNode(draw(ids), draw(st.integers(0, 9)), extensions, parts)
