@@ -20,7 +20,6 @@ from .grid import (
     CountMatrix,
     GridClusterResult,
     extract_clusters,
-    grid_merge,
     head_set,
 )
 from .hierarchy import HierarchyStore, PatternNode, consolidate, total_mass
@@ -70,7 +69,6 @@ __all__ = [
     "coherence",
     "consolidate",
     "extract_clusters",
-    "grid_merge",
     "head_set",
     "load_fixture",
     "pairwise_agreement",

@@ -314,7 +314,7 @@ def _streamed(key: str, writer, result, labels) -> tuple[dict, list]:
     return {key: None}, [(key, partial(writer, result, labels))]
 
 
-def _instances_json(store: counting.InstanceStore, labels, write, depth: int) -> int:
+def _instances_json(store: counting.InstanceStore, labels, write, depth: int) -> None:
     """Write the instances as a JSON list ``depth`` levels in, one per ``write`` call."""
     name = jsonout.names(labels)
     record = jsonout.template(depth + 1, "pattern", "local", "global", "coherence")
@@ -322,15 +322,15 @@ def _instances_json(store: counting.InstanceStore, labels, write, depth: int) ->
         record % (name(r.pattern, depth + 2), r.local_count, r.global_count, counting.coherence(r))
         for r in store.records
     )
-    return jsonout.write_list(texts, depth, write)
+    jsonout.write_list(texts, depth, write)
 
 
-def _links_json(links, labels, write, depth: int) -> int:
+def _links_json(links, labels, write, depth: int) -> None:
     """Write a grid's links as a JSON list ``depth`` levels in, one per ``write`` call."""
     quoted = list(map(jsonout.quote, labels))
     link = jsonout.template(depth + 1, "a", "b", "strength")
     texts = (link % (quoted[l.a], quoted[l.b], l.strength) for l in links)
-    return jsonout.write_list(texts, depth, write)
+    jsonout.write_list(texts, depth, write)
 
 
 def _parameters(args, source: str) -> dict:

@@ -147,11 +147,11 @@ def agreement_json(report: AgreementReport) -> dict:
     }
 
 
-def best_matches_json(report: AgreementReport, labels: Sequence[str], write, depth: int) -> int:
+def best_matches_json(report: AgreementReport, labels: Sequence[str], write, depth: int) -> None:
     """Write the per-cluster table as a JSON list ``depth`` levels in, one
-    row per ``write`` call; returns the number of characters written."""
+    row per ``write`` call."""
     name, d = jsonout.names(labels), depth + 2
     row = jsonout.template(depth + 1, "produced", "reference", "overlap")
     table = report.per_cluster_table
     rows = (row % (name(r.produced, d), name(r.reference, d), r.overlap) for r in table)
-    return jsonout.write_list(rows, depth, write)
+    jsonout.write_list(rows, depth, write)

@@ -5,7 +5,7 @@ listed both as a row and as a column. Presenting an event bumps the cell
 for each unordered pair of its members in both orientations, so the matrix
 stays symmetric; a variable's relation to itself is never kept, leaving
 the diagonal empty. Counting is a single pass over the events and is
-order independent, so shards counted separately merge into the same matrix.
+order independent.
 
 The matrix is stored sparse, one dict of nonzero cells per row, since wide
 grids (a ``--transpose`` pivot) are mostly zeros. Counting takes each
@@ -169,19 +169,6 @@ def _count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> 
             row.update(zip(counted, map(fresh.__getitem__, counted.values())))
 
 
-def grid_merge(a: CountMatrix, b: CountMatrix) -> CountMatrix:
-    """Cellwise sum of two grids over the same vocabulary."""
-    if a.n != b.n:
-        raise DataError(f"cannot merge grids over {a.n} and {b.n} variables")
-    rows = []
-    for row_a, row_b in zip(a.rows, b.rows):
-        row = dict(row_a)
-        for w, c in row_b.items():
-            row[w] = row[w] + c if w in row else c
-        rows.append(row)
-    return CountMatrix(rows, a.increments + b.increments)
-
-
 def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]:
     """The variables above the largest gap in row v's sorted nonzero counts.
 
@@ -283,47 +270,30 @@ def _rendered_rows(grid: CountMatrix, diagonal: str = "x"):
         yield cells
 
 
-def _write_all(pieces, write) -> int:
-    """Pass each text piece to ``write`` in turn; the characters written."""
-    written = 0
-    for piece in pieces:
-        write(piece)
-        written += len(piece)
-    return written
-
-
-def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> int:
+def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> None:
     """Write the CSV rendering, a label header row and column with "x" on
-    the empty diagonal, one line per ``write`` call. Returns the number of
-    characters written."""
-    header = "," + ",".join(labels) + "\n"
-    rows = zip(labels, _rendered_rows(grid))
-    lines = (label + "," + ",".join(cells) + "\n" for label, cells in rows)
-    return _write_all(chain((header,), lines), write)
+    the empty diagonal, one line per ``write`` call."""
+    write("," + ",".join(labels) + "\n")
+    for label, cells in zip(labels, _rendered_rows(grid)):
+        write(label + "," + ",".join(cells) + "\n")
 
 
-def matrix_json(grid: CountMatrix, labels: Sequence[str], write, depth: int = 2) -> int:
+def matrix_json(grid: CountMatrix, labels: Sequence[str], write, depth: int = 2) -> None:
     """Write ``{"labels": [...], "cells": [[...]]}`` ``depth`` levels in of
     ``json.dumps(payload, indent=2)`` (by default a cluster payload's
     ``detail.matrix``), each row in a ``write`` call, from a template of "0"
     with its nonzero cells patched in as ``str``; diagonal cells are
-    structural zeros. Returns the number of characters written."""
+    structural zeros."""
     head, tail = jsonout.template(depth, "labels", "cells").rsplit("%s", 1)
-    head %= jsonout.array(list(map(jsonout.quote, labels)), depth + 1)
-    write(head)
+    write(head % jsonout.array(list(map(jsonout.quote, labels)), depth + 1))
     rows = (jsonout.array(cells, depth + 2) for cells in _rendered_rows(grid, "0"))
-    written = jsonout.write_list(rows, depth + 1, write)
+    jsonout.write_list(rows, depth + 1, write)
     write(tail)
-    return len(head) + written + len(tail)
 
 
-def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> int:
+def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> None:
     """Write the aligned text rendering for terminals, "x" on the diagonal,
-    one line per ``write`` call. Returns the number of characters written."""
-    return _write_all(_text_lines(grid, labels), write)
-
-
-def _text_lines(grid: CountMatrix, labels: Sequence[str]):
+    one line per ``write`` call."""
     # column widths come from the labels and the nonzero cells before any
     # row is made, since "0" and "x" are one character wide
     label_w = max((len(l) for l in labels), default=0)
@@ -331,11 +301,11 @@ def _text_lines(grid: CountMatrix, labels: Sequence[str]):
     for row in grid.rows:
         for w, c in row.items():
             col_w[w] = max(col_w[w], len(str(c)))
-    yield " " * label_w + "  " + "  ".join(map(str.rjust, labels, col_w)) + "\n"
+    write(" " * label_w + "  " + "  ".join(map(str.rjust, labels, col_w)) + "\n")
     zeros = ["0".rjust(w) for w in col_w]
     for i, row in enumerate(grid.rows):
         cells = zeros.copy()
         for w, c in row.items():
             cells[w] = str(c).rjust(col_w[w])
         cells[i] = "x".rjust(col_w[i])
-        yield labels[i].ljust(label_w) + "  " + "  ".join(cells) + "\n"
+        write(labels[i].ljust(label_w) + "  " + "  ".join(cells) + "\n")

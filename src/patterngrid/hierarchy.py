@@ -399,10 +399,10 @@ def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
     return lines
 
 
-def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 1) -> int:
+def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 1) -> None:
     """Write the forest as the ``"roots"`` list ``depth`` levels in of
     ``json.dumps(payload, indent=2)``, a node per ``write`` call, walking
-    with its own stack so any depth is written; returns the characters written."""
+    with its own stack so any depth is written."""
     quoted, pad, template, array = list(map(jsonout.quote, labels)), jsonout.pad, jsonout.template, jsonout.array
 
     def name(ids: frozenset[int], depth: int) -> str:
@@ -411,7 +411,6 @@ def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 
     roots = [(depth + 1, r, ("," if i else "[") + pad(depth + 1)) for i, r in enumerate(store.roots)]
     # text to write as it stands, or (depth, node, the text ahead of it)
     stack: list = [pad(depth) + "]" if roots else "[]", *reversed(roots)]
-    written = 0
     while stack:
         item = stack.pop()
         if not isinstance(item, str):
@@ -435,5 +434,3 @@ def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 
                     ahead = ("," if i else "[") + pad(d + 2) + adds % name(exts[i].adds, d + 3)
                     stack += (ext_tail, (d + 3, exts[i].node, ahead))
         write(item)
-        written += len(item)
-    return written

@@ -40,17 +40,13 @@ def array(texts: Sequence[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(texts) + pad(depth) + "]" if texts else "[]"
 
 
-def write_list(texts: Iterable[str], depth: int, write) -> int:
-    """Write ``array`` of the texts, one value per ``write`` call; returns
-    the number of characters written."""
-    written = 0
+def write_list(texts: Iterable[str], depth: int, write) -> None:
+    """Write ``array`` of the texts, one value per ``write`` call."""
+    opening = "["
     for text in texts:
-        piece = ("," if written else "[") + pad(depth + 1) + text
-        write(piece)
-        written += len(piece)
-    tail = pad(depth) + "]" if written else "[]"
-    write(tail)
-    return written + len(tail)
+        write(opening + pad(depth + 1) + text)
+        opening = ","
+    write("[]" if opening == "[" else pad(depth) + "]")
 
 
 def write_payload(payload: dict, fills, write) -> None:

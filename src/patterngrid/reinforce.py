@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DataError, Partition, Weights, validate_event
+from .model import Partition, Weights, validate_event
 
 Band = tuple[float, frozenset[int]]
 
@@ -30,10 +30,10 @@ Band = tuple[float, frozenset[int]]
 class ReinforceState:
     """Per-variable counters over a fixed vocabulary of n ids.
 
-    Counts are additive and mergeable: disjoint event shards may be counted
-    independently and summed (valid as long as delta is 0; the absence
-    decrement is order sensitive because of the floor at zero). A single
-    state is not safe for simultaneous writers; shard, then merge.
+    ``count_events`` may be called on a state again with later events:
+    counting ``events[:cut]`` and then ``events[cut:]`` gives the counts of
+    one pass over ``events``, for any ``delta``. A single state is not safe
+    for simultaneous writers.
     """
 
     counts: list[int | float]
@@ -130,13 +130,6 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
             if seen[v] < applied:
                 counts[v] = decay(counts[v], applied - seen[v], delta)
     return state
-
-
-def merge(a: ReinforceState, b: ReinforceState) -> ReinforceState:
-    """Sum two shard states counted over the same vocabulary."""
-    if a.n != b.n:
-        raise DataError(f"cannot merge states over {a.n} and {b.n} variables")
-    return ReinforceState([x + y for x, y in zip(a.counts, b.counts)])
 
 
 def band_clusters(state: ReinforceState) -> list[Band]:

@@ -1,0 +1,123 @@
+"""The command behind each file in ``tests/golden/``, written once.
+
+``CASES`` pairs each golden file with the argv whose stdout it holds; an
+argv item named in ``INPUTS`` is an input file written into the working
+directory first, by its relative name, so the ``source`` a JSON payload
+echoes stays fixed. Every case exits 0. The tier-1 test runs the cases in
+process; run as a script, this module runs them through a command:
+
+    python tests/golden_cases.py patterngrid
+    PYTHONPATH=src python3.12 tests/golden_cases.py "python3.12 -m patterngrid"
+
+Each case runs in a fresh temporary directory. The script names every file
+whose stdout bytes or exit code differ, and exits 1 if any does. It needs
+only the standard library and an importable ``patterngrid``, whose
+``synth`` builds ``transpose80.data``.
+"""
+
+from __future__ import annotations
+
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from patterngrid.synth import synthetic_plants_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_SEVEN = ("--fixture", "seven_event")
+# one merge, one root split and one split whose head becomes a new root
+_RULES = ("--label-policy", "members", "--input", "hierarchy_rules.data")
+_COMPARE = ("compare", "--method", "reinforce,cm,grid", *_RULES, "--reference", "ref.json")
+
+INPUTS = {
+    # ids follow first appearance, so E,C,A,D,B takes ids 0-4: each cm
+    # pattern is written in label order, not in its id tuple's order
+    "cm_order.data": b"E,C,A,D,B\nC,A\nE,C,A,D,B\nA,D,B\nD,B\nF,E\nF,E,G\nC,A\nB,F\n",
+    # lines end at "\r\n", "\r" and "\n" only: U+2028 stays inside the label
+    # B C; the BOM is dropped, the invalid byte reads as U+FFFD and line 5's
+    # empty field is skipped with a diagnostic on stderr
+    "line_ends.data": (
+        b"\xef\xbb\xbfA,B\xe2\x80\xa8C,D\r\nA,B\xe2\x80\xa8C,D\rE,F\xff\nE,F\xff,G\r\n"
+        b"bad,,line\nA,B\xe2\x80\xa8C,D\nE,F\xff\r\nA,B\xe2\x80\xa8C\n"
+    ),
+    "hierarchy_rules.data": b"D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n",
+    "ref.json": b'{"clusters": [["A","B","C"],["D","E","F"],["G","H","I"]]}',
+    # a wide sparse grid with links
+    "transpose80.data": synthetic_plants_text(80, 4).encode(),
+}
+
+CASES = (
+    ("tables.txt", ("tables",)),
+    # each engine's renderers are bound where its result is made; the text
+    # and CSV link writers read each link's fields by name
+    ("cluster_grid.txt", ("cluster", "--method", "grid", *_SEVEN)),
+    ("cluster_grid.json", ("cluster", "--method", "grid", *_SEVEN, "--format", "json")),
+    ("cluster_grid.csv", ("cluster", "--method", "grid", *_SEVEN, "--format", "csv")),
+    # float cells beside the int zeros of untouched cells
+    ("cluster_grid_float.json",
+     ("cluster", "--method", "grid", *_SEVEN, "--omega-i", "0.1", "--format", "json")),
+    ("cluster_grid_transpose.json",
+     ("cluster", "--method", "grid", "--transpose", "--input", "transpose80.data", "--format", "json")),
+    ("cluster_cm.txt", ("cluster", "--method", "cm", *_SEVEN)),
+    ("cluster_cm.json", ("cluster", "--method", "cm", *_SEVEN, "--format", "json")),
+    ("cluster_cm.csv", ("cluster", "--method", "cm", *_SEVEN, "--format", "csv")),
+    ("cluster_cm_members.txt",
+     ("cluster", "--method", "cm", "--label-policy", "members", "--input", "cm_order.data")),
+    ("cluster_cm_members.csv",
+     ("cluster", "--method", "cm", "--label-policy", "members", "--input", "cm_order.data",
+      "--format", "csv")),
+    ("cluster_cm_line_ends.txt",
+     ("cluster", "--method", "cm", "--label-policy", "members", "--input", "line_ends.data")),
+    ("cluster_reinforce.txt", ("cluster", "--method", "reinforce", *_SEVEN)),
+    ("cluster_reinforce.json", ("cluster", "--method", "reinforce", *_SEVEN, "--format", "json")),
+    ("cluster_reinforce.csv", ("cluster", "--method", "reinforce", *_SEVEN, "--format", "csv")),
+    # absence decay: int weights in closed form, float weights step by step
+    ("cluster_reinforce_delta.json",
+     ("cluster", "--method", "reinforce", "--delta", "1", *_SEVEN, "--format", "json")),
+    ("cluster_reinforce_float_delta.json",
+     ("cluster", "--method", "reinforce", "--omega-i", "0.5", "--delta", "0.3", *_SEVEN,
+      "--format", "json")),
+    ("hierarchy.txt", ("hierarchy", *_SEVEN)),
+    ("hierarchy_rules.json", ("hierarchy", *_RULES, "--format", "json")),
+    # the same forest as text: a detached root and two extension links
+    ("hierarchy_rules.txt", ("hierarchy", *_RULES)),
+    ("compare.json", (*_COMPARE, "--format", "json")),
+    # the best-match lines, ties going to the earlier reference cluster
+    ("compare.txt", _COMPARE),
+)
+
+
+def write_inputs(argv, directory: Path) -> None:
+    """Write each input file that ``argv`` names into ``directory``."""
+    for arg in argv:
+        if arg in INPUTS:
+            (directory / arg).write_bytes(INPUTS[arg])
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 1:
+        print("usage: golden_cases.py COMMAND, e.g. patterngrid or 'python3 -m patterngrid'",
+              file=sys.stderr)
+        return 2
+    command = shlex.split(args[0])
+    failed = []
+    for name, argv in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_inputs(argv, Path(tmp))
+            done = subprocess.run([*command, *argv], cwd=tmp, capture_output=True)
+        if done.returncode != 0:
+            err = done.stderr.decode(errors="replace").rstrip()
+            failed.append(f"{name}: exit code {done.returncode}\n{err}")
+        elif done.stdout != (GOLDEN / name).read_bytes():
+            failed.append(f"{name}: stdout differs")
+    for line in failed:
+        print("FAIL " + line, file=sys.stderr)
+    print(f"{len(CASES) - len(failed)} of {len(CASES)} golden files match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

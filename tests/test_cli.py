@@ -20,9 +20,12 @@ from patterngrid.cli import entry
 from patterngrid.ingest import LabelPolicy, parse_transactions_path
 from patterngrid.synth import synthetic_plants_text
 
+from . import golden_cases
+from .golden_cases import GOLDEN
 from .oracles import tree_json
 
-GOLDEN = Path(__file__).parent / "golden"
+# each golden file's argv, by the file's name
+GOLDEN_ARGV = dict(golden_cases.CASES)
 
 SCHEMA = json.loads(
     resources.files("patterngrid.data").joinpath("result_schema.json").read_text()
@@ -51,6 +54,31 @@ SEVEN_ESCAPED = [
 ]
 
 
+def _plants_with_bad_lines() -> tuple[bytes, bytes, list[str]]:
+    good = synthetic_plants_text(60, 2).splitlines()
+    bad = {3: "r,al,al", 10: ",al,ak", 11: "  ,al,ak", 25: "label-only", 40: "r,,ak"}
+    lines = list(good)
+    for lineno in sorted(bad):
+        lines.insert(lineno - 1, bad[lineno])
+    reported = [
+        "  line 3: duplicate member",
+        "  line 10: empty field",
+        "  line 11: empty field",
+        "  line 25: no members",
+        "  line 40: empty field",
+    ]
+    return ("\n".join(good) + "\n").encode(), ("\n".join(lines) + "\n").encode(), reported
+
+
+_LINE_ENDS = golden_cases.INPUTS["line_ends.data"]
+# each corpus without and with its bad lines, and the diagnostics those give
+SKIPPED_LINES = {
+    "plants": _plants_with_bad_lines(),
+    # line 5 among a BOM, "\r\n" and "\r" line ends, U+2028 and an invalid byte
+    "line-ends": (_LINE_ENDS.replace(b"bad,,line\n", b""), _LINE_ENDS, ["  line 5: empty field"]),
+}
+
+
 @pytest.fixture()
 def small_corpus(tmp_path):
     path = tmp_path / "small.data"
@@ -59,145 +87,19 @@ def small_corpus(tmp_path):
 
 
 class TestGolden:
-    def test_tables(self, capsys):
-        code, out, _ = run(capsys, "tables")
-        assert code == 0
-        assert out == (GOLDEN / "tables.txt").read_text()
-
-    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
-    def test_cluster_text(self, capsys, method):
-        code, out, _ = run(capsys, "cluster", "--method", method, "--fixture", "seven_event")
-        assert code == 0
-        assert out == (GOLDEN / f"cluster_{method}.txt").read_text()
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
-    def test_cluster_formats(self, capsys, method, fmt):
-        code, out, _ = run(
-            capsys, "cluster", "--method", method, "--fixture", "seven_event", "--format", fmt
-        )
-        assert code == 0
-        assert out == (GOLDEN / f"cluster_{method}.{fmt}").read_text()
-
-    @pytest.mark.parametrize(("fmt", "suffix"), [("text", "txt"), ("csv", "csv")])
-    def test_cm_label_order_unlike_id_order(self, capsys, tmp_path, fmt, suffix):
-        # ids follow first appearance, so E,C,A,D,B takes ids 0-4: each
-        # pattern is written in label order, not in its id tuple's order
-        path = tmp_path / "cm_order.data"
-        path.write_text("E,C,A,D,B\nC,A\nE,C,A,D,B\nA,D,B\nD,B\nF,E\nF,E,G\nC,A\nB,F\n")
-        code, out, _ = run(
-            capsys, "cluster", "--method", "cm", "--label-policy", "members", "--input", str(path),
-            "--format", fmt,
-        )
-        assert code == 0
-        assert out == (GOLDEN / f"cluster_cm_members.{suffix}").read_text()
-
-    def test_cm_line_ends(self, capsys, tmp_path):
-        # lines end at "\r\n", "\r" and "\n" only: U+2028 stays inside the
-        # label B C; the BOM is dropped, the invalid byte reads as
-        # U+FFFD and line 5's empty field is skipped with a diagnostic
-        path = tmp_path / "line_ends.data"
-        path.write_bytes(
-            b"\xef\xbb\xbfA,B\xe2\x80\xa8C,D\r\nA,B\xe2\x80\xa8C,D\rE,F\xff\nE,F\xff,G\r\n"
-            b"bad,,line\nA,B\xe2\x80\xa8C,D\nE,F\xff\r\nA,B\xe2\x80\xa8C\n"
-        )
-        code, out, err = run(
-            capsys, "cluster", "--method", "cm", "--label-policy", "members", "--input", str(path)
-        )
-        assert code == 0
-        assert "line 5: empty field" in err
-        assert out == (GOLDEN / "cluster_cm_line_ends.txt").read_text(encoding="utf-8")
-
-    def test_hierarchy_text(self, capsys):
-        code, out, _ = run(capsys, "hierarchy", "--fixture", "seven_event")
-        assert code == 0
-        assert out == (GOLDEN / "hierarchy.txt").read_text()
-
-    def test_grid_transpose_json(self, capsys, monkeypatch, tmp_path):
-        # a wide sparse grid with links; the relative path keeps "source" fixed
+    @pytest.mark.parametrize(("name", "argv"), golden_cases.CASES, ids=[n for n, _ in golden_cases.CASES])
+    def test_golden_file(self, capsys, monkeypatch, tmp_path, name, argv):
         monkeypatch.chdir(tmp_path)
-        Path("transpose80.data").write_text(synthetic_plants_text(80, 4))
-        code, out, _ = run(
-            capsys, "cluster", "--method", "grid", "--transpose", "--input", "transpose80.data",
-            "--format", "json",
-        )
-        assert code == 0
-        assert out == (GOLDEN / "cluster_grid_transpose.json").read_text()
+        golden_cases.write_inputs(argv, tmp_path)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.encode()) == (0, (GOLDEN / name).read_bytes())
 
-    def test_hierarchy_rules_json(self, capsys, monkeypatch, tmp_path):
-        # one merge, one root split and one split whose head becomes a new
-        # root; the relative path keeps "source" fixed
-        monkeypatch.chdir(tmp_path)
-        Path("hierarchy_rules.data").write_text(
-            "D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n"
-        )
-        code, out, _ = run(
-            capsys, "hierarchy", "--label-policy", "members", "--input", "hierarchy_rules.data",
-            "--format", "json",
-        )
-        assert code == 0
-        assert out == (GOLDEN / "hierarchy_rules.json").read_text()
-
-    def test_hierarchy_rules_text(self, capsys, monkeypatch, tmp_path):
-        # the same forest as text: a detached root and two extension links
-        monkeypatch.chdir(tmp_path)
-        Path("hierarchy_rules.data").write_text(
-            "D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n"
-        )
-        code, out, _ = run(
-            capsys, "hierarchy", "--label-policy", "members", "--input", "hierarchy_rules.data"
-        )
-        assert code == 0
-        assert out == (GOLDEN / "hierarchy_rules.txt").read_text()
-
-    @pytest.mark.parametrize(
-        ("golden", "weights"),
-        [
-            # int weights: absence steps taken in closed form
-            ("cluster_reinforce_delta.json", ("--delta", "1")),
-            # float weights: absence steps taken one by one
-            ("cluster_reinforce_float_delta.json", ("--omega-i", "0.5", "--delta", "0.3")),
-        ],
-    )
-    def test_reinforce_delta_json(self, capsys, golden, weights):
-        code, out, _ = run(
-            capsys, "cluster", "--method", "reinforce", *weights, "--fixture", "seven_event",
-            "--format", "json",
-        )
-        assert code == 0
-        assert out == (GOLDEN / golden).read_text()
-
-    def test_ci_diffs_every_golden_file(self):
-        # the README says CI diffs the installed command's output against
-        # every file in tests/golden/
-        workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
-        diffed = re.findall(r'diff - "\$GITHUB_WORKSPACE/tests/golden/([^"]+)"', workflow.read_text())
-        assert sorted(diffed) == sorted(path.name for path in GOLDEN.iterdir())
-
-    @staticmethod
-    def compare(capsys, monkeypatch, tmp_path, *argv: str) -> str:
-        # every engine's best matches against an inline reference; the
-        # relative paths keep "source" and "reference" fixed
-        monkeypatch.chdir(tmp_path)
-        Path("hierarchy_rules.data").write_text(
-            "D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n"
-        )
-        Path("ref.json").write_text('{"clusters": [["A","B","C"],["D","E","F"],["G","H","I"]]}')
-        code, out, _ = run(
-            capsys, "compare", "--method", "reinforce,cm,grid", "--label-policy", "members",
-            "--input", "hierarchy_rules.data", "--reference", "ref.json", *argv,
-        )
-        assert code == 0
-        return out
-
-    def test_compare_json(self, capsys, monkeypatch, tmp_path):
-        out = self.compare(capsys, monkeypatch, tmp_path, "--format", "json")
-        assert out == (GOLDEN / "compare.json").read_text()
-
-    def test_compare_text(self, capsys, monkeypatch, tmp_path):
-        # the best-match lines, ties going to the earlier reference cluster
-        out = self.compare(capsys, monkeypatch, tmp_path)
-        assert out == (GOLDEN / "compare.txt").read_text()
+    def test_manifest_covers_every_golden_file_and_ci_runs_it(self):
+        # tests/golden/ holds only golden files, each with one manifest case
+        assert sorted(name for name, _ in golden_cases.CASES) == sorted(p.name for p in GOLDEN.iterdir())
+        workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+        assert 'python "$GITHUB_WORKSPACE/tests/golden_cases.py" patterngrid\n' in workflow
+        assert "tests/golden/" not in workflow
 
     @pytest.mark.parametrize(
         "argv",
@@ -211,15 +113,6 @@ class TestGolden:
         Path("ref.json").write_text('{"clusters": [["A", "B"]]}')
         payload = run_json(capsys, *argv, "--fixture", "seven_event", *flag, "--format", "json")
         assert payload["parameters"]["label_policy"] == "members"
-
-    def test_grid_float_json(self, capsys):
-        # float cells beside the int zeros of untouched cells
-        code, out, _ = run(
-            capsys, "cluster", "--method", "grid", "--fixture", "seven_event", "--omega-i", "0.1",
-            "--format", "json",
-        )
-        assert code == 0
-        assert out == (GOLDEN / "cluster_grid_float.json").read_text()
 
 
 class TestRenderOnce:
@@ -243,12 +136,8 @@ class TestRenderOnce:
 
     def check_cluster(self, capsys, monkeypatch, method, fmt):
         self.refuse(monkeypatch, *(other for other in self.RENDERERS if other != fmt))
-        code, out, _ = run(
-            capsys, "cluster", "--method", method, "--fixture", "seven_event", "--format", fmt
-        )
-        assert code == 0
-        suffix = "txt" if fmt == "text" else fmt
-        assert out == (GOLDEN / f"cluster_{method}.{suffix}").read_text()
+        name = f"cluster_{method}.{'txt' if fmt == 'text' else fmt}"
+        assert run(capsys, *GOLDEN_ARGV[name])[:2] == (0, (GOLDEN / name).read_text())
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("method", ["grid", "reinforce", "cm"])
@@ -262,7 +151,7 @@ class TestRenderOnce:
 
     def test_tables_renders_no_json_or_csv(self, capsys, monkeypatch):
         self.refuse(monkeypatch, "json", "csv")
-        assert run(capsys, "tables")[:2] == (0, (GOLDEN / "tables.txt").read_text())
+        assert run(capsys, *GOLDEN_ARGV["tables.txt"])[:2] == (0, (GOLDEN / "tables.txt").read_text())
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_compare_renders_no_engine_result(self, capsys, monkeypatch, small_corpus, fmt):
@@ -278,9 +167,7 @@ class TestRenderOnce:
 
 class TestJson:
     def test_grid(self, capsys):
-        payload = run_json(
-            capsys, "cluster", "--method", "grid", "--fixture", "seven_event", "--format", "json"
-        )
+        payload = run_json(capsys, *GOLDEN_ARGV["cluster_grid.json"])
         assert payload["method"] == "grid"
         assert payload["clusters"] == [["A", "B", "C", "D"], ["E", "F", "G"]]
         assert payload["unassigned"] == []
@@ -322,19 +209,14 @@ class TestJson:
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_reinforce(self, capsys):
-        payload = run_json(
-            capsys,
-            "cluster", "--method", "reinforce", "--fixture", "seven_event", "--format", "json",
-        )
+        payload = run_json(capsys, *GOLDEN_ARGV["cluster_reinforce.json"])
         assert payload["clusters"] == [["B", "C", "D", "E"], ["F", "G"]]
         assert payload["unassigned"] == ["A"]
         assert payload["detail"]["counts"] == {"A": 5, "B": 4, "C": 4, "D": 4, "E": 4, "F": 3, "G": 3}
         assert payload["detail"]["bands"][0] == {"count": 5, "members": ["A"]}
 
     def test_cm(self, capsys):
-        payload = run_json(
-            capsys, "cluster", "--method", "cm", "--fixture", "seven_event", "--format", "json"
-        )
+        payload = run_json(capsys, *GOLDEN_ARGV["cluster_cm.json"])
         assert payload["clusters"] == [["E", "F", "G"], ["A", "B", "C", "D"]]
         assert payload["detail"]["instances"][0] == {
             "pattern": ["A", "B", "C", "D", "E"],
@@ -387,9 +269,7 @@ class TestSingletons:
 
 class TestCsv:
     def test_grid_sections(self, capsys):
-        code, out, _ = run(
-            capsys, "cluster", "--method", "grid", "--fixture", "seven_event", "--format", "csv"
-        )
+        code, out, _ = run(capsys, *GOLDEN_ARGV["cluster_grid.csv"])
         assert code == 0
         matrix, assignment, links = out.rstrip("\n").split("\n\n")
         assert matrix.splitlines()[0] == ",A,B,C,D,E,F,G"
@@ -399,19 +279,14 @@ class TestCsv:
         assert links.splitlines() == ["a,b,strength", "A,E,2"]
 
     def test_reinforce_sections(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "cluster", "--method", "reinforce", "--fixture", "seven_event", "--format", "csv",
-        )
+        code, out, _ = run(capsys, *GOLDEN_ARGV["cluster_reinforce.csv"])
         counts, assignment = out.rstrip("\n").split("\n\n")
         assert counts.splitlines()[:2] == ["variable,count", "A,5"]
         # A is unassigned so its cluster column is empty
         assert "A," in assignment.splitlines()
 
     def test_cm_sections(self, capsys):
-        code, out, _ = run(
-            capsys, "cluster", "--method", "cm", "--fixture", "seven_event", "--format", "csv"
-        )
+        code, out, _ = run(capsys, *GOLDEN_ARGV["cluster_cm.csv"])
         instances, assignment = out.rstrip("\n").split("\n\n")
         assert instances.splitlines()[0] == "pattern,local,global,coherence"
         assert instances.splitlines()[1] == "A;B;C;D;E,1,7,6"
@@ -631,44 +506,32 @@ class TestInputHandling:
         assert "diagnostics: 1 lines skipped" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "corpus"),
         [
-            ("cluster", "--method", "grid", "--format", "json"),
-            ("cluster", "--method", "cm"),
-            ("hierarchy", "--format", "json"),
-            ("compare", "--method", "grid,reinforce", "--reference", "plants_reference"),
+            (("cluster", "--method", "grid", "--format", "json"), "plants"),
+            (("cluster", "--method", "cm"), "plants"),
+            (("hierarchy", "--format", "json"), "plants"),
+            (("compare", "--method", "grid,reinforce", "--reference", "plants_reference"), "plants"),
+            (("cluster", "--method", "cm", "--label-policy", "members"), "line-ends"),
         ],
-        ids=["cluster-grid", "cluster-cm", "hierarchy", "compare"],
+        ids=["cluster-grid", "cluster-cm", "hierarchy", "compare", "cluster-cm-line-ends"],
     )
-    def test_each_skipped_line_reported_on_stderr(self, capsys, tmp_path, argv):
-        good = synthetic_plants_text(60, 2).splitlines()
-        bad = {3: "r,al,al", 10: ",al,ak", 11: "  ,al,ak", 25: "label-only", 40: "r,,ak"}
-        lines = list(good)
-        for lineno in sorted(bad):
-            lines.insert(lineno - 1, bad[lineno])
-        clean, dirty = tmp_path / "clean.data", tmp_path / "dirty.data"
-        clean.write_text("\n".join(good) + "\n")
-        dirty.write_text("\n".join(lines) + "\n")
+    def test_each_skipped_line_reported_on_stderr(self, capsys, tmp_path, argv, corpus):
+        clean, dirty, reported = SKIPPED_LINES[corpus]
 
-        def source(path):
+        def source(text: bytes):
             # the source path is echoed in JSON parameters; keep it equal
             target = tmp_path / "run.data"
-            target.write_bytes(path.read_bytes())
+            target.write_bytes(text)
             return str(target)
 
         code, expected, _ = run(capsys, *argv, "--input", source(clean))
         assert code == 0
         code, out, err = run(capsys, *argv, "--input", source(dirty))
         assert (code, out) == (0, expected)
-        reported = err.splitlines()
-        assert reported[0] == f"diagnostics: {len(bad)} lines skipped"
-        assert reported[1 : 1 + len(bad)] == [
-            "  line 3: duplicate member",
-            "  line 10: empty field",
-            "  line 11: empty field",
-            "  line 25: no members",
-            "  line 40: empty field",
-        ]
+        lines = err.splitlines()
+        assert lines[0] == f"diagnostics: {len(reported)} lines skipped"
+        assert lines[1 : 1 + len(reported)] == reported
 
 
 class TestExitCodes:
@@ -784,10 +647,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_grid_at_the_cell_limit_runs(self, capsys, monkeypatch, fmt):
-        argv = ("cluster", "--method", "grid", "--fixture", "seven_event", "--format", fmt)
+        name = f"cluster_grid.{'txt' if fmt == 'text' else fmt}"
+        argv = GOLDEN_ARGV[name]
         monkeypatch.setattr(cli, "GRID_CELL_LIMIT", 7 * 7)
-        golden = GOLDEN / f"cluster_grid.{'txt' if fmt == 'text' else fmt}"
-        assert run(capsys, *argv)[:2] == (0, golden.read_text())
+        assert run(capsys, *argv)[:2] == (0, (GOLDEN / name).read_text())
         monkeypatch.setattr(cli, "GRID_CELL_LIMIT", 7 * 7 - 1)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

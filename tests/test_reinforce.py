@@ -8,7 +8,6 @@ from patterngrid.reinforce import (
     band_clusters,
     bands_to_partition,
     count_events,
-    merge,
 )
 
 from .oracles import frequency_oracle, random_dataset, sort_group_oracle, update
@@ -65,24 +64,6 @@ def test_delta_floors_at_zero():
     assert state.counts == [1, 1]
 
 
-def test_merge_identity_and_mismatch():
-    state = count_events(ReinforceState.empty(2), [Event((0,))])
-    merged = merge(state, ReinforceState.empty(2))
-    assert merged.counts == state.counts
-    with pytest.raises(DataError):
-        merge(state, ReinforceState.empty(3))
-
-
-def test_split_merge_equals_single_pass():
-    for seed in range(10):
-        dataset = random_dataset(seed)
-        whole = count_events(ReinforceState.empty(dataset.n), dataset.events)
-        for cut in {1, len(dataset.events) // 2, len(dataset.events) - 1} - {0}:
-            left = count_events(ReinforceState.empty(dataset.n), dataset.events[:cut])
-            right = count_events(ReinforceState.empty(dataset.n), dataset.events[cut:])
-            assert merge(left, right).counts == whole.counts
-
-
 def test_counts_match_frequency_oracle():
     for seed in range(30):
         dataset = random_dataset(seed)
@@ -133,13 +114,6 @@ def test_bands_cover_vocabulary_once(data):
     assert seen == set(range(dataset.n))
 
 
-@given(st.integers(0, 10_000), st.integers(0, 10_000))
-def test_merge_commutes(seed_a, seed_b):
-    a = count_events(ReinforceState.empty(6), random_dataset(seed_a, max_vars=6).events[:5])
-    b = count_events(ReinforceState.empty(6), random_dataset(seed_b, max_vars=6).events[:5])
-    assert merge(a, b).counts == merge(b, a).counts
-
-
 @given(_events(), _omega_i, st.one_of(_delta, st.just(0.0)))
 @example((2, [Event((0,)), Event((1,))]), 1, 0.0)  # a zero float delta keeps int counts
 def test_lazy_decrement_matches_eager_fold(drawn, omega_i, delta):
@@ -150,6 +124,19 @@ def test_lazy_decrement_matches_eager_fold(drawn, omega_i, delta):
     oracle = frequency_oracle(events, n, omega_i=omega_i, delta=delta)
     assert [repr(c) for c in lazy] == [repr(c) for c in eager]
     assert [repr(c) for c in lazy] == [repr(c) for c in oracle]
+
+
+@given(_events(), _omega_i, _delta, st.data())
+def test_resumed_count_equals_single_pass(drawn, omega_i, delta, data):
+    # counting events[:cut] and then events[cut:] into the same state gives
+    # one pass's counts: each call ends with its pending absence steps taken
+    n, events = drawn
+    cut = data.draw(st.integers(0, len(events)))
+    weights = Weights(omega_i=omega_i, delta=delta)
+    resumed = count_events(ReinforceState.empty(n), events[:cut], weights)
+    count_events(resumed, events[cut:], weights)
+    whole = count_events(ReinforceState.empty(n), events, weights)
+    assert [repr(c) for c in resumed.counts] == [repr(c) for c in whole.counts]
 
 
 @st.composite
