@@ -74,6 +74,13 @@ def test_update_weight():
     assert matrix.cells[0][2] == matrix.cells[2][0] == 3
 
 
+def test_fixture_counted_in_two_calls_is_full_matrix(seven):
+    matrix = count_events(CountMatrix.zeros(seven.n), seven.events[:3])
+    count_events(matrix, seven.events[3:])
+    assert matrix.cells == SEVEN_MATRIX
+    assert matrix.increments == _seven_matrix(seven).increments
+
+
 @pytest.mark.parametrize("weight", [1, 3, 0.1])
 def test_resumed_count_equals_single_pass(weight):
     # counting events[:cut] and then events[cut:] into the same matrix is one pass

@@ -40,6 +40,17 @@ def test_seven_event_counts(seven):
     assert state.counts == [5, 4, 4, 4, 4, 3, 3]
 
 
+@pytest.mark.parametrize("weights", [Weights(), Weights(delta=1)])
+def test_seven_event_counts_in_two_calls(seven, weights):
+    state = count_events(ReinforceState.empty(seven.n), seven.events[:3], weights)
+    count_events(state, [], weights)  # a call without events changes nothing
+    count_events(state, seven.events[3:], weights)
+    whole = _eager(ReinforceState.empty(seven.n), seven.events, weights)
+    assert state.counts == whole.counts
+    if not weights.delta:
+        assert state.counts == [5, 4, 4, 4, 4, 3, 3]
+
+
 def test_seven_event_bands(seven):
     state = count_events(ReinforceState.empty(seven.n), seven.events)
     bands = band_clusters(state)
