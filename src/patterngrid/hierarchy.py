@@ -2,8 +2,8 @@
 
 Patterns are stored as nodes holding the full variable set and a count of
 exact presentations. An event that extends a stored pattern does not grow
-the pattern in place; it hangs a linked child node off it, the link naming
-the added variables. An event that only partially covers a pattern is
+the pattern in place; it hangs a child node off it, which names the
+variables its link adds. An event that only partially covers a pattern is
 recorded as bookkeeping on the best-overlapping node, and an event too far
 from everything starts a fresh root.
 
@@ -63,26 +63,17 @@ from .model import ConfigError
 
 
 @dataclass(slots=True)
-class Extension:
-    """Link from a pattern node to the child that extends it.
-
-    The child's full pattern is always parent pattern | adds; the child's
-    occurrence count is the link's count.
-    """
-
-    adds: frozenset[int]
-    node: PatternNode
-
-
-@dataclass(slots=True)
 class PatternNode:
     pattern: frozenset[int]
     occurrences: int = 0
-    extensions: list[Extension] = field(default_factory=list)
+    # the child nodes that extend this one, each linked by its ``adds``
+    extensions: list[PatternNode] = field(default_factory=list)
     # Partial presentations recorded against this node, keyed by the part of
     # the event that fell inside the pattern, as its ascending id tuple. Only
     # presented subsets are tracked, never the full powerset.
     subset_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
+    # what the link into this node adds to its parent's pattern; unread on a root
+    adds: frozenset[int] = frozenset()
 
 
 @dataclass(slots=True)
@@ -119,7 +110,7 @@ def _preorder(store: HierarchyStore, start: int = 0) -> Iterator[tuple]:
         path, _, node = item = stack.pop()
         yield item
         exts = node.extensions
-        stack.extend(((*path, j), node, exts[j].node) for j in reversed(range(len(exts))))
+        stack.extend(((*path, j), node, exts[j]) for j in reversed(range(len(exts))))
 
 
 def walk(store: HierarchyStore) -> Iterator[PatternNode]:
@@ -183,10 +174,10 @@ def present_all(store: HierarchyStore, events) -> HierarchyStore:
                     best = nodes[slot]
                 if covered:
                     adds = member_set - best.pattern
-                    outcome = next(((e.node, None) for e in best.extensions if e.adds == adds), None)
+                    outcome = next(((e, None) for e in best.extensions if e.adds == adds), None)
                     if outcome is None:
-                        best.extensions.append(Extension(adds, PatternNode(member_set, 1)))
-                        add((*paths[slot], len(best.extensions) - 1), best.extensions[-1].node)
+                        best.extensions.append(child := PatternNode(member_set, 1, adds=adds))
+                        add((*paths[slot], len(best.extensions) - 1), child)
                 elif pool and top / len(member_set) >= store.theta_new:
                     outcome = best, tuple(sorted(best.pattern & member_set))
                 else:
@@ -213,17 +204,16 @@ def total_mass(store: HierarchyStore) -> int:
     return mass
 
 
-def _merge(store: HierarchyStore, parent: PatternNode, ext: Extension) -> None:
+def _merge(store: HierarchyStore, parent: PatternNode, child: PatternNode) -> None:
     """The extension becomes the whole pattern and the link is removed.
 
     Other extensions of the parent are about the pattern as it was, not
     the grown one, so rewriting them in place would falsify what was seen;
     they are detached and continue as roots.
     """
-    child = ext.node
     for other in parent.extensions:
-        if other is not ext:
-            store.roots.append(other.node)
+        if other is not child:
+            store.roots.append(other)
     parent.pattern = child.pattern
     parent.occurrences += child.occurrences
     parent.extensions = child.extensions
@@ -241,19 +231,17 @@ def _split(
     pattern stays as an extension of it, keeping its own count and children."""
     count = node.subset_counts.pop(subset)
     pattern = frozenset(subset)
-    head = PatternNode(pattern, count, [Extension(node.pattern - pattern, node)])
+    head = PatternNode(pattern, count, [node])
+    node.adds = node.pattern - pattern
     if grand is None:
         store.roots[store.roots.index(node)] = head
     elif grand.pattern < pattern:
-        for ext in grand.extensions:
-            if ext.node is node:
-                ext.adds = pattern - grand.pattern
-                ext.node = head
-                break
+        head.adds = pattern - grand.pattern
+        grand.extensions = [head if e is node else e for e in grand.extensions]
     else:
         # The subset does not extend the old parent, so the promoted node
         # cannot hang where the old one did.
-        grand.extensions = [e for e in grand.extensions if e.node is not node]
+        grand.extensions = [e for e in grand.extensions if e is not node]
         store.roots.append(head)
     return head
 
@@ -274,7 +262,7 @@ def consolidate(store: HierarchyStore) -> HierarchyStore:
 
 def _rules(store: HierarchyStore) -> Iterator[tuple]:
     """Each rule ``consolidate`` applies, yielded before it is applied and
-    applied when the next one is asked for: ``(_merge, parent, extension)``
+    applied when the next one is asked for: ``(_merge, parent, child)``
     for the first merge candidate in walk order, or else ``(_split, parent
     or None, node, subset)`` for the first split candidate, its smallest
     dominant subset in ascending id-tuple order.
@@ -306,9 +294,9 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
     splits: list[tuple[tuple[int, ...], int, PatternNode]] = []
     tiebreak, below_head = count(), count(-1, -1)
 
-    def merge_ext(node: PatternNode) -> Extension | None:
+    def merge_child(node: PatternNode) -> PatternNode | None:
         limit = store.theta_merge * node.occurrences
-        return next((e for e in node.extensions if e.node.occurrences >= limit), None)
+        return next((e for e in node.extensions if e.occurrences >= limit), None)
 
     def split_subset(node: PatternNode) -> tuple[int, ...] | None:
         subsets = dominant[id(node)]
@@ -316,7 +304,7 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
 
     def retest(node: PatternNode) -> None:
         key = keys[id(node)]
-        if merge_ext(node) is not None:
+        if merge_child(node) is not None:
             heappush(merges, (key, next(tiebreak), node))
         if split_subset(node) is not None:
             heappush(splits, (key, next(tiebreak), node))
@@ -343,19 +331,19 @@ def _rules(store: HierarchyStore) -> Iterator[tuple]:
 
     place_roots(0)
     while True:
-        if (rule := first(merges, merge_ext)) is not None:
-            parent, ext = rule
-            yield _merge, parent, ext
+        if (rule := first(merges, merge_child)) is not None:
+            parent, child = rule
+            yield _merge, parent, child
             for table in (keys, parents, dominant):
-                del table[id(ext.node)]
+                del table[id(child)]
             del dominant[id(parent)]
             roots = len(store.roots)
-            _merge(store, parent, ext)
+            _merge(store, parent, child)
             # the child's extensions now hang from the parent, whose counts
             # changed, and its other extensions became new roots; its own
             # parent's test sees its larger count
             for e in parent.extensions:
-                parents[id(e.node)] = parent
+                parents[id(e)] = parent
             grand = parents[id(parent)]
             place(parent, grand, keys[id(parent)])
             if grand is not None:
@@ -393,7 +381,7 @@ def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
     for path, parent, node in _preorder(store):
         pad = "    " * (len(path) - 1)
         if parent is not None:
-            lines.append(f"{pad[2:]}+{name(sorted(parent.extensions[path[-1]].adds))} ->")
+            lines.append(f"{pad[2:]}+{name(sorted(node.adds))} ->")
         lines.append(f"{pad}{name(sorted(node.pattern))} x{node.occurrences}")
         lines += [f"{pad}  part {name(ids)} x{n}" for ids, n in sorted(node.subset_counts.items())]
     return lines
@@ -401,36 +389,37 @@ def tree_text(store: HierarchyStore, labels: Sequence[str]) -> list[str]:
 
 def tree_json(store: HierarchyStore, labels: Sequence[str], write, depth: int = 1) -> None:
     """Write the forest as the ``"roots"`` list ``depth`` levels in of
-    ``json.dumps(payload, indent=2)``, a node per ``write`` call, walking
-    with its own stack so any depth is written."""
+    ``json.dumps(payload, indent=2)``, a node per ``write`` call, in walk
+    order, so any depth is written."""
     quoted, pad, template, array = list(map(jsonout.quote, labels)), jsonout.pad, jsonout.template, jsonout.array
 
     def name(ids: frozenset[int], depth: int) -> str:
         return array([quoted[i] for i in sorted(ids)], depth)
 
-    roots = [(depth + 1, r, ("," if i else "[") + pad(depth + 1)) for i, r in enumerate(store.roots)]
-    # text to write as it stands, or (depth, node, the text ahead of it)
-    stack: list = [pad(depth) + "]" if roots else "[]", *reversed(roots)]
-    while stack:
-        item = stack.pop()
-        if not isinstance(item, str):
-            d, node, item = item
-            head, tail = template(d, "pattern", "occurrences", "parts", "extensions").rsplit("%s", 1)
-            # each part's members from its sorted ids, as ``array`` would write them
-            part, inner = template(d + 2, "members", "count"), pad(d + 4)
-            opening, comma, closing = "[" + inner, "," + inner, pad(d + 3) + "]"
-            parts = [
-                part % (opening + comma.join(map(quoted.__getitem__, ids)) + closing if ids else "[]", n)
-                for ids, n in sorted(node.subset_counts.items())
-            ]
-            item += head % (name(node.pattern, d + 1), node.occurrences, array(parts, d + 1))
-            exts = node.extensions
-            if not exts:
-                item += "[]" + tail
-            else:
-                stack.append(pad(d + 1) + "]" + tail)
-                adds, ext_tail = template(d + 2, "adds", "node").rsplit("%s", 1)
-                for i in reversed(range(len(exts))):
-                    ahead = ("," if i else "[") + pad(d + 2) + adds % name(exts[i].adds, d + 3)
-                    stack += (ext_tail, (d + 3, exts[i].node, ahead))
+    # the text that closes each node on the path to the last one written
+    closing: list[str] = []
+    for path, _, node in _preorder(store):
+        d, level = depth + 3 * len(path) - 2, len(path) - 1
+        item = "".join(reversed(closing[level:])) + ("," if path[-1] else "[")
+        del closing[level:]
+        head, tail = template(d, "pattern", "occurrences", "parts", "extensions").rsplit("%s", 1)
+        if level:
+            adds, link_tail = template(d - 1, "adds", "node").rsplit("%s", 1)
+            item += pad(d - 1) + adds % name(node.adds, d)
+            tail += link_tail
+        else:
+            item += pad(d)
+        # each part's members from its sorted ids, as ``array`` would write them
+        part, inner = template(d + 2, "members", "count"), pad(d + 4)
+        opening, comma, shut = "[" + inner, "," + inner, pad(d + 3) + "]"
+        parts = [
+            part % (opening + comma.join(map(quoted.__getitem__, ids)) + shut if ids else "[]", n)
+            for ids, n in sorted(node.subset_counts.items())
+        ]
+        item += head % (name(node.pattern, d + 1), node.occurrences, array(parts, d + 1))
+        if node.extensions:
+            closing.append(pad(d + 1) + "]" + tail)
+        else:
+            item += "[]" + tail
         write(item)
+    write("".join(reversed(closing)) + (pad(depth) + "]" if store.roots else "[]"))

@@ -165,7 +165,8 @@ FIXTURES = ("seven_event", "plants_reference")
 
 
 def _data_bytes(name: str) -> bytes:
-    return resources.files("patterngrid.data").joinpath(name).read_bytes()
+    # data/ is a folder, not a package: zipimport imports no namespace package
+    return (resources.files("patterngrid") / "data" / name).read_bytes()
 
 
 def reference_from_clusters(cluster_label_sets) -> ReferenceClusters:

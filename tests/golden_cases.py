@@ -44,6 +44,12 @@ INPUTS = {
         b"bad,,line\nA,B\xe2\x80\xa8C,D\nE,F\xff\r\nA,B\xe2\x80\xa8C\n"
     ),
     "hierarchy_rules.data": b"D,E,F\nD,E\nD,E\nA,B\nA,B,C\nA,B,C\nG,H\nG,H,I\nH,I\nH,I\n",
+    # the root splits off {B}, then {A,B,C} splits off {B,C}, which extends
+    # {B} and so takes {A,B,C}'s place under it
+    "hierarchy_inplace_split.data": b"A,B,C\nB,C\nB,C\nB,C\nB\nB\n",
+    # {A,B} merges with its extension {A,B,C}; the link into it keeps its
+    # adds {B}
+    "hierarchy_stale_link.data": b"A\nA\nA,B\nA,B,C\nA,B,C\n",
     "ref.json": b'{"clusters": [["A","B","C"],["D","E","F"],["G","H","I"]]}',
     # a wide sparse grid with links
     "transpose80.data": synthetic_plants_text(80, 4).encode(),
@@ -84,6 +90,15 @@ CASES = (
     ("hierarchy_rules.json", ("hierarchy", *_RULES, "--format", "json")),
     # the same forest as text: a detached root and two extension links
     ("hierarchy_rules.txt", ("hierarchy", *_RULES)),
+    # a split head replacing its node under the grandparent it extends
+    ("hierarchy_inplace_split.txt",
+     ("hierarchy", "--label-policy", "members", "--input", "hierarchy_inplace_split.data")),
+    ("hierarchy_inplace_split.json",
+     ("hierarchy", "--label-policy", "members", "--input", "hierarchy_inplace_split.data",
+      "--format", "json")),
+    # the link a non-root merge leaves as it was stored
+    ("hierarchy_stale_link.txt",
+     ("hierarchy", "--label-policy", "members", "--input", "hierarchy_stale_link.data")),
     ("compare.json", (*_COMPARE, "--format", "json")),
     # the best-match lines, ties going to the earlier reference cluster
     ("compare.txt", _COMPARE),

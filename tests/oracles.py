@@ -39,7 +39,7 @@ from itertools import chain, combinations
 from patterngrid.counting import InstanceRecord, InstanceStore
 from patterngrid.evaluate import AgreementReport, MatchRow, pairwise_agreement
 from patterngrid.grid import CountMatrix, GridClusterResult, count_events
-from patterngrid.hierarchy import Extension, PatternNode, _merge, _split
+from patterngrid.hierarchy import PatternNode, _merge, _split
 from patterngrid.ingest import LabelPolicy
 from patterngrid.model import (
     ConfigError,
@@ -392,8 +392,8 @@ def _preorder(store) -> list:
 
     def visit(node):
         nodes.append(node)
-        for ext in node.extensions:
-            visit(ext.node)
+        for child in node.extensions:
+            visit(child)
 
     for root in store.roots:
         visit(root)
@@ -414,11 +414,11 @@ def hierarchy_walk_oracle(store, event):
             best.occurrences += 1
             return store
         adds = frozenset(members - best.pattern)
-        for ext in best.extensions:
-            if ext.adds == adds:
-                ext.node.occurrences += 1
+        for child in best.extensions:
+            if child.adds == adds:
+                child.occurrences += 1
                 return store
-        best.extensions.append(Extension(adds, PatternNode(members, 1)))
+        best.extensions.append(PatternNode(members, 1, adds=adds))
         return store
 
     if nodes:
@@ -435,11 +435,11 @@ def hierarchy_walk_oracle(store, event):
 
 def find_merge_oracle(store):
     """The hierarchy merge candidate by scanning every node's extensions in
-    walk order: (parent, extension) or None."""
+    walk order: (parent, child) or None."""
     for node in _preorder(store):
-        for ext in node.extensions:
-            if ext.node.occurrences >= store.theta_merge * node.occurrences:
-                return node, ext
+        for child in node.extensions:
+            if child.occurrences >= store.theta_merge * node.occurrences:
+                return node, child
     return None
 
 
@@ -449,8 +449,8 @@ def find_split_oracle(store):
     node, subset) or None."""
     parents = {}
     for node in _preorder(store):
-        for ext in node.extensions:
-            parents[id(ext.node)] = node
+        for child in node.extensions:
+            parents[id(child)] = node
     for node in _preorder(store):
         for subset in sorted(node.subset_counts):
             if node.subset_counts[subset] >= store.theta_split * node.occurrences:
@@ -491,7 +491,7 @@ def tree_json(store, labels) -> dict:
                 for s in sorted(node.subset_counts)
             ],
             "extensions": [
-                {"adds": name(e.adds), "node": node_dict(e.node)} for e in node.extensions
+                {"adds": name(c.adds), "node": node_dict(c)} for c in node.extensions
             ],
         }
 
@@ -517,7 +517,7 @@ def tree_text_oracle(store, labels) -> list[str]:
             lines.append(
                 f"{'  ' * (depth + 1)}part {name(subset)} x{node.subset_counts[subset]}"
             )
-        stack.extend((depth + 2, e.node, e.adds) for e in reversed(node.extensions))
+        stack.extend((depth + 2, c, c.adds) for c in reversed(node.extensions))
     return lines
 
 

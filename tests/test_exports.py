@@ -37,6 +37,7 @@ def test_reference_functions_are_not_exported():
         (counting, "present"),
         (reinforce, "update"),
         (hierarchy, "present_pattern"),
+        (hierarchy, "Extension"),
         (counting.InstanceStore, "_postings"),
     ]
     assert [f"{owner.__name__}.{attr}" for owner, attr in gone if hasattr(owner, attr)] == []

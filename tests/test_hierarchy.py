@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from patterngrid import hierarchy
 from patterngrid.hierarchy import (
-    Extension,
     HierarchyStore,
     PatternNode,
     consolidate,
@@ -45,8 +44,8 @@ class TestPresent:
         assert root.occurrences == 1
         (ext,) = root.extensions
         assert ext.adds == {E}
-        assert ext.node.pattern == {A, B, C, D, E}
-        assert ext.node.occurrences == 1
+        assert ext.pattern == {A, B, C, D, E}
+        assert ext.occurrences == 1
 
     def test_repeat_presentation_increments(self):
         store = _store((A, B, C, D), (A, B, C, D))
@@ -75,15 +74,15 @@ class TestPresent:
     def test_exact_match_on_extension_node(self):
         store = _store((A, B), (A, B, C), (A, B, C))
         (root,) = store.roots
-        assert root.extensions[0].node.occurrences == 2
+        assert root.extensions[0].occurrences == 2
 
     def test_most_specific_covered_pattern_wins(self):
         store = _store((A, B), (A, B, C), (A, B, C, D))
         (root,) = store.roots
         (ext,) = root.extensions
         # {A,B,C,D} extends {A,B,C}, not the smaller {A,B}
-        assert ext.node.extensions[0].adds == {D}
-        assert ext.node.extensions[0].node.pattern == {A, B, C, D}
+        assert ext.extensions[0].adds == {D}
+        assert ext.extensions[0].pattern == {A, B, C, D}
 
     def test_covered_tie_goes_to_walk_order(self):
         store = _store((A, B), (C, D), (A, B, C, D))
@@ -128,7 +127,7 @@ class TestConsolidateMerge:
         assert root.occurrences == 3
         (ext,) = root.extensions
         assert ext.adds == {D}
-        assert ext.node.pattern == {A, B, C, D}
+        assert ext.pattern == {A, B, C, D}
 
     def test_merge_detaches_siblings_unchanged(self):
         store = _store(*([(A, B)] * 3 + [(A, B, C)] * 6 + [(A, B, D)]))
@@ -147,9 +146,9 @@ class TestConsolidateSplit:
         assert root.occurrences == 3
         (ext,) = root.extensions
         assert ext.adds == {D}
-        assert ext.node.pattern == {A, B, C, D}
-        assert ext.node.occurrences == 1
-        assert ext.node.subset_counts == {}
+        assert ext.pattern == {A, B, C, D}
+        assert ext.occurrences == 1
+        assert ext.subset_counts == {}
         assert total_mass(store) == 4
 
     def test_subset_below_threshold_stays_bookkept(self):
@@ -162,15 +161,17 @@ class TestConsolidateSplit:
     def test_split_replaces_child_in_place_when_it_still_extends(self):
         # hand-built store: bookkeeping that still contains the parent
         # pattern can only arise through direct construction
-        deep = PatternNode(frozenset({0, 1, 2, 3}), 1, subset_counts={(0, 1, 2): 2})
-        top = PatternNode(frozenset({0, 1}), 5, [Extension(frozenset({2, 3}), deep)])
+        deep = PatternNode(
+            frozenset({0, 1, 2, 3}), 1, subset_counts={(0, 1, 2): 2}, adds=frozenset({2, 3})
+        )
+        top = PatternNode(frozenset({0, 1}), 5, [deep])
         store = HierarchyStore(roots=[top], presentations=8)
         consolidate(store)
         (ext,) = top.extensions
         assert ext.adds == {2}
-        assert ext.node.pattern == {0, 1, 2}
-        assert ext.node.occurrences == 2
-        assert ext.node.extensions[0].node is deep
+        assert ext.pattern == {0, 1, 2}
+        assert ext.occurrences == 2
+        assert ext.extensions[0] is deep
         assert total_mass(store) == 8
 
     def test_split_detaches_when_subset_leaves_the_parent(self):
@@ -180,7 +181,7 @@ class TestConsolidateSplit:
         promoted = store.roots[1]
         assert promoted.occurrences == 2
         assert promoted.extensions[0].adds == {B}
-        assert promoted.extensions[0].node.pattern == {A, B, C, D}
+        assert promoted.extensions[0].pattern == {A, B, C, D}
         # the old parent keeps its own count but loses the link
         assert store.roots[0].extensions == []
         assert total_mass(store) == 4
@@ -214,8 +215,8 @@ class TestInvariants:
             consolidate(store)
             for node in walk(store):
                 for ext in node.extensions:
-                    assert ext.node.pattern == node.pattern | ext.adds
-                    assert ext.node.occurrences < store.theta_merge * node.occurrences
+                    assert ext.pattern == node.pattern | ext.adds
+                    assert ext.occurrences < store.theta_merge * node.occurrences
                 for subset, count in node.subset_counts.items():
                     assert subset == tuple(sorted(set(subset))) and set(subset) < node.pattern
                     assert count < store.theta_split * node.occurrences
@@ -227,14 +228,14 @@ class TestInvariants:
         present_all(store, dataset.events)
         for node in walk(store):
             for ext in node.extensions:
-                assert ext.node.pattern == node.pattern | ext.adds
-                assert node.pattern < ext.node.pattern
+                assert ext.pattern == node.pattern | ext.adds
+                assert node.pattern < ext.pattern
 
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
         reason="merging a node that is not a root grows its pattern, but its"
-        " parent's Extension.adds still names the old difference",
+        " adds still names the old difference from its parent",
     )
     def test_extension_invariant_after_a_non_root_merge(self):
         # {A} x2, extended by {A,B} x1, extended by {A,B,C} x2: the merge
@@ -243,8 +244,8 @@ class TestInvariants:
         consolidate(store)
         (root,) = store.roots
         (ext,) = root.extensions
-        assert (root.pattern, ext.node.pattern, ext.node.occurrences) == ({A}, {A, B, C}, 3)
-        assert ext.node.pattern == root.pattern | ext.adds
+        assert (root.pattern, ext.pattern, ext.occurrences) == ({A}, {A, B, C}, 3)
+        assert ext.pattern == root.pattern | ext.adds
 
 
 def _oracle_present_all(store: HierarchyStore, events) -> HierarchyStore:
@@ -256,11 +257,13 @@ def _oracle_present_all(store: HierarchyStore, events) -> HierarchyStore:
 def _hand_built_store() -> HierarchyStore:
     # extension links, bookkeeping and two roots sharing a pattern, which
     # presentation alone never produces
-    deep = PatternNode(frozenset({0, 1, 2, 3}), 1, subset_counts={(0, 1, 2): 2})
-    top = PatternNode(frozenset({0, 1}), 5, [Extension(frozenset({2, 3}), deep)])
+    deep = PatternNode(
+        frozenset({0, 1, 2, 3}), 1, subset_counts={(0, 1, 2): 2}, adds=frozenset({2, 3})
+    )
+    top = PatternNode(frozenset({0, 1}), 5, [deep])
     twin = PatternNode(frozenset({4, 5}), 1)
     again = PatternNode(
-        frozenset({4, 5}), 2, [Extension(frozenset({0}), PatternNode(frozenset({0, 4, 5}), 1))]
+        frozenset({4, 5}), 2, [PatternNode(frozenset({0, 4, 5}), 1, adds=frozenset({0}))]
     )
     return HierarchyStore(roots=[top, twin, again], presentations=13)
 
@@ -592,7 +595,8 @@ class TestRendering:
         labels = [f"v{i}" for i in range(2_001)]
         node = PatternNode(frozenset(range(2_001)), 1)
         for depth in range(2_000, 0, -1):
-            node = PatternNode(frozenset(range(depth)), 1, [Extension(frozenset({depth}), node)])
+            node.adds = frozenset({depth})
+            node = PatternNode(frozenset(range(depth)), 1, [node])
         store = HierarchyStore(roots=[node], presentations=2_001)
         lines = tree_text(store, labels)
         assert len(lines) == 2 * 2_001 - 1

@@ -1,7 +1,11 @@
 import gc
 import io
 import re
+import subprocess
+import sys
 import time
+import zipfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +25,7 @@ from patterngrid.ingest import (
 from patterngrid.model import ConfigError, DataError, Dataset, Event, build_vocabulary
 from patterngrid.synth import synthetic_plants_text
 
+from .golden_cases import GOLDEN
 from .oracles import parse_oracle, transpose_oracle
 
 MEMBERS = LabelPolicy.MEMBERS
@@ -467,3 +472,22 @@ class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(DataError):
             load_fixture("nope")
+
+    def test_fixtures_load_from_a_zipped_package(self, tmp_path):
+        # data/ has no __init__.py, and zipimport imports no namespace package
+        package = Path(ingest.__file__).resolve().parent
+        archive = tmp_path / "patterngrid.zip"
+        with zipfile.ZipFile(archive, "w") as zipped:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zipped.write(path, path.relative_to(package.parent).as_posix())
+        probe = (
+            f"import sys; sys.path.insert(0, {str(archive)!r}); "
+            "import patterngrid; from patterngrid import cli, ingest; "
+            f"assert patterngrid.__file__.startswith({str(archive)!r}), patterngrid.__file__; "
+            "ingest.load_fixture('plants_reference'); "
+            "sys.exit(cli.entry(['tables']))"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == (GOLDEN / "tables.txt").read_bytes()

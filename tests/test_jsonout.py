@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from patterngrid import cli, hierarchy, jsonout
 from patterngrid.counting import InstanceRecord, InstanceStore
 from patterngrid.evaluate import AgreementReport, MatchRow, best_matches_json
-from patterngrid.hierarchy import Extension, HierarchyStore, PatternNode
+from patterngrid.hierarchy import HierarchyStore, PatternNode
 from patterngrid.model import InterPatternLink
 
 from .oracles import best_matches_oracle, instances_json_oracle, tree_json
@@ -63,11 +63,11 @@ def _forests(draw):
     labels = draw(LABELS)
     ids = _ids(labels)
 
-    def node(depth):
+    def node(depth, adds=frozenset()):
         parts = draw(st.dictionaries(ids.map(sorted).map(tuple), st.integers(1, 9), max_size=3))
         children = draw(st.lists(ids, max_size=0 if depth > 3 else 3))
-        extensions = [Extension(adds, node(depth + 1)) for adds in children]
-        return PatternNode(draw(ids), draw(st.integers(0, 9)), extensions, parts)
+        extensions = [node(depth + 1, adds) for adds in children]
+        return PatternNode(draw(ids), draw(st.integers(0, 9)), extensions, parts, adds)
 
     roots = [node(0) for _ in range(draw(st.integers(0, 3)))]
     return labels, HierarchyStore(roots=roots, presentations=draw(st.integers(0, 99)))
