@@ -9,20 +9,24 @@ Each engine run yields one ``EngineRun``: what it found, and renderers that
 ``_run_method`` binds to the engine's result, so nothing else reads it. Only
 the requested format's renderer runs; ``compare`` runs none. JSON output
 is ``json.dumps(payload, indent=2)`` text, its large sections written to
-standard output a record or matrix row at a time by ``jsonout``.
+standard output as they are made: record lists (links, cm instances, best
+matches) in blocks of ``jsonout.BLOCK`` characters or more, and matrix
+rows and hierarchy nodes one per ``write`` call.
 
 Output determinism is a hard contract: the same command on the same input
 produces byte-identical standard output. Timing always goes to standard
 error; ``--timing`` additionally embeds the (necessarily unstable) numbers
 in the payload for whoever asks for them.
 
-Exit codes: 0 success, 1 input error, 2 configuration error.
+Exit codes: 0 success, 1 input error, 2 configuration error, 141 (128 +
+SIGPIPE) standard output closed by its reader, which is not reported.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -315,7 +319,7 @@ def _streamed(key: str, writer, result, labels) -> tuple[dict, list]:
 
 
 def _instances_json(store: counting.InstanceStore, labels, write, depth: int) -> None:
-    """Write the instances as a JSON list ``depth`` levels in, one per ``write`` call."""
+    """Write the instances as a JSON list ``depth`` levels in, in blocks."""
     name = jsonout.names(labels)
     record = jsonout.template(depth + 1, "pattern", "local", "global", "coherence")
     texts = (
@@ -326,7 +330,7 @@ def _instances_json(store: counting.InstanceStore, labels, write, depth: int) ->
 
 
 def _links_json(links, labels, write, depth: int) -> None:
-    """Write a grid's links as a JSON list ``depth`` levels in, one per ``write`` call."""
+    """Write a grid's links as a JSON list ``depth`` levels in, in blocks."""
     quoted = list(map(jsonout.quote, labels))
     link = jsonout.template(depth + 1, "a", "b", "strength")
     texts = (link % (quoted[l.a], quoted[l.b], l.strength) for l in links)
@@ -546,7 +550,16 @@ def entry(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; point fd 1 at devnull, so the interpreter's
+        # final flush of what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

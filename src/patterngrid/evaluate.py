@@ -148,8 +148,8 @@ def agreement_json(report: AgreementReport) -> dict:
 
 
 def best_matches_json(report: AgreementReport, labels: Sequence[str], write, depth: int) -> None:
-    """Write the per-cluster table as a JSON list ``depth`` levels in, one
-    row per ``write`` call."""
+    """Write the per-cluster table as a JSON list ``depth`` levels in, in
+    blocks."""
     name, d = jsonout.names(labels), depth + 2
     row = jsonout.template(depth + 1, "produced", "reference", "overlap")
     table = report.per_cluster_table

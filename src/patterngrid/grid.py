@@ -286,9 +286,11 @@ def matrix_json(grid: CountMatrix, labels: Sequence[str], write, depth: int = 2)
     structural zeros."""
     head, tail = jsonout.template(depth, "labels", "cells").rsplit("%s", 1)
     write(head % jsonout.array(list(map(jsonout.quote, labels)), depth + 1))
-    rows = (jsonout.array(cells, depth + 2) for cells in _rendered_rows(grid, "0"))
-    jsonout.write_list(rows, depth + 1, write)
-    write(tail)
+    opening, inner = "[", jsonout.pad(depth + 2)
+    for cells in _rendered_rows(grid, "0"):
+        write(opening + inner + jsonout.array(cells, depth + 2))
+        opening = ","
+    write(("[]" if opening == "[" else jsonout.pad(depth + 1) + "]") + tail)
 
 
 def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> None:

@@ -2,9 +2,12 @@
 
 CPython's indenting encoder is pure Python and joins every chunk. So a
 payload's large sections stand in it as ``null`` slots, and ``write_payload``
-writes each slot's value a record at a time, from a ``%`` template per
-record shape: strings quoted by ``json``'s ASCII encoder, and numbers by
-``%s``, which gives ``json``'s text for a finite int or float.
+writes each slot's value as its fill writes it. A record list goes out
+through ``write_list`` in blocks of ``BLOCK`` characters or more, so a
+stream that writes straight through makes a few large writes, not one per
+record. The records come from a ``%`` template per record shape: strings
+quoted by ``json``'s ASCII encoder, and numbers by ``%s``, which gives
+``json``'s text for a finite int or float.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as quote
 from typing import Iterable, Sequence
+
+# the fewest characters ``write_list`` hands ``write`` at once, but for
+# the block that closes the list
+BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=256)
@@ -41,12 +48,22 @@ def array(texts: Sequence[str], depth: int) -> str:
 
 
 def write_list(texts: Iterable[str], depth: int, write) -> None:
-    """Write ``array`` of the texts, one value per ``write`` call."""
-    opening = "["
+    """Write ``array`` of the texts in blocks, separators included: each
+    ``write`` call but the last, which closes the list, gets at least
+    ``BLOCK`` characters, and at most one value and its separator more."""
+    head, sep = "[" + pad(depth + 1), "," + pad(depth + 1)
+    block, size = [], 0
     for text in texts:
-        write(opening + pad(depth + 1) + text)
-        opening = ","
-    write("[]" if opening == "[" else pad(depth) + "]")
+        block.append(text)
+        # head and sep are one length, so size is the length of the block's text
+        size += len(sep) + len(text)
+        if size >= BLOCK:
+            write(head + sep.join(block))
+            head, block, size = sep, [], 0
+    if block:
+        write(head + sep.join(block) + pad(depth) + "]")
+    else:
+        write(pad(depth) + "]" if head is sep else "[]")
 
 
 def write_payload(payload: dict, fills, write) -> None:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import patterngrid
-from patterngrid import cli, grid, hierarchy
+from patterngrid import cli, grid, hierarchy, jsonout
 from patterngrid.cli import entry
 from patterngrid.ingest import LabelPolicy, parse_transactions_path
 from patterngrid.synth import synthetic_plants_text
@@ -791,6 +791,59 @@ class TestExitCodes:
         )
         assert (code, out) == (1, "")
         assert err == f"input error: {ref}: reference contains no clusters\n"
+
+
+class _CountingStdout(io.StringIO):
+    """A standard output that counts its ``write`` calls."""
+
+    calls = 0
+
+    def write(self, text: str) -> int:
+        self.calls += 1
+        return super().write(text)
+
+
+class TestStdoutWrites:
+    @pytest.fixture()
+    def distinct(self, tmp_path):
+        # 3,000 records, each a distinct pair of 110 variables: cm's JSON
+        # holds thousands of instances and is several blocks long
+        path = tmp_path / "distinct.data"
+        path.write_text("".join(f"r{i},a{i % 60},b{i // 60}\n" for i in range(3000)))
+        return str(path)
+
+    def test_cm_instances_go_out_in_blocks(self, distinct):
+        out = _CountingStdout()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = entry(["cluster", "--method", "cm", "--input", distinct, "--format", "json"])
+        assert code == 0
+        text = out.getvalue()
+        assert len(json.loads(text)["detail"]["instances"]) >= 3000
+        blocks = -(-len(text.encode()) // jsonout.BLOCK)
+        assert out.calls <= blocks + 4
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_quietly(self, distinct, unbuffered):
+        # the reader takes a few bytes of several blocks and closes the pipe,
+        # as ``| head -c 100`` does; the write that then fails is no input
+        # error, and the interpreter's last flush raises nothing either
+        env = dict(os.environ, PYTHONPATH=str(Path(patterngrid.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["cluster", "--method", "cm", "--input", distinct, "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patterngrid", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err.startswith("timing: ") and err.count("\n") == 1, err
 
 
 def test_cli_import_loads_no_thread_pool_or_logging():

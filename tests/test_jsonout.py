@@ -1,9 +1,11 @@
 """Each streamed JSON section, spliced into its payload, is the text
-``json.dumps(payload, indent=2)`` gives for the dict the oracles build."""
+``json.dumps(payload, indent=2)`` gives for the dict the oracles build;
+and a record list reaches ``write`` in blocks."""
 
 import io
 import json
 from functools import partial
+from operator import mul
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -123,3 +125,26 @@ def test_links(case):
     fills = [("links", partial(cli._links_json, links, labels))]
     text = _written({"method": "grid", "links": None, "detail": {}}, fills)
     assert text == json.dumps({"method": "grid", "links": rows, "detail": {}}, indent=2) + "\n"
+
+
+# values long enough that a few fill a block, built by repetition so that
+# drawing them stays cheap
+_VALUES = st.lists(
+    st.builds(mul, st.sampled_from(["0", '"ab"', "{}"]), st.integers(0, jsonout.BLOCK // 4)),
+    max_size=12,
+)
+
+
+@given(_VALUES, st.integers(0, 4))
+@example(["0"] * 10_000, 1)
+@example(["0" * (jsonout.BLOCK - 4)], 0)  # fills the block exactly: the close goes alone
+@example([], 2)
+def test_write_list_writes_blocks(values, depth):
+    pieces = []
+    jsonout.write_list(iter(values), depth, pieces.append)
+    assert "".join(pieces) == jsonout.array(values, depth)
+    # only the last piece, which closes the list, may fall short of a block
+    assert all(len(piece) >= jsonout.BLOCK for piece in pieces[:-1])
+    separator = len("," + jsonout.pad(depth + 1))
+    longest = max(map(len, values), default=0)
+    assert max(map(len, pieces)) <= jsonout.BLOCK + longest + separator
