@@ -822,27 +822,52 @@ class TestStdoutWrites:
         blocks = -(-len(text.encode()) // jsonout.BLOCK)
         assert out.calls <= blocks + 4
 
+    @staticmethod
+    def _env(unbuffered: bool) -> dict:
+        env = dict(os.environ, PYTHONPATH=str(Path(patterngrid.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_141_quietly(self, distinct, unbuffered):
         # the reader takes a few bytes of several blocks and closes the pipe,
         # as ``| head -c 100`` does; the write that then fails is no input
         # error, and the interpreter's last flush raises nothing either
-        env = dict(os.environ, PYTHONPATH=str(Path(patterngrid.__file__).resolve().parents[1]))
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         argv = ["cluster", "--method", "cm", "--input", distinct, "--format", "json"]
         proc = subprocess.Popen(
             [sys.executable, "-m", "patterngrid", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=self._env(unbuffered),
         )
         assert proc.stdout.read(100).startswith(b"{")
         proc.stdout.close()
         err = proc.stderr.read().decode()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
+        assert err.startswith("timing: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_small_output_to_a_closed_pipe_exits_141_quietly(self, unbuffered):
+        # the pipe has no reader from the start; buffered, the whole output
+        # waits in the buffer, so only the flush at the end can fail
+        read, write = os.pipe()
+        os.close(read)
+        argv = ["cluster", "--method", "cm", "--fixture", "seven_event", "--format", "json"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "patterngrid", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=self._env(unbuffered),
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        err = proc.stderr.decode()
+        assert proc.returncode == 141
         assert err.startswith("timing: ") and err.count("\n") == 1, err
 
 
