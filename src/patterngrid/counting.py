@@ -42,7 +42,9 @@ class InstanceRecord:
     holds a set of five or more ids in a fraction of a frozenset's memory.
     ``local_count`` is bumped only by exact-set presentations and
     ``global_count`` by any overlapping presentation since creation, so
-    ``global_count >= local_count >= 1`` always holds.
+    counted in events ``global_count / omega_g >= local_count / omega_i >= 1``
+    always holds; the counts themselves obey ``global_count >= local_count``
+    only when ``omega_g >= omega_i``.
     """
 
     pattern: tuple[int, ...]

@@ -5,10 +5,8 @@ tests over whole event lists, pair loops, and exhaustive enumeration. None
 of it shares code with the engines beyond their data types, the parse
 oracle's use of the public, fully checked ``build_vocabulary``, the
 consolidation oracle's use of the hierarchy's ``_merge`` and ``_split``
-(it checks which rule is applied, not how), and the sparse grid
-references' use of ``grid.count_events`` and of the ``model.fold`` a
-grid cell takes, and the agreement oracle's use of
-``evaluate.pairwise_agreement`` for every score but the best matches.
+(it checks which rule is applied, not how), and ``pair_count_sets``'s use
+of the ``model.fold`` a grid cell takes.
 
 The per-event references each engine's batch call is compared with live
 here too, not in the package:
@@ -21,7 +19,7 @@ here too, not in the package:
   ``model.validate_event`` and the store's own pattern index
   ``_by_pattern``, so the two may take turns on one store.
 - ``grid_update`` counts one event into a sparse ``grid.CountMatrix``
-  through ``grid.count_events``.
+  with one ``+=`` per member pair and orientation.
 
 The hierarchy has none: one event is ``hierarchy.present_all(store,
 (event,))``, and ``hierarchy_walk_oracle`` is its reference.
@@ -33,12 +31,12 @@ import math
 import re
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from patterngrid.counting import InstanceRecord, InstanceStore
-from patterngrid.evaluate import AgreementReport, MatchRow, pairwise_agreement
-from patterngrid.grid import CountMatrix, GridClusterResult, count_events
+from patterngrid.evaluate import AgreementReport, MatchRow
+from patterngrid.grid import CountMatrix, GridClusterResult
 from patterngrid.hierarchy import PatternNode, _merge, _split
 from patterngrid.ingest import LabelPolicy
 from patterngrid.model import (
@@ -130,7 +128,15 @@ def grid_update(grid: CountMatrix, event: Event, weight: int | float = 1) -> Cou
     """Count one event into a sparse grid: each unordered member pair gains
     ``weight`` in both orientations. Singleton events leave the matrix
     unchanged."""
-    return count_events(grid, (event,), weight)
+    if not 0 < weight < math.inf:
+        raise ConfigError("grid weight must be positive and finite")
+    validate_event(event, grid.n)
+    rows = grid.rows
+    for a, b in combinations(event.members, 2):
+        rows[a][b] = rows[a].get(b, 0) + weight
+        rows[b][a] = rows[b].get(a, 0) + weight
+        grid.increments += 2
+    return grid
 
 
 def pair_count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> None:
@@ -551,12 +557,30 @@ def best_matches_oracle(report, labels) -> list:
 
 
 def agreement_oracle(produced: Partition, reference: Partition) -> AgreementReport:
-    """``evaluate.pairwise_agreement`` with its best matches found by
+    """``evaluate.pairwise_agreement`` by brute force: every unordered pair
+    of ids is looked up in both partitions, and each best match is found by
     intersecting every produced cluster with every reference cluster,
     keeping the first strictly larger overlap in reference order."""
-    ref = reference.with_singleton_clusters()
+
+    def together(partition: Partition, a: int, b: int) -> bool:
+        return any(a in cluster and b in cluster for cluster in partition.clusters)
+
+    n = produced.n
+    produced_pairs = reference_pairs = shared_pairs = agreements = 0
+    for a, b in combinations(range(n), 2):
+        in_produced, in_reference = together(produced, a, b), together(reference, a, b)
+        produced_pairs += in_produced
+        reference_pairs += in_reference
+        shared_pairs += in_produced and in_reference
+        agreements += in_produced == in_reference
+    precision = shared_pairs / produced_pairs if produced_pairs else 1.0
+    recall = shared_pairs / reference_pairs if reference_pairs else 1.0
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    total_pairs = n * (n - 1) // 2
+    prod, ref = produced.with_singleton_clusters(), reference.with_singleton_clusters()
+    exact = sum(any(cluster == candidate for candidate in ref.clusters) for cluster in prod.clusters)
     rows = []
-    for cluster in produced.with_singleton_clusters().clusters:
+    for cluster in prod.clusters:
         best: frozenset[int] | None = None
         best_overlap = 0
         for candidate in ref.clusters:
@@ -564,8 +588,17 @@ def agreement_oracle(produced: Partition, reference: Partition) -> AgreementRepo
             if overlap > best_overlap:
                 best, best_overlap = candidate, overlap
         rows.append(MatchRow(cluster, best, best_overlap))
-    report = pairwise_agreement(produced, reference)
-    return replace(report, per_cluster_table=tuple(rows))
+    return AgreementReport(
+        produced_pairs=produced_pairs,
+        reference_pairs=reference_pairs,
+        shared_pairs=shared_pairs,
+        pairwise_precision=precision,
+        pairwise_recall=recall,
+        pairwise_f1=f1,
+        rand_index=agreements / total_pairs if total_pairs else 1.0,
+        exact_cluster_matches=exact,
+        per_cluster_table=tuple(rows),
+    )
 
 
 def transpose_oracle(records: list[list[str]]) -> list[list[str]]:

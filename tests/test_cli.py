@@ -99,6 +99,7 @@ class TestGolden:
         assert sorted(name for name, _ in golden_cases.CASES) == sorted(p.name for p in GOLDEN.iterdir())
         workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
         assert 'python "$GITHUB_WORKSPACE/tests/golden_cases.py" patterngrid\n' in workflow
+        assert 'python tests/golden_cases.py "python -m patterngrid"\n' in workflow
         assert "tests/golden/" not in workflow
 
     @pytest.mark.parametrize(
@@ -803,15 +804,16 @@ class _CountingStdout(io.StringIO):
         return super().write(text)
 
 
-class TestStdoutWrites:
-    @pytest.fixture()
-    def distinct(self, tmp_path):
-        # 3,000 records, each a distinct pair of 110 variables: cm's JSON
-        # holds thousands of instances and is several blocks long
-        path = tmp_path / "distinct.data"
-        path.write_text("".join(f"r{i},a{i % 60},b{i // 60}\n" for i in range(3000)))
-        return str(path)
+@pytest.fixture()
+def distinct(tmp_path):
+    # 3,000 records, each a distinct pair of 110 variables: cm's JSON
+    # holds thousands of instances and is several blocks long
+    path = tmp_path / "distinct.data"
+    path.write_text("".join(f"r{i},a{i % 60},b{i // 60}\n" for i in range(3000)))
+    return str(path)
 
+
+class TestStdoutWrites:
     def test_cm_instances_go_out_in_blocks(self, distinct):
         out = _CountingStdout()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
@@ -868,6 +870,63 @@ class TestStdoutWrites:
             os.close(write)
         err = proc.stderr.decode()
         assert proc.returncode == 141
+        assert err.startswith("timing: ") and err.count("\n") == 1, err
+
+
+class TestProcessEntry:
+    """``python -m patterngrid`` runs ``cli.main``, which ends the process
+    with ``os._exit`` once both streams are flushed; what reaches them and
+    the exit code must be what ``cli.entry`` gives in process."""
+
+    @staticmethod
+    def _in_process(capsys, argv) -> tuple[int, str, str]:
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _process(argv, unbuffered: bool) -> subprocess.CompletedProcess:
+        # argparse wraps its usage text to COLUMNS, in process and out
+        env = dict(TestStdoutWrites._env(unbuffered), COLUMNS="80")
+        return subprocess.run(
+            [sys.executable, "-m", "patterngrid", *argv],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (("cluster", "--method", "grid", "--input", "/nope/missing.data"), 1),
+            (("cluster", "--method", "grid", "--fixture", "seven_event", "--tau-link", "0"), 2),
+            # argparse's usage error leaves entry as SystemExit
+            (("cluster", "--method", "nope", "--fixture", "seven_event"), 2),
+        ],
+        ids=["missing-input", "config-error", "usage-error"],
+    )
+    def test_error_exits_with_its_whole_message(self, capsys, monkeypatch, argv, expected, unbuffered):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = self._in_process(capsys, argv)
+        assert (code, out) == (expected, "")
+        assert err.endswith("\n") and "Traceback" not in err
+        proc = self._process(argv, unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (expected, b"", err)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("method", ["cm", "grid"])
+    def test_json_output_matches_entry(self, capsys, distinct, method, unbuffered):
+        argv = ("cluster", "--method", method, "--input", distinct, "--format", "json")
+        code, out, _ = self._in_process(capsys, argv)
+        assert code == 0 and len(out) > jsonout.BLOCK
+        proc = self._process(argv, unbuffered)
+        assert proc.returncode == 0
+        assert proc.stdout == out.encode()
+        err = proc.stderr.decode()
         assert err.startswith("timing: ") and err.count("\n") == 1, err
 
 

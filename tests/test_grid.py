@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from patterngrid import counting, reinforce
 from patterngrid.grid import (
     CountMatrix,
     GridClusterResult,
@@ -19,7 +20,7 @@ from patterngrid.grid import (
     matrix_json,
     matrix_text,
 )
-from patterngrid.model import ConfigError, DataError, Event
+from patterngrid.model import ConfigError, DataError, Event, Weights
 
 from .oracles import (
     DenseGrid,
@@ -92,6 +93,18 @@ def test_resumed_count_equals_single_pass(weight):
             count_events(resumed, dataset.events[cut:], weight)
             assert repr(resumed.cells) == repr(whole.cells)
             assert resumed.increments == whole.increments
+
+
+@pytest.mark.parametrize("weight", [1, 3, 0.1])
+def test_batch_count_equals_one_update_per_event(weight):
+    for seed in range(15):
+        dataset = random_dataset(seed)
+        whole = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
+        per_event = CountMatrix.zeros(dataset.n)
+        for event in dataset.events:
+            grid_update(per_event, event, weight)
+        assert repr(per_event.cells) == repr(whole.cells), f"seed {seed}"
+        assert per_event.increments == whole.increments
 
 
 def test_cells_match_cooccurrence_oracle():
@@ -247,6 +260,31 @@ def test_matrix_is_symmetric_with_empty_diagonal(seed):
         assert cells[i][i] == 0
         for j in range(dataset.n):
             assert cells[i][j] == cells[j][i]
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
+def test_grid_is_a_compact_form_of_the_counting_mechanism(seed, omega_i, omega_g):
+    """With int weights and no decay, the grid and reinforce's counts are
+    sums of the cm records' local counts I, and G >= I for every record when
+    counted in events: G / omega_g >= I / omega_i."""
+    dataset = random_dataset(seed, max_vars=12, max_events=40)
+    weights = Weights(omega_i, omega_g)
+    records = counting.present_all(
+        counting.InstanceStore.empty(dataset.n), dataset.events, weights
+    ).records
+    matrix = count_events(CountMatrix.zeros(dataset.n), dataset.events, omega_i)
+    counts = reinforce.count_events(
+        reinforce.ReinforceState.empty(dataset.n), dataset.events, weights
+    ).counts
+    for a in range(dataset.n):
+        holding_a = [r for r in records if a in r.pattern]
+        assert counts[a] == sum(r.local_count for r in holding_a)
+        for b in range(dataset.n):
+            if b != a:
+                together = sum(r.local_count for r in holding_a if b in r.pattern)
+                assert matrix.rows[a].get(b, 0) == together
+    assert sum(r.local_count for r in records) == omega_i * len(dataset.events)
+    assert all(r.global_count * omega_i >= r.local_count * omega_g for r in records)
 
 
 def _as_detail_matrix(doc) -> str:
