@@ -25,8 +25,9 @@ the largest gap in its sorted nonzero counts (its head set, the cells at or
 above the row's floor); clusters are the connected components of mutual
 nominations, found from the floors alone; and leftover cross-cluster counts
 at or above a threshold are reported as inter-pattern links rather than
-merged away. This is a frequency measurement over the whole dataset, not a
-similarity measure, and it needs no prior classification of the categories.
+merged away, derived a row at a time as a reader takes them. This is a
+frequency measurement over the whole dataset, not a similarity measure,
+and it needs no prior classification of the categories.
 """
 
 from __future__ import annotations
@@ -210,11 +211,9 @@ def extract_clusters(
     Two variables belong together only when each sits in the other's head
     set; clusters are the connected components of that mutual agreement,
     size one components staying unassigned (no fallback reassignment is
-    attempted). Links are every cross-cluster pair whose cell reaches
-    ``tau_link``, reported with the cell value as strength, in (a, b)
-    order with a < b. With ``links=False`` the rows are not scanned for
-    them and the result's ``links`` is empty; ``tau_link`` is checked all
-    the same.
+    attempted). Links are ``iter_links``'s, gathered into a tuple. With
+    ``links=False`` the rows are not scanned for them and the result's
+    ``links`` is empty; ``tau_link`` is checked all the same.
     """
     if not 1 <= tau_link < math.inf:
         raise ConfigError("tau_link must be at least 1 and finite")
@@ -242,11 +241,19 @@ def extract_clusters(
     clusters = tuple(frozenset(c) for c in components if len(c) >= 2)
     unassigned = frozenset(c[0] for c in components if len(c) == 1)
     partition = Partition(n, clusters, unassigned)
-    if not links:
-        return GridClusterResult(partition, ())
+    found = tuple(iter_links(grid, partition, tau_link)) if links else ()
+    return GridClusterResult(partition, found)
 
+
+def iter_links(grid: CountMatrix, partition: Partition, tau_link: int | float = 2):
+    """Yield the residual links between ``partition``'s clusters: every
+    cross-cluster pair whose cell reaches ``tau_link``, with the cell value
+    as strength, in (a, b) order with a < b. Each pass scans the rows
+    afresh, so a caller that writes the links as they come never holds
+    them all. ``tau_link`` must be at least 1, as ``extract_clusters``
+    checks."""
+    rows = grid.rows
     cluster_of = partition.cluster_ids()
-    found = []
     for a, ca in enumerate(cluster_of):
         if ca < 0:
             continue
@@ -254,8 +261,8 @@ def extract_clusters(
         ids = [b for b, c in row.items() if b > a and c >= tau_link and -1 < cluster_of[b] != ca]
         ids.sort()
         # off-diagonal cells >= tau_link >= 1: each makes a valid link
-        found += [_trusted_link((a, b, row[b])) for b in ids]
-    return GridClusterResult(partition, tuple(found))
+        for b in ids:
+            yield _trusted_link((a, b, row[b]))
 
 
 def _rendered_rows(grid: CountMatrix, diagonal: str = "x"):

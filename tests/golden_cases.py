@@ -31,6 +31,10 @@ _SEVEN = ("--fixture", "seven_event")
 # one merge, one root split and one split whose head becomes a new root
 _RULES = ("--label-policy", "members", "--input", "hierarchy_rules.data")
 _COMPARE = ("compare", "--method", "reinforce,cm,grid", *_RULES, "--reference", "ref.json")
+# the engines run grid first whatever the order asked for; output keeps that order
+_GRID_FIRST = ("--method", "grid,cm,reinforce")
+_GRID_LAST = ("--method", "cm,reinforce,grid")
+_PLANTS = ("--input", "transpose80.data", "--reference", "plants_reference")
 
 INPUTS = {
     # ids follow first appearance, so E,C,A,D,B takes ids 0-4: each cm
@@ -102,6 +106,16 @@ CASES = (
     ("compare.json", (*_COMPARE, "--format", "json")),
     # the best-match lines, ties going to the earlier reference cluster
     ("compare.txt", _COMPARE),
+    ("compare_grid_first.txt", ("compare", *_GRID_FIRST, *_RULES, "--reference", "ref.json")),
+    ("compare_grid_first.json",
+     ("compare", *_GRID_FIRST, *_RULES, "--reference", "ref.json", "--format", "json")),
+    ("compare_grid_last.txt", ("compare", *_GRID_LAST, *_RULES, "--reference", "ref.json")),
+    ("compare_grid_last.json",
+     ("compare", *_GRID_LAST, *_RULES, "--reference", "ref.json", "--format", "json")),
+    ("compare_plants_grid_first.txt", ("compare", *_GRID_FIRST, *_PLANTS)),
+    ("compare_plants_grid_first.json", ("compare", *_GRID_FIRST, *_PLANTS, "--format", "json")),
+    ("compare_plants_grid_last.txt", ("compare", *_GRID_LAST, *_PLANTS)),
+    ("compare_plants_grid_last.json", ("compare", *_GRID_LAST, *_PLANTS, "--format", "json")),
 )
 
 

@@ -7,7 +7,9 @@ point, byte determinism, corpus-scale hierarchy performance,
 corpus-scale reinforcement with the absence decrement, cm counting
 on a corpus of mostly distinct event sets, the grid on a wide sparse
 transposed corpus, the hierarchy on the corpus of mostly distinct
-event sets, and the memory the grid count of that corpus peaks at.
+event sets, the memory each stage peaks at or holds, the grid links
+written as they are derived, and the grid as a compact form of the
+counting mechanism at corpus scale.
 """
 
 import io
@@ -18,10 +20,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import patterngrid
 from patterngrid import counting, grid, hierarchy, reinforce
+from patterngrid.cli import entry
 from patterngrid.evaluate import pairwise_agreement
 from patterngrid.ingest import load_fixture, parse_transactions, parse_transactions_path
 from patterngrid.model import Event, Weights
@@ -455,3 +459,83 @@ def test_19_transposed_grid_extract_peak_under_4_bytes_per_cell():
         tracemalloc.stop()
     assert result.partition.n == 3000 and result.partition.clusters
     assert peak < 4 * cells, f"extraction peaked at {peak / cells:.1f} B per nonzero cell"
+
+
+class _RenderPeak:
+    """A standard output that keeps nothing written to it, and restarts
+    tracemalloc's peak at its first write, so the peak after the run is
+    the rendering's."""
+
+    started = False
+
+    def write(self, text: str) -> int:
+        if not self.started:
+            self.started = True
+            tracemalloc.reset_peak()
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_20_low_duplication_grid_json_never_holds_all_its_links(tmp_path):
+    # the links are written as each row yields them; a tuple of them all
+    # held while they are written would add its whole size to the peak
+    events = _block_events(8000, seed=3)
+    path = tmp_path / "blocks.data"
+    path.write_text("".join(",".join(f"v{v}" for v in e.members) + "\n" for e in events))
+    matrix = grid.count_events(grid.CountMatrix.zeros(360), events)
+    tracemalloc.start()
+    try:
+        links = grid.extract_clusters(matrix, 2).links
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(links) > 10_000
+    del links, matrix
+
+    def render_peak(tau_link: str) -> int:
+        sink = _RenderPeak()
+        argv = ["cluster", "--method", "grid", "--label-policy", "members", "--input", str(path),
+                "--format", "json", "--tau-link", tau_link]
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink), redirect_stderr(io.StringIO()):
+                assert entry(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.started
+        return peak
+
+    # a tau_link above every cell: the same run and rendering, with no links
+    extra = render_peak("2") - render_peak("1000000")
+    # measured: 0.27 times the links' size written as derived (a block of
+    # link texts), 1.26 times with every link derived before the first write
+    assert extra < 0.5 * held, f"writing the links took {extra:,} B more; all of them take {held:,} B"
+
+
+def test_21_low_duplication_grid_is_a_compact_form_of_the_counting_mechanism():
+    # tests/test_grid.py's identities once at corpus scale: each grid cell
+    # and reinforce count is a sum of the cm records' local counts I
+    events = _block_events(8000, seed=3)
+    n = 360
+    weights = Weights(2, 3)
+    records = counting.present_all(counting.InstanceStore.empty(n), events, weights).records
+    matrix = grid.count_events(grid.CountMatrix.zeros(n), events, weights.omega_i)
+    counts = reinforce.count_events(reinforce.ReinforceState.empty(n), events, weights).counts
+    cells: list[dict[int, int]] = [{} for _ in range(n)]
+    holding = [0] * n
+    for r in records:
+        for a in r.pattern:
+            holding[a] += r.local_count
+            row = cells[a]
+            for b in r.pattern:
+                if b != a:
+                    row[b] = row.get(b, 0) + r.local_count
+    assert len(records) > 0.9 * len(events)
+    assert matrix.rows == cells
+    assert list(counts) == holding
+    assert sum(r.local_count for r in records) == weights.omega_i * len(events)
+    # G >= I counted in events
+    assert all(r.global_count * weights.omega_i >= r.local_count * weights.omega_g for r in records)

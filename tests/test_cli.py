@@ -99,7 +99,8 @@ class TestGolden:
         assert sorted(name for name, _ in golden_cases.CASES) == sorted(p.name for p in GOLDEN.iterdir())
         workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
         assert 'python "$GITHUB_WORKSPACE/tests/golden_cases.py" patterngrid\n' in workflow
-        assert 'python tests/golden_cases.py "python -m patterngrid"\n' in workflow
+        # in every tier-1 matrix job, with standard output buffered and unbuffered
+        assert workflow.count('python tests/golden_cases.py "python -m patterngrid"\n') == 2
         assert "tests/golden/" not in workflow
 
     @pytest.mark.parametrize(
@@ -388,6 +389,24 @@ class TestTimingFormat:
         for method in ("cm", "grid"):
             assert list(timing[method]) == ["count", "extract"]
             assert all(isinstance(ms, float) for ms in timing[method].values())
+
+    @pytest.mark.parametrize("methods", ["cm,reinforce,grid", "reinforce,grid,cm", "grid,reinforce"])
+    def test_compare_writes_in_method_order_not_run_order(self, capsys, small_corpus, methods):
+        # the engines run grid first; the timing lines, the timing_ms keys
+        # and the reports keep the order asked for
+        code, out, err = run(
+            capsys,
+            "compare", "--input", small_corpus, "--method", methods,
+            "--reference", "plants_reference", "--format", "json", "--timing",
+        )
+        order = methods.split(",")
+        assert code == 0
+        assert self.masked(err) == "timing: parse=Nms\n" + "".join(
+            f"timing[{m}]: count=Nms extract=Nms\n" for m in order
+        )
+        payload = json.loads(out)
+        assert list(payload["timing_ms"]) == ["parse", *order]
+        assert payload["methods"] == order and list(payload["reports"]) == order
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -761,6 +780,34 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, *extra, "--fixture", "seven_event")
         assert (code, out) == (2, "")
         assert err.endswith(f"config error: {flag} 1e+308 makes a count overflow to infinity\n")
+
+    @pytest.mark.parametrize(
+        "methods, weights, before, flag",
+        [
+            ("cm,grid", ("--omega-i", "1e308", "--omega-g", "1e308"), [], "--omega-g"),
+            ("grid,cm", ("--omega-i", "1e308", "--omega-g", "1e308"), [], "--omega-i"),
+            ("reinforce,cm,grid", ("--omega-g", "1e308"), ["reinforce"], "--omega-g"),
+            ("cm,reinforce,grid", ("--omega-i", "1e308"), ["cm"], "--omega-i"),
+        ],
+    )
+    def test_compare_refuses_as_the_first_refusing_method_asked_for(
+        self, capsys, tmp_path, methods, weights, before, flag
+    ):
+        # grid runs first, but the error and the timing lines before it are
+        # those of the engines in --method order, up to the first that refuses
+        data, ref = tmp_path / "ov.data", tmp_path / "ref.json"
+        data.write_text("r1,A,B,C\nr2,A,B\n")
+        ref.write_text('{"clusters": [["A", "B", "C"]]}')
+        code, out, err = run(
+            capsys, "compare", "--method", methods, *weights, "--input", str(data),
+            "--reference", str(ref),
+        )
+        assert (code, out) == (2, "")
+        assert TestTimingFormat.masked(err) == (
+            "timing: parse=Nms\n"
+            + "".join(f"timing[{m}]: count=Nms extract=Nms\n" for m in before)
+            + f"config error: {flag} 1e+308 makes a count overflow to infinity\n"
+        )
 
     def test_large_finite_weight_still_runs(self, capsys):
         payload = run_json(

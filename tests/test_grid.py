@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from patterngrid import counting, reinforce
+from patterngrid import counting, hierarchy, reinforce
 from patterngrid.grid import (
     CountMatrix,
     GridClusterResult,
@@ -16,6 +16,7 @@ from patterngrid.grid import (
     count_events,
     extract_clusters,
     head_set,
+    iter_links,
     matrix_csv,
     matrix_json,
     matrix_text,
@@ -251,6 +252,24 @@ class TestExtraction:
         bare = extract_clusters(matrix, tau, ties=ties, links=False)
         assert repr(bare) == repr(GridClusterResult(full.partition, ()))
 
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([1, 3, 0.1, 0.7]),
+        st.integers(1, 3),
+        st.sampled_from(["high", "low"]),
+    )
+    def test_one_pass_of_iter_links_gives_the_links(self, seed, weight, tau, ties):
+        dataset = random_dataset(seed, max_vars=12, max_events=40)
+        matrix = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
+        full = extract_clusters(matrix, tau, ties=ties)
+        passes = iter_links(matrix, full.partition, tau)
+        assert repr(tuple(passes)) == repr(full.links)
+        # each call starts a fresh pass, and a spent one yields nothing more
+        assert repr(tuple(iter_links(matrix, full.partition, tau))) == repr(full.links)
+        assert next(passes, None) is None
+        dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events, weight)
+        assert repr(full.links) == repr(dense_extract_clusters(dense, tau, ties=ties).links)
+
 
 @given(st.integers(0, 10_000))
 def test_matrix_is_symmetric_with_empty_diagonal(seed):
@@ -285,6 +304,45 @@ def test_grid_is_a_compact_form_of_the_counting_mechanism(seed, omega_i, omega_g
                 assert matrix.rows[a].get(b, 0) == together
     assert sum(r.local_count for r in records) == omega_i * len(dataset.events)
     assert all(r.global_count * omega_i >= r.local_count * omega_g for r in records)
+
+
+def _engines(events, n: int, weights: Weights):
+    """Each engine's counts and partition, and the consolidated hierarchy's
+    patterns in preorder, over ``events``."""
+    matrix = count_events(CountMatrix.zeros(n), events, weights.omega_i)
+    store = counting.present_all(counting.InstanceStore.empty(n), events, weights)
+    state = reinforce.count_events(reinforce.ReinforceState.empty(n), events, weights)
+    tree = hierarchy.consolidate(hierarchy.present_all(hierarchy.HierarchyStore(), events))
+    partitions = (
+        extract_clusters(matrix, 1).partition,
+        counting.select_clusters(store),
+        reinforce.bands_to_partition(reinforce.band_clusters(state), n),
+    )
+    counts = (
+        [dict(row) for row in matrix.rows],
+        [(r.pattern, r.local_count, r.global_count) for r in store.records],
+        list(state.counts),
+    )
+    return counts, partitions, [sorted(node.pattern) for node in hierarchy.walk(tree)]
+
+
+@given(
+    st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3)
+)
+def test_counts_scale_with_repetition(seed, k, omega_i, omega_g):
+    """Presenting every event k times in place multiplies every count by k,
+    with int weights and no decay, and so leaves every partition and the
+    consolidated hierarchy's patterns unchanged."""
+    dataset = random_dataset(seed, max_vars=12, max_events=40)
+    repeated = [event for event in dataset.events for _ in range(k)]
+    weights = Weights(omega_i, omega_g)
+    (cells, records, counts), partitions, patterns = _engines(dataset.events, dataset.n, weights)
+    (cells_k, records_k, counts_k), partitions_k, patterns_k = _engines(repeated, dataset.n, weights)
+    assert cells_k == [{w: k * c for w, c in row.items()} for row in cells]
+    assert records_k == [(pattern, k * i, k * g) for pattern, i, g in records]
+    assert counts_k == [k * c for c in counts]
+    assert repr(partitions_k) == repr(partitions)
+    assert patterns_k == patterns
 
 
 def _as_detail_matrix(doc) -> str:
