@@ -34,6 +34,7 @@ _COMPARE = ("compare", "--method", "reinforce,cm,grid", *_RULES, "--reference", 
 # the engines run grid first whatever the order asked for; output keeps that order
 _GRID_FIRST = ("--method", "grid,cm,reinforce")
 _GRID_LAST = ("--method", "cm,reinforce,grid")
+_ESCAPED = ("--label-policy", "members", "--input", "escaped.data")
 _PLANTS = ("--input", "transpose80.data", "--reference", "plants_reference")
 
 INPUTS = {
@@ -55,6 +56,15 @@ INPUTS = {
     # adds {B}
     "hierarchy_stale_link.data": b"A\nA\nA,B\nA,B,C\nA,B,C\n",
     "ref.json": b'{"clusters": [["A","B","C"],["D","E","F"],["G","H","I"]]}',
+    # labels json escapes: non-ASCII (one outside the BMP), a quote and a
+    # backslash; first seen in an order unlike their sorted one, and one
+    # member written with spaces around it
+    "escaped.data": (
+        'ž,é"\n a\\b ,Ω,ž\n"q",ü\\,Ω\nž,é",a\\b\nΩ,"q",𝄞\nž,é"\n'.encode()
+    ),
+    "escaped_ref.json": (
+        '{"clusters": [["ž", "é\\"", "Ω"], ["a\\\\b", "\\"q\\"", "ü\\\\"], ["𝄞"]]}'.encode()
+    ),
     # a wide sparse grid with links
     "transpose80.data": synthetic_plants_text(80, 4).encode(),
 }
@@ -103,6 +113,10 @@ CASES = (
     # the link a non-root merge leaves as it was stored
     ("hierarchy_stale_link.txt",
      ("hierarchy", "--label-policy", "members", "--input", "hierarchy_stale_link.data")),
+    # each instance and best match lists its labels sorted by label
+    ("cluster_cm_escaped.json", ("cluster", "--method", "cm", *_ESCAPED, "--format", "json")),
+    ("compare_cm_escaped.json",
+     ("compare", "--method", "cm", *_ESCAPED, "--reference", "escaped_ref.json", "--format", "json")),
     ("compare.json", (*_COMPARE, "--format", "json")),
     # the best-match lines, ties going to the earlier reference cluster
     ("compare.txt", _COMPARE),
