@@ -16,12 +16,7 @@ from .counting import (
     select_clusters,
 )
 from .evaluate import AgreementReport, pairwise_agreement
-from .grid import (
-    CountMatrix,
-    GridClusterResult,
-    extract_clusters,
-    head_set,
-)
+from .grid import CountMatrix, GridClusterResult, extract_clusters
 from .hierarchy import HierarchyStore, PatternNode, consolidate, total_mass
 from .ingest import (
     LabelPolicy,
@@ -69,7 +64,6 @@ __all__ = [
     "coherence",
     "consolidate",
     "extract_clusters",
-    "head_set",
     "load_fixture",
     "pairwise_agreement",
     "parse_transactions",

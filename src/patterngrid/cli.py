@@ -342,10 +342,10 @@ def _streamed(key: str, writer, result, labels) -> tuple[dict, list]:
 
 def _instances_json(store: counting.InstanceStore, labels, write, depth: int) -> None:
     """Write the instances as a JSON list ``depth`` levels in, in blocks."""
-    name = jsonout.names(labels)
+    name = jsonout.names(labels, depth + 2)
     record = jsonout.template(depth + 1, "pattern", "local", "global", "coherence")
     texts = (
-        record % (name(r.pattern, depth + 2), r.local_count, r.global_count, counting.coherence(r))
+        record % (name(r.pattern), r.local_count, r.global_count, counting.coherence(r))
         for r in store.records
     )
     jsonout.write_list(texts, depth, write)

@@ -78,7 +78,7 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
 
     One pass over the events creates the new records, tallies each record's
     exact repeats and sets bit t of ``rows[v]`` for every member v of block
-    event t. Each distinct member tuple is checked and looked up once. Each
+    event t. Each distinct member tuple is looked up once, its ids checked in C. Each
     block then adds to a record's overlap count the popcount of its members'
     rows ORed, shifted past its creation if that lies in the block. Counters
     are written last, as left folds of the weight, so float sums round as
@@ -99,6 +99,7 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
     rows: list = []
     t = 0  # events of the current block applied so far
     seen: dict[tuple[int, ...], int] = {}  # member tuple -> its record, checked once
+    in_range = frozenset(range(n)).issuperset
     events = tuple(events)  # a tuple is not copied, nor is its one-block slice
     try:
         for begin in range(0, len(events), size):
@@ -108,7 +109,8 @@ def present_all(store: InstanceStore, events, weights: Weights = Weights()) -> I
                 members = event.members
                 idx = seen.get(members)
                 if idx is None:
-                    validate_event(event, n)
+                    if not in_range(members):
+                        validate_event(event, n)
                     key = tuple(sorted(members))
                     idx = by_pattern.get(key)
                     if idx is None:

@@ -150,8 +150,8 @@ def agreement_json(report: AgreementReport) -> dict:
 def best_matches_json(report: AgreementReport, labels: Sequence[str], write, depth: int) -> None:
     """Write the per-cluster table as a JSON list ``depth`` levels in, in
     blocks."""
-    name, d = jsonout.names(labels), depth + 2
+    name = jsonout.names(labels, depth + 2)
     row = jsonout.template(depth + 1, "produced", "reference", "overlap")
     table = report.per_cluster_table
-    rows = (row % (name(r.produced, d), name(r.reference, d), r.overlap) for r in table)
+    rows = (row % (name(r.produced), name(r.reference), r.overlap) for r in table)
     jsonout.write_list(rows, depth, write)

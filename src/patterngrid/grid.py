@@ -35,14 +35,13 @@ from __future__ import annotations
 import math
 from collections import _count_elements
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import ge, sub
+from itertools import chain
+from operator import sub
 from typing import Sequence
 
 from . import jsonout
 from .model import (
     ConfigError,
-    DataError,
     InterPatternLink,
     Partition,
     _trusted_link,
@@ -110,20 +109,22 @@ def count_events(grid: CountMatrix, events, weight: int | float = 1) -> CountMat
     unchanged.
 
     Equal member tuples are grouped first, in first-appearance order, and
-    each distinct one is checked once. A pair's cell then takes the ``+=``
+    each distinct one is checked once, in C. A pair's cell then takes the ``+=``
     fold of ``weight``, once per event holding the pair. An event outside
     the vocabulary raises ``DataError`` with every event before it counted.
     """
     _check_weight(weight)
     n = grid.n
     sets: dict[tuple[int, ...], int] = {}
+    in_range = frozenset(range(n)).issuperset
     try:
         for event in events:
             members = event.members
             if members in sets:
                 sets[members] += 1
             else:
-                validate_event(event, n)
+                if not in_range(members):
+                    validate_event(event, n)
                 sets[members] = 1
     finally:
         _count_sets(grid, sets, weight)
@@ -170,25 +171,12 @@ def _count_sets(grid: CountMatrix, sets: dict[tuple[int, ...], int], weight) -> 
             row.update(zip(counted, map(fresh.__getitem__, counted.values())))
 
 
-def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]:
-    """The variables above the largest gap in row v's sorted nonzero counts.
-
-    The cut rule is parameter free: sort the nonzero counts descending,
-    cut where consecutive counts drop the most, keep everything above the
-    cut. Ties between equal gaps go toward the larger counts by default
-    (``ties="low"`` flips that). A row whose nonzero counts are all equal
-    keeps all of them; an all-zero row nominates nothing.
-    """
-    _check_ties(ties)
-    if not 0 <= v < grid.n:
-        raise DataError(f"variable id {v} outside vocabulary of size {grid.n}")
-    row = grid.rows[v]
-    return frozenset(compress(row, map(ge, row.values(), repeat(_floor(row, ties)))))
-
-
 def _floor(row: dict[int, int | float], ties: str) -> int | float:
-    """The smallest count in the row's head set (see ``head_set``), or
-    ``math.inf`` for an empty row."""
+    """The smallest count in the row's head set, or ``math.inf`` for an
+    empty row. The head set is the cells above the largest drop between
+    consecutive counts, sorted descending; equal drops tie toward the larger
+    counts, or the smaller with ``ties="low"``. So a row of equal counts
+    keeps them all."""
     # a gap between equal counts is 0, the largest only when all counts are
     # equal, so the cut is found among the distinct counts
     counts = sorted(set(row.values()), reverse=True)

@@ -77,6 +77,7 @@ def parse_transactions(
 
     labelled = policy is LabelPolicy.RECORD_LABEL
     ids: dict[str, int] = {}
+    known = ids.__getitem__
     events: list[Event] = []
     # member text -> the Event of the first line that parsed with it
     memo: dict[str, Event] = {}
@@ -84,7 +85,6 @@ def parse_transactions(
     # dict drops a repeated record label in constant time
     by_member: dict[str, dict[str, None]] = {}
     diagnostics: list[str] = []
-    empty_label = False  # the members policy has no label
     # tolerant decoding: species names carry non-ASCII bytes. "utf-8-sig"
     # drops one leading byte-order mark, which would otherwise join the first
     # token. Lines end only at "\n", "\r\n" and "\r", also across chunks;
@@ -97,22 +97,33 @@ def parse_transactions(
                 continue
             key = line
             if labelled:
+                # a label alone, or an empty one: the line is stripped, so a
+                # label that is not empty here stays so once stripped itself
                 cut = line.find(",")
-                if cut < 0:  # a label alone
-                    diagnostics.append(f"line {lineno}: no members")
+                if cut <= 0:
+                    diagnostics.append(f"line {lineno}: {'no members' if cut else 'empty field'}")
                     continue
-                # the line is stripped, so a label is empty here or starts
-                # with a non-space and stays non-empty once stripped itself
-                key, empty_label = line[cut + 1 :], cut == 0
+                key = line[cut + 1 :]
             event = memo.get(key)
-            if event is not None and not empty_label:
+            if event is not None:
                 events.append(event)
                 continue
-            members = list(map(str.strip, key.split(",")))
-            if empty_label or "" in members:
+            members = key.split(",")
+            if key.split(None, 1) != [key]:  # not a len test: " a,b" is one part
+                members = list(map(str.strip, members))
+            # ids first: "" has none, and a repeat shows among the ints. A
+            # line with an unseen token (all under transpose) is checked as
+            # text, so a rejected line adds nothing to ids
+            encoded = None
+            if not transpose:
+                try:
+                    encoded = tuple(map(known, members))
+                except KeyError:
+                    pass
+            if encoded is None and "" in members:
                 diagnostics.append(f"line {lineno}: empty field")
                 continue
-            if len(set(members)) != len(members):
+            if len(set(encoded or members)) != len(members):
                 diagnostics.append(f"line {lineno}: duplicate member")
                 continue
             if transpose:
@@ -120,7 +131,7 @@ def parse_transactions(
                 for m in members:
                     by_member.setdefault(m, {})[label] = None
             else:
-                event = memo[key] = _trusted_event(_encode(members, ids))
+                event = memo[key] = _trusted_event(encoded or _encode(members, ids))
                 events.append(event)
     finally:
         lines.detach()  # the caller's stream stays open

@@ -34,11 +34,16 @@ def template(depth: int, *keys: str) -> str:
     return "{" + ",".join(f'{pad(depth + 1)}"{key}": %s' for key in keys) + pad(depth) + "}"
 
 
-def names(labels: Sequence[str]):
-    """``name(ids, depth)``, the JSON list ``depth`` levels in of the ids'
-    labels, sorted by label. Each label is quoted once."""
-    quoted = list(map(quote, labels))
-    return lambda ids, depth: array([quoted[i] for i in sorted(ids, key=labels.__getitem__)], depth)
+def names(labels: Sequence[str], depth: int):
+    """``name(ids)``, the JSON list ``depth`` levels in of the ids' labels,
+    sorted by label. The distinct labels are ranked and quoted once, so a
+    list sorts the ids' ranks as ints."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    # the inverse permutation: id -> its label's rank
+    rank = sorted(range(len(order)), key=order.__getitem__).__getitem__
+    quoted = [quote(labels[i]) for i in order].__getitem__
+    head, sep, tail = "[" + pad(depth + 1), "," + pad(depth + 1), pad(depth) + "]"
+    return lambda ids: head + sep.join(map(quoted, sorted(map(rank, ids)))) + tail if ids else "[]"
 
 
 def array(texts: Sequence[str], depth: int) -> str:

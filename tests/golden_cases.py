@@ -116,7 +116,8 @@ CASES = (
     # each instance and best match lists its labels sorted by label
     ("cluster_cm_escaped.json", ("cluster", "--method", "cm", *_ESCAPED, "--format", "json")),
     ("compare_cm_escaped.json",
-     ("compare", "--method", "cm", *_ESCAPED, "--reference", "escaped_ref.json", "--format", "json")),
+     ("compare", "--method", "cm", *_ESCAPED, "--reference", "escaped_ref.json",
+      "--format", "json")),
     ("compare.json", (*_COMPARE, "--format", "json")),
     # the best-match lines, ties going to the earlier reference cluster
     ("compare.txt", _COMPARE),

@@ -5,8 +5,10 @@ tests over whole event lists, pair loops, and exhaustive enumeration. None
 of it shares code with the engines beyond their data types, the parse
 oracle's use of the public, fully checked ``build_vocabulary``, the
 consolidation oracle's use of the hierarchy's ``_merge`` and ``_split``
-(it checks which rule is applied, not how), and ``pair_count_sets``'s use
-of the ``model.fold`` a grid cell takes.
+(it checks which rule is applied, not how), ``pair_count_sets``'s use
+of the ``model.fold`` a grid cell takes, and ``head_set``'s use of the
+grid's ``_floor``, which it exposes so that ``dense_head_set`` can check
+the floor extraction keeps for each row.
 
 The per-event references each engine's batch call is compared with live
 here too, not in the package:
@@ -36,7 +38,7 @@ from itertools import chain, combinations
 
 from patterngrid.counting import InstanceRecord, InstanceStore
 from patterngrid.evaluate import AgreementReport, MatchRow
-from patterngrid.grid import CountMatrix, GridClusterResult
+from patterngrid.grid import CountMatrix, GridClusterResult, _check_ties, _floor
 from patterngrid.hierarchy import PatternNode, _merge, _split
 from patterngrid.ingest import LabelPolicy
 from patterngrid.model import (
@@ -177,6 +179,16 @@ def dense_count_events(grid: DenseGrid, events, weight: int | float = 1) -> Dens
     for event in events:
         dense_grid_update(grid, event, weight)
     return grid
+
+
+def head_set(grid: CountMatrix, v: int, *, ties: str = "high") -> frozenset[int]:
+    """Variable v's head set: the cells of row v at or above the row's floor,
+    the count just above its largest gap (see ``grid._floor``)."""
+    _check_ties(ties)
+    if not 0 <= v < grid.n:
+        raise DataError(f"variable id {v} outside vocabulary of size {grid.n}")
+    floor = _floor(grid.rows[v], ties)
+    return frozenset(w for w, count in grid.rows[v].items() if count >= floor)
 
 
 def dense_head_set(grid: DenseGrid, v: int, *, ties: str = "high") -> frozenset[int]:

@@ -26,13 +26,14 @@ def test_every_exported_name_resolves():
 
 
 def test_reference_functions_are_not_exported():
-    # the one-event references live in tests/oracles.py and the shard merges
-    # are gone; each engine keeps its batch call
-    names = {"grid_update", "present", "present_pattern", "grid_merge"}
+    # the one-event references and head_set live in tests/oracles.py and the
+    # shard merges are gone; each engine keeps its batch call
+    names = {"grid_update", "present", "present_pattern", "grid_merge", "head_set"}
     assert names & set(patterngrid.__all__) == set()
     gone = [
         (grid, "grid_update"),
         (grid, "grid_merge"),
+        (grid, "head_set"),
         (reinforce, "merge"),
         (counting, "present"),
         (reinforce, "update"),

@@ -15,7 +15,6 @@ from patterngrid.grid import (
     _count_sets,
     count_events,
     extract_clusters,
-    head_set,
     iter_links,
     matrix_csv,
     matrix_json,
@@ -34,8 +33,10 @@ from .oracles import (
     dense_matrix_json,
     dense_matrix_text,
     grid_update,
+    head_set,
     pair_count_sets,
     random_dataset,
+    relabel_dataset,
 )
 
 SEVEN_MATRIX = [
@@ -343,6 +344,48 @@ def test_counts_scale_with_repetition(seed, k, omega_i, omega_g):
     assert counts_k == [k * c for c in counts]
     assert repr(partitions_k) == repr(partitions)
     assert patterns_k == patterns
+
+
+# The seeds below 300 whose consolidated hierarchy a renumbering changes
+# (renumbered by relabel_dataset(dataset, seed + 2)). At each, a split
+# chooses among more than one dominant subset, and ``hierarchy._rules``
+# takes the first in ascending id-tuple order, an order that renumbering
+# the ids changes. The subsets' counts are equal at seeds 33 and 196, and
+# 2 and 3 at seed 142.
+SPLIT_CHOICES_UNDER_RELABELLING = {33, 142, 196}
+
+
+def test_relabelling_keeps_cm_partition_and_hierarchy_but_at_split_choices(monkeypatch):
+    """Renumbering the ids, labels following them, leaves cm's partition
+    unchanged on every store. It leaves the consolidated hierarchy's
+    patterns in preorder unchanged too, except where a split picks one of
+    several dominant subsets: the pick follows the ids. So the hierarchy
+    may differ only on a store where some split had such a choice, and the
+    stores where it does are pinned."""
+    choices = []  # per split, the dominant subsets it picked among
+    split = hierarchy._split
+
+    def counted(store, parent, node, subset):
+        limit = store.theta_split * node.occurrences
+        choices.append(sum(n >= limit for n in node.subset_counts.values()))
+        return split(store, parent, node, subset)
+
+    monkeypatch.setattr(hierarchy, "_split", counted)
+    differ, chose = set(), set()
+    for seed in range(300):
+        dataset = random_dataset(seed, max_vars=10, max_events=30)
+        renamed, mapping = relabel_dataset(dataset, seed + 2)
+        choices.clear()
+        _, (_, cm, _), patterns = _engines(dataset.events, dataset.n, Weights())
+        _, (_, cm_renamed, _), patterns_renamed = _engines(renamed.events, renamed.n, Weights())
+        moved = sorted(sorted(mapping[v] for v in cluster) for cluster in cm.clusters)
+        assert moved == sorted(map(sorted, cm_renamed.clusters)), f"seed {seed}"
+        if [sorted(mapping[v] for v in p) for p in patterns] != patterns_renamed:
+            differ.add(seed)
+        if max(choices, default=1) > 1:
+            chose.add(seed)
+    assert differ <= chose
+    assert differ == SPLIT_CHOICES_UNDER_RELABELLING
 
 
 def _as_detail_matrix(doc) -> str:

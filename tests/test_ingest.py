@@ -173,6 +173,9 @@ def _transaction_bytes(draw) -> bytes:
     return head + b"".join(line + draw(st.sampled_from(_ENDS)) for line in lines)
 
 
+_UNICODE_PADS = "r1,\u00a0a,b\u3000\nr2,a\x1c,\x1cb\nr3,\u3000c\n".encode()
+
+
 class TestOnePassMatchesOracle:
     """The one-pass parser against the two-pass one it replaced."""
 
@@ -190,9 +193,28 @@ class TestOnePassMatchesOracle:
     @example(BOM + b"r1,a\n" + BOM + b"r2,a\n", LabelPolicy.RECORD_LABEL, True)
     # one record, not two, and the next lines keep their numbers
     @example(b"r1,a\xc2\x85b\nr2,,c\nr3,a,b\n", LabelPolicy.RECORD_LABEL, False)
+    # a member text is stripped only when it holds whitespace, here only at
+    # its start: " a,b" splits on whitespace into one part
+    @example(b"r1, a,b\nr2,a,b\n", LabelPolicy.RECORD_LABEL, False)
+    @example(b"r1, a,b\nr2,a,b\n", LabelPolicy.RECORD_LABEL, True)
+    # U+00A0, U+3000 and "\x1c", which str.strip removes, around tokens
+    # seen and unseen
+    @example(_UNICODE_PADS, MEMBERS, False)
+    @example(_UNICODE_PADS, LabelPolicy.RECORD_LABEL, True)
+    # members equal only once stripped, as text and as ids
+    @example(b"r1,a, a\nr2,a,b\nr3,a, a\nr4,b ,b\n", LabelPolicy.RECORD_LABEL, False)
+    # a duplicate line of unseen tokens leaves no x or y among the labels
+    @example(b"r1,x,y,x\nr2,a,b\nr3,a,x,y,x\n", LabelPolicy.RECORD_LABEL, False)
     def test_same_dataset_or_error(self, data, policy, transpose):
         expected = _outcome(parse_oracle, data, policy, transpose)
         assert _outcome(parse_transactions, data, policy, transpose) == expected
+
+    def test_rejected_line_adds_no_label(self):
+        dataset = _parse("r1,x,y,x\nr2,a,b\nr3,a,y,a\nr4,,z\n")
+        assert dataset.labels == ("a", "b")
+        assert dataset.diagnostics == (
+            "line 1: duplicate member", "line 3: duplicate member", "line 4: empty field"
+        )
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_synthetic_corpus(self, transpose):
