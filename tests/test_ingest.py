@@ -209,13 +209,6 @@ class TestOnePassMatchesOracle:
         expected = _outcome(parse_oracle, data, policy, transpose)
         assert _outcome(parse_transactions, data, policy, transpose) == expected
 
-    def test_rejected_line_adds_no_label(self):
-        dataset = _parse("r1,x,y,x\nr2,a,b\nr3,a,y,a\nr4,,z\n")
-        assert dataset.labels == ("a", "b")
-        assert dataset.diagnostics == (
-            "line 1: duplicate member", "line 3: duplicate member", "line 4: empty field"
-        )
-
     @pytest.mark.parametrize("transpose", [False, True])
     def test_synthetic_corpus(self, transpose):
         data = synthetic_plants_text(500, 11).encode()
