@@ -9,11 +9,12 @@ input.
 
 ``count_events`` is the package's only counting path. It applies absence
 decrements late: a variable's missed steps are applied when it next appears
-and once at the end, so absent variables are never visited per event. With
-int weights and int counts the missed steps are taken in closed form, as
-one subtraction floored at zero; with any float they are taken one by one,
-so they round as the eager loop does. That is ``model.fold``'s rule. The
-counts equal the fold of the eager one-event reference ``update`` in
+and once at the end, so absent variables are never visited per event. One
+loop serves every nonzero ``delta``; how it takes the missed steps is picked
+once per call. With int weights and int counts they are taken in closed
+form, as one subtraction floored at zero; with any float they are taken one
+by one, so they round as the eager loop does. That is ``model.fold``'s rule.
+The counts equal the fold of the eager one-event reference ``update`` in
 ``tests/oracles.py``, value and type, for integer and float weights alike.
 """
 
@@ -61,23 +62,17 @@ def _decay(count: int | float, steps: int, delta: int | float) -> int | float:
     return count
 
 
-def _int_decay(count: int, steps: int, delta: int) -> int:
-    """``_decay`` for an int count and an int delta, in closed form: int
-    steps do not round, so they add up to one subtraction."""
-    return max(0, count - steps * delta)
-
-
 def count_events(state: ReinforceState, events, weights: Weights = Weights()) -> ReinforceState:
     """Fold ``events`` into ``state``; equal to the eager one-event fold.
 
     Absence decrements are applied late: ``seen[v]`` is how many events have
     been applied to ``v``, and its pending steps run when it next appears
-    and, for every variable, once after the loop. Which loop runs is decided
-    once per call: when both weights and every starting count are ints, the
-    steps are taken in closed form (``_int_decay``, inlined); otherwise
-    ``_decay`` takes them one by one. The last step is in a ``finally``, so
-    a DataError part-way through leaves the state the eager fold over the
-    events before the bad one would.
+    and, for every variable, once after the loop. A zero ``delta`` only
+    adds; every other ``delta`` runs one loop, whose way of taking missed
+    steps is picked once per call: in closed form (int steps do not round)
+    when both weights and every starting count are ints, else ``_decay``.
+    The last steps are in a ``finally``, so a DataError part-way through
+    leaves the state the eager fold over the events before the bad one would.
 
     Each event's ids are checked against the vocabulary by one set lookup
     in C; ``validate_event`` runs only to raise for an event that fails it.
@@ -98,37 +93,28 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
     applied = 0
     exact = type(omega_i) is int and type(delta) is int and all(type(c) is int for c in counts)
     try:
-        if exact:
-            for t, event in enumerate(events):
-                members = event.members
-                if not in_range(members):
-                    validate_event(event, n)
-                applied = t + 1
-                for v in members:
-                    s = seen[v]
-                    c = counts[v]
-                    if s < t:
+        for t, event in enumerate(events):
+            members = event.members
+            if not in_range(members):
+                validate_event(event, n)
+            applied = t + 1
+            for v in members:
+                s = seen[v]
+                c = counts[v]
+                if s < t:
+                    if exact:
                         c -= (t - s) * delta
                         if c < 0:
                             c = 0
-                    counts[v] = c + omega_i
-                    seen[v] = applied
-        else:
-            for t, event in enumerate(events):
-                members = event.members
-                if not in_range(members):
-                    validate_event(event, n)
-                for v in members:
-                    if seen[v] < t:
-                        counts[v] = _decay(counts[v], t - seen[v], delta)
-                    counts[v] += omega_i
-                    seen[v] = t + 1
-                applied = t + 1
+                    else:
+                        c = _decay(c, t - s, delta)
+                counts[v] = c + omega_i
+                seen[v] = applied
     finally:
-        decay = _int_decay if exact else _decay
         for v in range(n):
             if seen[v] < applied:
-                counts[v] = decay(counts[v], applied - seen[v], delta)
+                c, missed = counts[v], applied - seen[v]
+                counts[v] = max(0, c - missed * delta) if exact else _decay(c, missed, delta)
     return state
 
 

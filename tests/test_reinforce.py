@@ -166,6 +166,12 @@ def _events_from_start(draw):
 # a float delta with an int omega_i: three steps of 0.1 from 3 are not
 # 3 - 0.3, nor four steps 3 - 0.4
 @example((3, [Event((1,)), Event((1,)), Event((1,)), Event((0, 1))], [3, 0, 3]), 1, 0.1)
+# one float start among ints sends every variable down the stepwise path:
+# 2.0 steps to the int 0 before it gains 1, where 2.0 - 2 is 0.0
+@example((3, [Event((0,)), Event((0,)), Event((1, 2)), Event((0,))], [4, 2.0, -1]), 1, 1)
+# a float omega_i with int delta and int starts steps too: the catch-up
+# takes 3.0 to exactly zero, which leaves the int 0
+@example((2, [Event((0,)), Event((0,)), Event((1,)), Event((1,)), Event((1,))], [0, 0]), 1.5, 1)
 def test_lazy_decrement_from_any_start(drawn, omega_i, delta):
     # a state built by hand may hold 0.0 or negative counts; the first
     # absence step turns those into the int 0, as the eager loop does, and
@@ -190,6 +196,11 @@ def _events_with_bad(draw):
 @example((2, [Event((0, 1)), Event((1,)), Event((0, 1))], 3, Event((0, 2))), 1, 1)
 # a negative id would index the counts from the end
 @example((2, [Event((0, 1)), Event((1,))], 1, Event((0, -1))), 1, 0)
+# the bad event right after variable 0 took three float steps, with one
+# step of variable 1 still pending: 1 - 3 * 0.1 is not three steps of 0.1
+@example(
+    (2, [Event((0,)), Event((1,)), Event((1,)), Event((1,)), Event((0,))], 5, Event((0, 2))), 1, 0.1
+)
 def test_bad_event_leaves_eager_prefix(drawn, omega_i, delta):
     n, events, cut, bad = drawn
     weights = Weights(omega_i=omega_i, delta=delta)
