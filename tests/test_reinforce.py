@@ -167,8 +167,9 @@ def _events_from_start(draw):
 # 3 - 0.3, nor four steps 3 - 0.4
 @example((3, [Event((1,)), Event((1,)), Event((1,)), Event((0, 1))], [3, 0, 3]), 1, 0.1)
 # one float start among ints sends every variable down the stepwise path:
-# 2.0 steps to the int 0 before it gains 1, where 2.0 - 2 is 0.0
-@example((3, [Event((0,)), Event((0,)), Event((1, 2)), Event((0,))], [4, 2.0, -1]), 1, 1)
+# 2.0 steps to the int 0 before it gains 1 in the last event, where
+# 2.0 - 2 is 0.0
+@example((3, [Event((0,)), Event((0,)), Event((1, 2))], [4, 2.0, -1]), 1, 1)
 # a float omega_i with int delta and int starts steps too: the catch-up
 # takes 3.0 to exactly zero, which leaves the int 0
 @example((2, [Event((0,)), Event((0,)), Event((1,)), Event((1,)), Event((1,))], [0, 0]), 1.5, 1)
