@@ -10,8 +10,8 @@ Each engine run yields one ``EngineRun``: what it found, and renderers that
 the requested format's renderer runs; ``compare`` runs none. JSON output
 is ``json.dumps(payload, indent=2)`` text, its large sections written to
 standard output as they are made: record lists (links, cm instances, best
-matches) in blocks of ``jsonout.BLOCK`` characters or more, and matrix
-rows and hierarchy nodes one per ``write`` call. The grid's links are
+matches) and matrix rows in blocks of ``jsonout.BLOCK`` characters or
+more, and hierarchy nodes one per ``write`` call. The grid's links are
 derived as they are written, so JSON output never holds them all, and the
 ``extract`` time of a grid run does not include their scan.
 
@@ -70,7 +70,7 @@ METHODS = ("reinforce", "cm", "grid")
 COMPUTE_ORDER = ("grid", "cm", "reinforce")
 
 # the most cells ``cluster --method grid`` renders: 4,096 variables. The
-# matrix is written a row at a time, but its text still grows as n squared
+# matrix is made a row at a time, but its text still grows as n squared
 GRID_CELL_LIMIT = 1 << 24
 
 

@@ -16,9 +16,9 @@ dropped at the end. With the weight 1 the tallies of a row that starts
 empty are its cells; any other weight is folded in from them row by row,
 each row's tallies freed once written, so the counts are never held
 twice. No reader depends on the order a row's cells were inserted in.
-The renderers lay the matrix out densely one row at a time, passing each
-row to a ``write`` callable as it is made, so no n x n text or list of
-cells is held at once.
+The renderers lay the matrix out densely one row at a time, so no n x n
+text or list of cells is held at once: CSV and text pass each row to a
+``write`` callable as it is made, JSON its rows in blocks of 64 KiB or more.
 
 Extraction reads the finished grid. Each row nominates the variables above
 the largest gap in its sorted nonzero counts (its head set, the cells at or
@@ -253,16 +253,40 @@ def iter_links(grid: CountMatrix, partition: Partition, tau_link: int | float = 
             yield _trusted_link((a, b, row[b]))
 
 
-def _rendered_rows(grid: CountMatrix, diagonal: str = "x"):
+def _rendered_rows(grid: CountMatrix):
     """Each row as a dense list of cell texts: ``str`` of the nonzero
-    cells, "0" elsewhere and ``diagonal`` on the diagonal."""
+    cells, "0" elsewhere and "x" on the diagonal."""
     zeros = ["0"] * grid.n
     for i, row in enumerate(grid.rows):
         cells = zeros.copy()
         for w, c in row.items():
             cells[w] = str(c)
-        cells[i] = diagonal
+        cells[i] = "x"
         yield cells
+
+
+def _json_rows(grid: CountMatrix, depth: int):
+    """Each row as ``jsonout.array`` ``depth`` levels in of its cells, the
+    diagonal a structural zero. A row is one join of a copy of a list of
+    cell texts, each with its separator in front: one text serves every
+    zero, and each distinct nonzero value's is made once. Ints and floats
+    are cached apart, since 2 == 2.0 but they write differently."""
+    head, sep = "[" + jsonout.pad(depth + 1), "," + jsonout.pad(depth + 1)
+    zeros = [head + "0"] + [sep + "0"] * (grid.n - 1) + [jsonout.pad(depth) + "]"]
+    ints: dict[int, str] = {}
+    floats: dict[float, str] = {}
+    for row in grid.rows:
+        line = zeros.copy()
+        for w, c in row.items():
+            texts = ints if type(c) is int else floats
+            try:
+                line[w] = texts[c]
+            except KeyError:
+                line[w] = texts[c] = sep + str(c)
+        if 0 in row:
+            # the first cell's text has no separator in front
+            line[0] = head + str(row[0])
+        yield "".join(line)
 
 
 def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> None:
@@ -276,16 +300,12 @@ def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> None:
 def matrix_json(grid: CountMatrix, labels: Sequence[str], write, depth: int = 2) -> None:
     """Write ``{"labels": [...], "cells": [[...]]}`` ``depth`` levels in of
     ``json.dumps(payload, indent=2)`` (by default a cluster payload's
-    ``detail.matrix``), each row in a ``write`` call, from a template of "0"
-    with its nonzero cells patched in as ``str``; diagonal cells are
-    structural zeros."""
+    ``detail.matrix``): the labels in one ``write`` call, then the rows by
+    ``jsonout.write_list``, in blocks of ``jsonout.BLOCK`` characters or
+    more, the last closing the object; diagonal cells are structural zeros."""
     head, tail = jsonout.template(depth, "labels", "cells").rsplit("%s", 1)
     write(head % jsonout.array(list(map(jsonout.quote, labels)), depth + 1))
-    opening, inner = "[", jsonout.pad(depth + 2)
-    for cells in _rendered_rows(grid, "0"):
-        write(opening + inner + jsonout.array(cells, depth + 2))
-        opening = ","
-    write(("[]" if opening == "[" else jsonout.pad(depth + 1) + "]") + tail)
+    jsonout.write_list(_json_rows(grid, depth + 2), depth + 1, write, tail)
 
 
 def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> None:

@@ -52,10 +52,10 @@ def array(texts: Sequence[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(texts) + pad(depth) + "]" if texts else "[]"
 
 
-def write_list(texts: Iterable[str], depth: int, write) -> None:
-    """Write ``array`` of the texts in blocks, separators included: each
-    ``write`` call but the last, which closes the list, gets at least
-    ``BLOCK`` characters, and at most one value and its separator more."""
+def write_list(texts: Iterable[str], depth: int, write, end: str = "") -> None:
+    """Write ``array`` of the texts and then ``end`` in blocks: each ``write``
+    call but the last, which closes the list and holds ``end``, gets at
+    least ``BLOCK`` characters, and at most one value and its separator more."""
     head, sep = "[" + pad(depth + 1), "," + pad(depth + 1)
     block, size = [], 0
     for text in texts:
@@ -66,9 +66,9 @@ def write_list(texts: Iterable[str], depth: int, write) -> None:
             write(head + sep.join(block))
             head, block, size = sep, [], 0
     if block:
-        write(head + sep.join(block) + pad(depth) + "]")
+        write(head + sep.join(block) + pad(depth) + "]" + end)
     else:
-        write(pad(depth) + "]" if head is sep else "[]")
+        write((pad(depth) + "]" if head is sep else "[]") + end)
 
 
 def write_payload(payload: dict, fills, write) -> None:

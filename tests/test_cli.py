@@ -871,6 +871,23 @@ class TestStdoutWrites:
         blocks = -(-len(text.encode()) // jsonout.BLOCK)
         assert out.calls <= blocks + 4
 
+    def test_grid_matrix_goes_out_in_blocks(self, tmp_path):
+        # transposed, 300 records are the variables of a 300 x 300 matrix,
+        # about 1.2 MB of JSON that one write per row would take 300 calls for
+        path = tmp_path / "wide.data"
+        path.write_text("".join(f"r{i},a{i % 10},b{i % 7}\n" for i in range(300)))
+        argv = ["cluster", "--method", "grid", "--input", str(path), "--transpose", "--format", "json"]
+        out = _CountingStdout()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = entry(argv)
+        assert code == 0
+        text = out.getvalue()
+        assert len(json.loads(text)["detail"]["matrix"]["cells"]) == 300
+        blocks = -(-len(text.encode()) // jsonout.BLOCK)
+        # beside the blocks: the links' and the matrix's slots, their
+        # closing blocks, the matrix labels and the payload's end
+        assert out.calls <= blocks + 6
+
     @staticmethod
     def _env(unbuffered: bool) -> dict:
         env = dict(os.environ, PYTHONPATH=str(Path(patterngrid.__file__).resolve().parents[1]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from patterngrid import counting, hierarchy, reinforce
+from patterngrid import counting, hierarchy, jsonout, reinforce
 from patterngrid.grid import (
     CountMatrix,
     GridClusterResult,
@@ -486,6 +486,8 @@ def _grid_cases(draw):
 # ten folds of 0.1 from 0 give 0.9999999999999999, not 10 * 0.1
 @example((2, ["a", "b"], ([], 1), ([Event((0, 1))] * 10, 0.1), None, 1, "high"))
 @example((2, ["a", "b"], ([], 1), ([Event((0, 1)), Event((0, 2)), Event((0, 1))], 1), 1, 2, "low"))
+# row 0 is {1: 2, 2: 2.0}: equal counts of two types, written 2 and 2.0
+@example((3, ["a", "b", "c"], ([Event((0, 1))] * 2 + [Event((0, 2))], 1), ([Event((0, 2))], 1.0), None, 1, "high"))
 def test_sparse_grid_equals_dense_oracle(case):
     n, labels, (before, w0), (batch, w1), bad, tau, ties = case
     sparse, dense = CountMatrix.zeros(n), DenseGrid.zeros(n)
@@ -601,27 +603,53 @@ _LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_character
 )
 @example(0, 1, [""] * 12)
 def test_renderers_write_one_row_per_piece(seed, weight, names):
-    """Joined, the pieces equal the dense oracles' strings; and no piece
-    is longer than the label header plus the longest rendered row."""
+    """Joined, the CSV and text pieces equal the dense oracles' strings;
+    and no piece is longer than the label header plus the longest row."""
     dataset = random_dataset(seed, max_vars=12, max_events=30)
     labels = names[: dataset.n]
     sparse = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
     dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events, weight)
     csv_text, text = dense_matrix_csv(dense, labels), dense_matrix_text(dense, labels)
-    json_text = _as_detail_matrix(dense_matrix_json(dense, labels))
-    # CSV and text rows are lines, each piece holding its newline; the JSON
-    # header runs to the "cells" key, and each row ends at a bracket eight
-    # spaces in, which the split drops from the rows
+    # rows are lines, each piece holding its newline
     csv_head, csv_rows = csv_text.split("\n", 1)
     text_head, text_rows = text.split("\n", 1)
-    cut, close = json_text.index('"cells": '), "\n        ]"
     cases = (
         (matrix_csv, csv_text, csv_head, csv_rows.split("\n"), 1),
         (matrix_text, text, text_head, text_rows.split("\n"), 1),
-        (matrix_json, json_text, json_text[:cut], json_text[cut:].split(close), len(close)),
     )
     for renderer, expected, header, rows, extra in cases:
         pieces = []
         renderer(sparse, labels, pieces.append)
         assert "".join(pieces) == expected
         assert max(map(len, pieces)) <= len(header) + max(map(len, rows)) + extra
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([1, 3, 0.1, 2.5, 1e-3]),
+    st.lists(_LABEL, min_size=12, max_size=12),
+)
+@example(0, 1, [""] * 12)
+# 196 variables: the rows take about 750,000 characters, eleven full blocks
+@example(103, 0.1, [f"v{i}" for i in range(200)])
+def test_json_matrix_writes_rows_in_blocks(seed, weight, names):
+    """Joined, the pieces equal the dense oracle's text. The first runs to
+    the "cells" key; the rest follow ``jsonout.write_list``: each but the
+    last holds at least ``BLOCK`` characters, and none more than ``BLOCK``
+    plus the longest row and its separator."""
+    dataset = random_dataset(seed, max_vars=len(names), max_events=30)
+    labels = names[: dataset.n]
+    sparse = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
+    dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events, weight)
+    expected = _as_detail_matrix(dense_matrix_json(dense, labels))
+    pieces = []
+    matrix_json(sparse, labels, pieces.append)
+    assert "".join(pieces) == expected
+    assert pieces[0] == expected[: expected.index('"cells": ') + len('"cells": ')]
+    # a row, its separator in front, ends at a bracket eight spaces in,
+    # which the split drops
+    close = "\n        ]"
+    longest = max(map(len, expected[len(pieces[0]) :].split(close))) + len(close)
+    blocks = pieces[1:]
+    assert all(len(piece) >= jsonout.BLOCK for piece in blocks[:-1])
+    assert max(map(len, blocks)) <= jsonout.BLOCK + longest
