@@ -8,6 +8,8 @@ links. A separate incremental pattern hierarchy grows, merges and splits
 stored patterns as presentations arrive.
 """
 
+import importlib
+
 from .counting import (
     InstanceRecord,
     InstanceStore,
@@ -15,9 +17,7 @@ from .counting import (
     present_all,
     select_clusters,
 )
-from .evaluate import AgreementReport, pairwise_agreement
 from .grid import CountMatrix, GridClusterResult, extract_clusters
-from .hierarchy import HierarchyStore, PatternNode, consolidate, total_mass
 from .ingest import (
     LabelPolicy,
     ReferenceClusters,
@@ -39,6 +39,18 @@ from .model import (
 from .reinforce import ReinforceState, band_clusters, bands_to_partition
 
 __version__ = "0.1.0"
+
+# the hierarchy and evaluation names resolve on first use (PEP 562), so a
+# command that runs neither never imports their modules
+_LAZY = {"AgreementReport": ".evaluate", "pairwise_agreement": ".evaluate"}
+_LAZY |= dict.fromkeys(("HierarchyStore", "PatternNode", "consolidate", "total_mass"), ".hierarchy")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(importlib.import_module(_LAZY[name], __name__), name)
+    return value
 
 __all__ = [
     "AgreementReport",

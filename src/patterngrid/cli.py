@@ -47,8 +47,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, NoReturn, Sequence
 
-from . import counting, grid, hierarchy, jsonout, reinforce
-from .evaluate import agreement_json, agreement_text, best_matches_json, pairwise_agreement
+from . import counting, grid, jsonout, reinforce
 from .ingest import (
     FIXTURES,
     LabelPolicy,
@@ -385,20 +384,26 @@ def _parameters(args, source: str) -> dict:
 
 
 def _counts_csv(state: reinforce.ReinforceState, labels, write) -> None:
-    rows = ["variable,count"] + [f"{labels[v]},{state.counts[v]}" for v in range(state.n)]
+    rows = ["variable,count"] + [f"{grid.csv_field(l)},{c}" for l, c in zip(labels, state.counts)]
     write("\n".join(rows) + "\n")
 
 
 def _instances_csv(store: counting.InstanceStore, labels, write) -> None:
+    """A pattern is one field: its members, sorted by label, as a CSV record
+    of their own with ``;`` between them."""
+    members = [grid.csv_field(label, ";") for label in labels]
     rows = ["pattern,local,global,coherence"]
     for r in store.records:
-        pattern = ";".join(sorted(labels[v] for v in r.pattern))
-        rows.append(f"{pattern},{r.local_count},{r.global_count},{counting.coherence(r)}")
+        pattern = ";".join(members[v] for v in sorted(r.pattern, key=labels.__getitem__))
+        rows.append(
+            f"{grid.csv_field(pattern)},{r.local_count},{r.global_count},{counting.coherence(r)}"
+        )
     write("\n".join(rows) + "\n")
 
 
 def _assignment_csv(partition: Partition, links, labels) -> list[str]:
     """The CSV sections after the engine's: the assignment and a grid's links."""
+    labels = list(map(grid.csv_field, labels))
     rows = ["variable,cluster"]
     for label, ci in zip(labels, partition.cluster_ids()):
         rows.append(f"{label},{ci if ci >= 0 else ''}")
@@ -462,7 +467,16 @@ def _load_reference(ref: str) -> ReferenceClusters:
     return load_reference_path(ref)
 
 
+def pairwise_agreement(produced: Partition, reference: Partition):
+    """``evaluate.pairwise_agreement`` under the name ``perfbench/tracing.py`` wraps."""
+    from . import evaluate
+
+    return evaluate.pairwise_agreement(produced, reference)
+
+
 def cmd_compare(args) -> int:
+    from .evaluate import agreement_json, agreement_text, best_matches_json
+
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     for i, m in enumerate(methods):
         if m not in METHODS:
@@ -542,6 +556,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
+    from . import hierarchy
+
     timing = Timing()
     dataset, source = _load_dataset(args, timing)
     labels = dataset.labels

@@ -289,9 +289,18 @@ def _json_rows(grid: CountMatrix, depth: int):
         yield "".join(line)
 
 
+def csv_field(text: str, sep: str = ",") -> str:
+    """``text`` as ``csv.writer``'s ``QUOTE_MINIMAL`` writes a field: quoted,
+    each ``"`` doubled, when it holds ``sep``, ``"``, ``\\r`` or ``\\n``."""
+    if sep in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> None:
     """Write the CSV rendering, a label header row and column with "x" on
     the empty diagonal, one line per ``write`` call."""
+    labels = list(map(csv_field, labels))
     write("," + ",".join(labels) + "\n")
     for label, cells in zip(labels, _rendered_rows(grid)):
         write(label + "," + ",".join(cells) + "\n")

@@ -11,15 +11,17 @@ input.
 decrements late: a variable's missed steps are applied when it next appears
 and once at the end, so absent variables are never visited per event. One
 loop serves every nonzero ``delta``; how it takes the missed steps is picked
-once per call. With int weights and int counts they are taken in closed
-form, as one subtraction floored at zero; with any float they are taken one
-by one, so they round as the eager loop does. That is ``model.fold``'s rule.
+once per call. With an int ``delta`` they are taken in closed form, as one
+subtraction floored at zero, on int counts and on float counts below 2**53,
+where no step rounds; with a float ``delta``, and on a float count at or
+above 2**53, they are taken one by one, so they round as the eager loop does.
 The counts equal the fold of the eager one-event reference ``update`` in
 ``tests/oracles.py``, value and type, for integer and float weights alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Partition, Weights, validate_event
@@ -50,7 +52,7 @@ class ReinforceState:
 
 def _decay(count: int | float, steps: int, delta: int | float) -> int | float:
     """Apply ``steps >= 1`` eager absence steps one by one, stopping once
-    floored; the path for a float count or weight.
+    floored; the path for a float ``delta`` or a float count from 2**53 on.
 
     ``max(0, x)`` returns the int 0 whenever ``x <= 0``, and every later
     step leaves that 0 unchanged, so the early stop is exact.
@@ -68,9 +70,10 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
     Absence decrements are applied late: ``seen[v]`` is how many events have
     been applied to ``v``, and its pending steps run when it next appears
     and, for every variable, once after the loop. A zero ``delta`` only
-    adds; every other ``delta`` runs one loop, whose way of taking missed
-    steps is picked once per call: in closed form (int steps do not round)
-    when both weights and every starting count are ints, else ``_decay``.
+    adds; every other ``delta`` runs one loop, whose bound for taking
+    missed steps in closed form is picked once per call: with an int
+    ``delta`` a count below it takes one floored subtraction, which no int
+    step rounds, and every other count goes through ``_decay``.
     The last steps are in a ``finally``, so a DataError part-way through
     leaves the state the eager fold over the events before the bad one would.
 
@@ -91,7 +94,14 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
         return state
     seen = [0] * n
     applied = 0
-    exact = type(omega_i) is int and type(delta) is int and all(type(c) is int for c in counts)
+    # a count below ``exact`` takes its missed steps as one floored
+    # subtraction; the bounds are compared like with like, ints with ints
+    if type(delta) is not int:
+        exact = -math.inf
+    elif type(omega_i) is int and all(type(c) is int for c in counts):
+        exact = 1 << 2048  # past any count a run reaches; ints never round
+    else:
+        exact = 2.0**53  # below it, a float less an int is exact
     try:
         for t, event in enumerate(events):
             members = event.members
@@ -102,10 +112,9 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
                 s = seen[v]
                 c = counts[v]
                 if s < t:
-                    if exact:
-                        c -= (t - s) * delta
-                        if c < 0:
-                            c = 0
+                    if c < exact:
+                        k = (t - s) * delta
+                        c = c - k if c > k else 0
                     else:
                         c = _decay(c, t - s, delta)
                 counts[v] = c + omega_i
@@ -114,7 +123,8 @@ def count_events(state: ReinforceState, events, weights: Weights = Weights()) ->
         for v in range(n):
             if seen[v] < applied:
                 c, missed = counts[v], applied - seen[v]
-                counts[v] = max(0, c - missed * delta) if exact else _decay(c, missed, delta)
+                k = missed * delta
+                counts[v] = (c - k if c > k else 0) if c < exact else _decay(c, missed, delta)
     return state
 
 

@@ -1,6 +1,12 @@
 import os
+import sys
 
 import pytest
+
+# no run leaves bytecode in src/: the benchmark and its memory guard measure
+# a checkout without it, and CI fails a tier-1 run that writes any
+sys.dont_write_bytecode = True
+os.environ.setdefault("PYTHONDONTWRITEBYTECODE", "1")
 
 from patterngrid.ingest import load_fixture
 from patterngrid.model import Dataset

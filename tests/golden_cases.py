@@ -7,7 +7,7 @@ echoes stays fixed. Every case exits 0. The tier-1 test runs the cases in
 process; run as a script, this module runs them through a command:
 
     python tests/golden_cases.py patterngrid
-    PYTHONPATH=src python3.12 tests/golden_cases.py "python3.12 -m patterngrid"
+    PYTHONPATH=$PWD/src python3.12 tests/golden_cases.py "python3.12 -m patterngrid"
 
 Each case runs in a fresh temporary directory. The script names every file
 whose stdout bytes or exit code differ, and exits 1 if any does. It needs
@@ -36,6 +36,7 @@ _GRID_FIRST = ("--method", "grid,cm,reinforce")
 _GRID_LAST = ("--method", "cm,reinforce,grid")
 _ESCAPED = ("--label-policy", "members", "--input", "escaped.data")
 _PLANTS = ("--input", "transpose80.data", "--reference", "plants_reference")
+_QUOTED = ("--label-policy", "members", "--input", "quoted.data", "--format", "csv")
 
 INPUTS = {
     # ids follow first appearance, so E,C,A,D,B takes ids 0-4: each cm
@@ -67,6 +68,9 @@ INPUTS = {
     ),
     # a wide sparse grid with links
     "transpose80.data": synthetic_plants_text(80, 4).encode(),
+    # labels holding '"' and ';', which CSV quotes, and a link between two
+    "quoted.data": b'"a;b,c,d\n"a;b,c,d\n"a;b,c,d\nx;y,"q",z\nx;y,"q",z\nx;y,"q",z\n'
+    b'"a;b,x;y\n"a;b,x;y\nc,"q"\n',
 }
 
 CASES = (
@@ -89,6 +93,11 @@ CASES = (
     ("cluster_cm_members.csv",
      ("cluster", "--method", "cm", "--label-policy", "members", "--input", "cm_order.data",
       "--format", "csv")),
+    # a label field holding '"' or ';' is quoted as csv.writer quotes it; a cm
+    # pattern's field is a ';' record of its members, quoted the same way
+    ("cluster_grid_quoted.csv", ("cluster", "--method", "grid", *_QUOTED)),
+    ("cluster_cm_quoted.csv", ("cluster", "--method", "cm", *_QUOTED)),
+    ("cluster_reinforce_quoted.csv", ("cluster", "--method", "reinforce", *_QUOTED)),
     ("cluster_cm_line_ends.txt",
      ("cluster", "--method", "cm", "--label-policy", "members", "--input", "line_ends.data")),
     ("cluster_reinforce.txt", ("cluster", "--method", "reinforce", *_SEVEN)),

@@ -29,6 +29,8 @@ The hierarchy has none: one event is ``hierarchy.present_all(store,
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 import random
@@ -272,11 +274,18 @@ def _dense_rendered(grid: DenseGrid) -> list[list[str]]:
     ]
 
 
+def csv_line(fields, delimiter: str = ",") -> str:
+    """One record as ``csv.writer`` writes it, without its line end."""
+    out = io.StringIO()
+    csv.writer(out, delimiter=delimiter).writerow(fields)
+    return out.getvalue().removesuffix("\r\n")
+
+
 def dense_matrix_csv(grid: DenseGrid, labels) -> str:
     """The CSV rendering built as one string, "x" on the diagonal."""
-    lines = ["," + ",".join(labels)]
+    lines = [csv_line(["", *labels])]
     for label, cells in zip(labels, _dense_rendered(grid)):
-        lines.append(label + "," + ",".join(cells))
+        lines.append(csv_line([label, *cells]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -269,6 +270,43 @@ class TestSingletons:
         assert payload["unassigned"] == []
 
 
+def _csv_sections(payload: dict, labels) -> list[list[list[str]]]:
+    """The rows a CSV reader should give back for a cluster payload, built
+    from its JSON; a cm pattern's field is read back as a ';' record."""
+    detail = payload["detail"]
+    if payload["method"] == "reinforce":
+        first = [["variable", "count"], *([l, str(c)] for l, c in detail["counts"].items())]
+    elif payload["method"] == "cm":
+        first = [["pattern", "local", "global", "coherence"]]
+        for r in detail["instances"]:
+            first.append([r["pattern"], str(r["local"]), str(r["global"]), str(r["coherence"])])
+    else:
+        matrix = detail["matrix"]
+        first = [["", *matrix["labels"]]]
+        for i, (label, cells) in enumerate(zip(matrix["labels"], matrix["cells"])):
+            first.append([label, *("x" if i == j else str(c) for j, c in enumerate(cells))])
+    cluster_of = {l: str(ci) for ci, cluster in enumerate(payload["clusters"]) for l in cluster}
+    sections = [first, [["variable", "cluster"], *([l, cluster_of.get(l, "")] for l in labels)]]
+    if payload["method"] == "grid":
+        links = ([k["a"], k["b"], str(k["strength"])] for k in payload["links"])
+        sections.append([["a", "b", "strength"], *links])
+    return sections
+
+
+@st.composite
+def _quoting_lines(draw):
+    """Input lines whose members hold '"' and ';'."""
+    names = draw(st.lists(st.text('ab";', min_size=1, max_size=4), min_size=2, max_size=6, unique=True))
+    members = st.lists(st.sampled_from(names), min_size=1, unique=True)
+    return draw(st.lists(members, min_size=1, max_size=8))
+
+
+def _read_patterns(sections):
+    """The cm section with each pattern field read as a ';' record."""
+    head, *rows = sections[0]
+    return [head, *([next(csv.reader([row[0]], delimiter=";")), *row[1:]] for row in rows)]
+
+
 class TestCsv:
     def test_grid_sections(self, capsys):
         code, out, _ = run(capsys, *GOLDEN_ARGV["cluster_grid.csv"])
@@ -292,6 +330,34 @@ class TestCsv:
         instances, assignment = out.rstrip("\n").split("\n\n")
         assert instances.splitlines()[0] == "pattern,local,global,coherence"
         assert instances.splitlines()[1] == "A;B;C;D;E,1,7,6"
+
+    @given(_quoting_lines())
+    @example([['"a;b', "c"], ['"a;b', "c"], ["x", "y"]])
+    @settings(max_examples=40, deadline=None)
+    def test_csv_reader_reads_each_section_back(self, lines):
+        # labels holding '"' and ';' read back from every section, and each
+        # cm pattern's field, itself read as a ';' record, gives its members
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.data"
+            path.write_text("".join(",".join(line) + "\n" for line in lines))
+            labels = parse_transactions_path(str(path), LabelPolicy.MEMBERS).labels
+            for method in ("reinforce", "cm", "grid"):
+                argv = ["cluster", "--method", method, "--label-policy", "members", "--input", str(path)]
+                outputs = []
+                for fmt in ("csv", "json"):
+                    out = io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                        assert entry([*argv, "--format", fmt]) == 0
+                    outputs.append(out.getvalue())
+                sections = [[]]
+                for row in csv.reader(io.StringIO(outputs[0], newline="")):
+                    if row:
+                        sections[-1].append(row)
+                    else:
+                        sections.append([])
+                if method == "cm":
+                    sections[0] = _read_patterns(sections)
+                assert sections == _csv_sections(json.loads(outputs[1]), labels)
 
     def test_grid_without_links_keeps_its_links_section(self, capsys):
         # no link reaches tau_link; a grid still reports its empty links, in

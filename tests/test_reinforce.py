@@ -18,6 +18,10 @@ _fractions = st.floats(0.05, 3.0).filter(lambda x: not x.is_integer())
 _omega_i = st.one_of(st.integers(1, 3), _fractions)
 _delta = st.one_of(st.just(0), st.integers(1, 3), _fractions)
 _hand_built_count = st.one_of(st.integers(-2, 4), st.sampled_from([0.0, -0.5, 0.25, 2.5]))
+# counts about 2**53, where a float less an int starts to round, and past it
+_large_count = st.sampled_from(
+    [2**53 - 1, 2**53, 2**53 + 1, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**53 + 6, 1e20, 1e20 + 1]
+)
 
 
 @st.composite
@@ -73,6 +77,15 @@ def test_delta_floors_at_zero():
     assert state.counts == [2, 0]
     update(state, Event((1,)), weights)
     assert state.counts == [1, 1]
+
+
+@pytest.mark.parametrize("omega_i", [1, 0.5])
+def test_large_float_count_decays_step_by_step(omega_i):
+    # 1e20 - 1 rounds back to 1e20 at every step, so 100,000 missed steps
+    # leave it where it was; 1e20 - 100000 would not
+    state = ReinforceState([1e20, 0])
+    count_events(state, [Event((1,))] * 100_000, Weights(omega_i=omega_i, delta=1))
+    assert [repr(c) for c in state.counts] == ["1e+20", repr(100_000 * omega_i)]
 
 
 def test_counts_match_frequency_oracle():
@@ -153,26 +166,31 @@ def test_resumed_count_equals_single_pass(drawn, omega_i, delta, data):
 @st.composite
 def _events_from_start(draw):
     n, events = draw(_events())
-    return n, events, draw(st.lists(_hand_built_count, min_size=n, max_size=n))
+    start = st.one_of(_hand_built_count, _large_count)
+    return n, events, draw(st.lists(start, min_size=n, max_size=n))
 
 
 @given(_events_from_start(), _omega_i, st.one_of(_delta, st.just(0.0)))
 # int weights and int starts take the closed form: a negative start stays
 # negative while its variable misses no event, and gaps outlast the counts
 @example((3, [Event((0,)), Event((0, 1)), Event((0, 1)), Event((0, 2))], [-3, -1, 2]), 1, 1)
-# a float start sends int weights down the stepwise path: 0.0 becomes the
-# int 0, and 2.0 steps through 1.0 to the int 0 where 2.0 - 2 is 0.0
+# float starts with int weights: 0.0 becomes the int 0, and 2.0 less its
+# two missed steps floors at 0.0, which becomes the int 0
 @example((4, [Event((0,)), Event((1,)), Event((0, 3))], [2.5, 0.0, 0.0, 2.0]), 1, 1)
 # a float delta with an int omega_i: three steps of 0.1 from 3 are not
 # 3 - 0.3, nor four steps 3 - 0.4
 @example((3, [Event((1,)), Event((1,)), Event((1,)), Event((0, 1))], [3, 0, 3]), 1, 0.1)
-# one float start among ints sends every variable down the stepwise path:
-# 2.0 steps to the int 0 before it gains 1 in the last event, where
-# 2.0 - 2 is 0.0
+# one float start among ints: 2.0 floors at the int 0 before it gains 1 in
+# the last event, where 2.0 - 2 is 0.0
 @example((3, [Event((0,)), Event((0,)), Event((1, 2))], [4, 2.0, -1]), 1, 1)
-# a float omega_i with int delta and int starts steps too: the catch-up
-# takes 3.0 to exactly zero, which leaves the int 0
+# a float omega_i with int delta and int starts: the catch-up takes 3.0 to
+# exactly zero, which leaves the int 0
 @example((2, [Event((0,)), Event((0,)), Event((1,)), Event((1,)), Event((1,))], [0, 0]), 1.5, 1)
+# a float at 2**53 + 2 rounds at each step: two steps of 1 give 2**53 - 1,
+# not 2**53
+@example((2, [Event((1,)), Event((1,))], [2.0**53 + 2, 2.0**53 - 1]), 0.5, 1)
+# an int count at 2**53 + 1 with a float omega_i: int steps never round
+@example((2, [Event((1,)), Event((1,)), Event((0,))], [2**53 + 1, 0]), 0.5, 1)
 def test_lazy_decrement_from_any_start(drawn, omega_i, delta):
     # a state built by hand may hold 0.0 or negative counts; the first
     # absence step turns those into the int 0, as the eager loop does, and
