@@ -36,6 +36,7 @@ _GRID_FIRST = ("--method", "grid,cm,reinforce")
 _GRID_LAST = ("--method", "cm,reinforce,grid")
 _ESCAPED = ("--label-policy", "members", "--input", "escaped.data")
 _PLANTS = ("--input", "transpose80.data", "--reference", "plants_reference")
+_TRANSPOSE = ("cluster", "--method", "grid", "--transpose", "--input", "transpose80.data")
 _QUOTED = ("--label-policy", "members", "--input", "quoted.data", "--format", "csv")
 
 INPUTS = {
@@ -80,11 +81,16 @@ CASES = (
     ("cluster_grid.txt", ("cluster", "--method", "grid", *_SEVEN)),
     ("cluster_grid.json", ("cluster", "--method", "grid", *_SEVEN, "--format", "json")),
     ("cluster_grid.csv", ("cluster", "--method", "grid", *_SEVEN, "--format", "csv")),
-    # float cells beside the int zeros of untouched cells
+    # float cells beside the int zeros of untouched cells, of unequal widths
     ("cluster_grid_float.json",
      ("cluster", "--method", "grid", *_SEVEN, "--omega-i", "0.1", "--format", "json")),
-    ("cluster_grid_transpose.json",
-     ("cluster", "--method", "grid", "--transpose", "--input", "transpose80.data", "--format", "json")),
+    ("cluster_grid_float.txt", ("cluster", "--method", "grid", *_SEVEN, "--omega-i", "0.1")),
+    ("cluster_grid_float.csv",
+     ("cluster", "--method", "grid", *_SEVEN, "--omega-i", "0.1", "--format", "csv")),
+    ("cluster_grid_transpose.json", (*_TRANSPOSE, "--format", "json")),
+    # a wide matrix: text columns take the width of their widest cell
+    ("cluster_grid_transpose.txt", _TRANSPOSE),
+    ("cluster_grid_transpose.csv", (*_TRANSPOSE, "--format", "csv")),
     ("cluster_cm.txt", ("cluster", "--method", "cm", *_SEVEN)),
     ("cluster_cm.json", ("cluster", "--method", "cm", *_SEVEN, "--format", "json")),
     ("cluster_cm.csv", ("cluster", "--method", "cm", *_SEVEN, "--format", "csv")),
