@@ -19,6 +19,8 @@ twice. No reader depends on the order a row's cells were inserted in.
 The renderers lay the matrix out densely one row at a time, so no n x n
 text or list of cells is held at once: CSV and text pass each row to a
 ``write`` callable as it is made, JSON its rows in blocks of 64 KiB or more.
+All three write a cell as ``str`` of its count and an empty one as "0",
+each distinct value's text made once, an int's apart from an equal float's.
 
 Extraction reads the finished grid. Each row nominates the variables above
 the largest gap in its sorted nonzero counts (its head set, the cells at or
@@ -253,29 +255,17 @@ def iter_links(grid: CountMatrix, partition: Partition, tau_link: int | float = 
             yield _trusted_link((a, b, row[b]))
 
 
-def _rendered_rows(grid: CountMatrix):
-    """Each row as a dense list of cell texts: ``str`` of the nonzero
-    cells, "0" elsewhere and "x" on the diagonal."""
-    zeros = ["0"] * grid.n
+def _rows(grid: CountMatrix, heads: Sequence[str], sep: str, diagonal: str, end: str):
+    """Each row as ``heads[i]``, its cell texts with ``sep`` between them,
+    ``diagonal`` on the diagonal, and ``end``: the CSV and JSON rows. A row
+    is one join of a copy of a list of cell texts, each with ``sep`` in
+    front. As in every matrix format, a cell writes as ``str`` of its count,
+    "0" when empty: one text serves every zero, and each distinct value's is
+    made once, ints and floats apart, since 2 == 2.0 but they write 2 and 2.0."""
+    zeros = [sep + "0"] * grid.n + [end]
+    mark, cut = sep + diagonal, len(sep)
+    ints, floats = {}, {}
     for i, row in enumerate(grid.rows):
-        cells = zeros.copy()
-        for w, c in row.items():
-            cells[w] = str(c)
-        cells[i] = "x"
-        yield cells
-
-
-def _json_rows(grid: CountMatrix, depth: int):
-    """Each row as ``jsonout.array`` ``depth`` levels in of its cells, the
-    diagonal a structural zero. A row is one join of a copy of a list of
-    cell texts, each with its separator in front: one text serves every
-    zero, and each distinct nonzero value's is made once. Ints and floats
-    are cached apart, since 2 == 2.0 but they write differently."""
-    head, sep = "[" + jsonout.pad(depth + 1), "," + jsonout.pad(depth + 1)
-    zeros = [head + "0"] + [sep + "0"] * (grid.n - 1) + [jsonout.pad(depth) + "]"]
-    ints: dict[int, str] = {}
-    floats: dict[float, str] = {}
-    for row in grid.rows:
         line = zeros.copy()
         for w, c in row.items():
             texts = ints if type(c) is int else floats
@@ -283,9 +273,9 @@ def _json_rows(grid: CountMatrix, depth: int):
                 line[w] = texts[c]
             except KeyError:
                 line[w] = texts[c] = sep + str(c)
-        if 0 in row:
-            # the first cell's text has no separator in front
-            line[0] = head + str(row[0])
+        line[i] = mark
+        # the first cell's text has the row's head, not a separator, in front
+        line[0] = heads[i] + line[0][cut:]
         yield "".join(line)
 
 
@@ -302,8 +292,8 @@ def matrix_csv(grid: CountMatrix, labels: Sequence[str], write) -> None:
     the empty diagonal, one line per ``write`` call."""
     labels = list(map(csv_field, labels))
     write("," + ",".join(labels) + "\n")
-    for label, cells in zip(labels, _rendered_rows(grid)):
-        write(label + "," + ",".join(cells) + "\n")
+    for line in _rows(grid, [label + "," for label in labels], ",", "x", "\n"):
+        write(line)
 
 
 def matrix_json(grid: CountMatrix, labels: Sequence[str], write, depth: int = 2) -> None:
@@ -314,7 +304,9 @@ def matrix_json(grid: CountMatrix, labels: Sequence[str], write, depth: int = 2)
     more, the last closing the object; diagonal cells are structural zeros."""
     head, tail = jsonout.template(depth, "labels", "cells").rsplit("%s", 1)
     write(head % jsonout.array(list(map(jsonout.quote, labels)), depth + 1))
-    jsonout.write_list(_json_rows(grid, depth + 2), depth + 1, write, tail)
+    inner = jsonout.pad(depth + 3)
+    rows = _rows(grid, ["[" + inner] * grid.n, "," + inner, "0", jsonout.pad(depth + 2) + "]")
+    jsonout.write_list(rows, depth + 1, write, tail)
 
 
 def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> None:
@@ -324,14 +316,21 @@ def matrix_text(grid: CountMatrix, labels: Sequence[str], write) -> None:
     # row is made, since "0" and "x" are one character wide
     label_w = max((len(l) for l in labels), default=0)
     col_w = [max(len(label), 1) for label in labels]
+    ints, floats = {}, {}
     for row in grid.rows:
         for w, c in row.items():
-            col_w[w] = max(col_w[w], len(str(c)))
+            texts = ints if type(c) is int else floats
+            try:
+                text = texts[c]
+            except KeyError:
+                text = texts[c] = str(c)
+            if len(text) > col_w[w]:
+                col_w[w] = len(text)
     write(" " * label_w + "  " + "  ".join(map(str.rjust, labels, col_w)) + "\n")
     zeros = ["0".rjust(w) for w in col_w]
     for i, row in enumerate(grid.rows):
         cells = zeros.copy()
         for w, c in row.items():
-            cells[w] = str(c).rjust(col_w[w])
+            cells[w] = (ints if type(c) is int else floats)[c].rjust(col_w[w])
         cells[i] = "x".rjust(col_w[i])
         write(labels[i].ljust(label_w) + "  " + "  ".join(cells) + "\n")

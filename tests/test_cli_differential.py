@@ -1,11 +1,15 @@
 """The CLI end to end against a reference pipeline built from the oracles.
 
-``cluster --method reinforce`` runs in process through ``cli.entry`` on
-small generated files, in every format, and its exit code, stdout bytes and
-stderr lines (all but the ``timing:`` line) must equal those of a pipeline
-that parses with ``parse_oracle``, counts by folding the one-event
-``update``, groups with ``sort_group_oracle`` and renders with the plain
-writers below and ``json.dumps(indent=2)``.
+``cluster --method reinforce`` and ``cluster --method grid`` run in process
+through ``cli.entry`` on small generated files, in every format, and their
+exit code, stdout bytes and stderr lines (all but the ``timing:`` line) must
+equal those of a pipeline that parses with ``parse_oracle`` and renders
+with the plain writers below and ``json.dumps(indent=2)``. For reinforce
+it counts by folding the one-event ``update`` and groups with
+``sort_group_oracle``; for the grid it counts into a ``DenseGrid`` one
+event at a time, extracts with ``dense_extract_clusters`` and writes the
+matrix with ``dense_matrix_text``, ``dense_matrix_csv`` (``csv.writer``)
+and ``dense_matrix_json``.
 """
 
 import io
@@ -22,23 +26,38 @@ from patterngrid.ingest import LabelPolicy
 from patterngrid.model import ConfigError, DataError, Weights
 from patterngrid.reinforce import ReinforceState
 
-from .oracles import parse_oracle, sort_group_oracle, update
+from .oracles import (
+    DenseGrid,
+    csv_line,
+    dense_count_events,
+    dense_extract_clusters,
+    dense_matrix_csv,
+    dense_matrix_json,
+    dense_matrix_text,
+    parse_oracle,
+    sort_group_oracle,
+    update,
+)
 
 BOM = "\ufeff"
 # non-ASCII labels, one outside the BMP and one holding a space
 _TOKENS = ["a", "b", "c", "é", "Ω", "日本", "𝄞", "x y"]
+_RECORDS = ["r1", "r2", "ü", "r3"]
+# labels CSV quotes: a field holding '"' or ';' (a cm pattern's separator)
+_QUOTED_TOKENS = ["a", "b", "c", '"q"', "x;y", 'é"f;g', "Ω"]
+_QUOTED_RECORDS = ["r1", '"r2"', "r;3", "ü"]
 _BAD_LINES = ["r9", ",a", "r8,a,,b", "r7,b,b", " , "]
 
 
 @st.composite
-def _transaction_text(draw) -> str:
-    members = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4, unique=True)
-    labelled = st.tuples(st.sampled_from(["r1", "r2", "ü", "r3"]), members).map(
+def _transaction_text(draw, tokens=_TOKENS, records=_RECORDS, max_lines=10) -> str:
+    members = st.lists(st.sampled_from(tokens), min_size=1, max_size=4, unique=True)
+    labelled = st.tuples(st.sampled_from(records), members).map(
         lambda lm: ",".join([lm[0], *lm[1]])
     )
     blank = st.sampled_from(["", "  "])
     line = st.one_of(labelled, labelled, blank, st.sampled_from(_BAD_LINES))
-    lines = draw(st.lists(line, max_size=10))
+    lines = draw(st.lists(line, max_size=max_lines))
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     head = draw(st.sampled_from(["", BOM]))
     return head + "".join(line + draw(ends) for line in lines)
@@ -149,4 +168,116 @@ def test_cluster_reinforce_matches_reference_pipeline(text, policy, transpose, o
             if transpose:
                 argv.append("--transpose")
             expected = _reference(data, str(path), policy, transpose, omega_i, delta, fmt)
+            assert _cli(argv) == expected, fmt
+
+
+def _listed(title: str, rows: list[str]) -> list[str]:
+    return [f"{title}:", *(f"  {row}" for row in rows)] if rows else [f"{title}: (none)"]
+
+
+def _grid_reference(data: bytes, path: str, policy, transpose, omega_i, tau, ties, singletons, fmt):
+    """The exit code, stdout and stderr lines ``cluster --method grid`` should give."""
+    try:
+        dataset = parse_oracle(io.BytesIO(data), policy, transpose=transpose)
+    except ConfigError as exc:
+        return 2, "", [f"config error: {exc}"]
+    except DataError as exc:
+        return 1, "", [f"input error: {exc}"]
+    diagnostics = dataset.diagnostics
+    err = [f"diagnostics: {len(diagnostics)} lines skipped", *(f"  {d}" for d in diagnostics)]
+    err = err if diagnostics else []
+    dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events, omega_i)
+    try:
+        found = dense_extract_clusters(dense, tau, ties=ties)
+    except ConfigError as exc:
+        return 2, "", [*err, f"config error: {exc}"]
+    labels = dataset.labels
+    groups = [sorted(cluster) for cluster in found.partition.clusters]
+    unassigned = sorted(found.partition.unassigned)
+    if singletons == "clusters":
+        groups += [[v] for v in unassigned]
+        unassigned = []
+    clusters = [sorted(labels[v] for v in group) for group in groups]
+    unassigned_labels = sorted(labels[v] for v in unassigned)
+    links = [(labels[l.a], labels[l.b], l.strength) for l in found.links]
+    if fmt == "text":
+        lines = ["method: grid", f"variables: {dataset.n}", f"events: {len(dataset.events)}"]
+        lines += dense_matrix_text(dense, labels).splitlines()
+        lines += _listed("clusters", [",".join(c) for c in clusters])
+        lines.append(f"unassigned: {','.join(unassigned_labels) or '(none)'}")
+        lines += _listed("links", [f"{a}-{b} strength {s}" for a, b, s in links])
+        out = "\n".join(lines) + "\n"
+    elif fmt == "csv":
+        cluster_of = {v: str(ci) for ci, group in enumerate(groups) for v in group}
+        lines = ["", "variable,cluster"]
+        lines += [csv_line([label, cluster_of.get(v, "")]) for v, label in enumerate(labels)]
+        lines += ["", "a,b,strength", *map(csv_line, links)]
+        out = dense_matrix_csv(dense, labels) + "\n".join(lines) + "\n"
+    else:
+        payload = {
+            "method": "grid",
+            "parameters": {
+                "source": path,
+                "label_policy": policy.value,
+                "transpose": transpose,
+                "omega_i": omega_i,
+                "omega_g": 1,
+                "delta": 0,
+                "tau_link": tau,
+                "gap_ties": ties,
+                "singletons": singletons,
+            },
+            "clusters": clusters,
+            "unassigned": unassigned_labels,
+            "links": [{"a": a, "b": b, "strength": s} for a, b, s in links],
+            "detail": {"matrix": dense_matrix_json(dense, labels)},
+        }
+        out = json.dumps(payload, indent=2) + "\n"
+    return 0, out, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _transaction_text(_QUOTED_TOKENS, _QUOTED_RECORDS, max_lines=14),
+    st.sampled_from(list(LabelPolicy)),
+    st.booleans(),
+    _weight,
+    st.sampled_from([1, 2, 3, 1.5, 2.5]),
+    st.sampled_from(["high", "low"]),
+    st.sampled_from(["unassigned", "clusters"]),
+)
+# two clusters and a link between them, every label quoted in CSV
+@example(
+    '"a;b,c,d\n"a;b,c,d\n"a;b,c,d\nx;y,"q",z\nx;y,"q",z\nx;y,"q",z\n"a;b,x;y\n"a;b,x;y\nc,"q"\n',
+    LabelPolicy.MEMBERS, False, 1, 2, "high", "unassigned",
+)
+# float cells pivoted, int zeros beside them; a link at a float threshold
+@example(
+    'r1,a,"q"\n"r2",a,"q",x;y\nr;3,x;y,b\nü,b,a\nr1,b\n', LabelPolicy.RECORD_LABEL, True, 0.1, 1.5,
+    "low", "clusters",
+)
+# a threshold below 1 is refused after the skipped lines are reported
+@example("r1,a,b\nr7,b,b\n", LabelPolicy.RECORD_LABEL, False, 1, 0.5, "high", "unassigned")
+# only bad lines, and a pivot the members policy refuses
+@example("r9\n,a\n", LabelPolicy.RECORD_LABEL, False, 1, 2, "high", "unassigned")
+@example("a,b\n", LabelPolicy.MEMBERS, True, 1, 2, "high", "unassigned")
+def test_cluster_grid_matches_reference_pipeline(
+    text, policy, transpose, omega_i, tau, ties, singletons
+):
+    data = text.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.data"
+        path.write_bytes(data)
+        for fmt in ("text", "csv", "json"):
+            argv = [
+                "cluster", "--method", "grid", "--input", str(path),
+                "--label-policy", policy.value, "--omega-i", repr(omega_i),
+                "--tau-link", repr(tau), "--gap-ties", ties, "--singletons", singletons,
+                "--format", fmt,
+            ]
+            if transpose:
+                argv.append("--transpose")
+            expected = _grid_reference(
+                data, str(path), policy, transpose, omega_i, tau, ties, singletons, fmt
+            )
             assert _cli(argv) == expected, fmt

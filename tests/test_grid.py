@@ -600,15 +600,22 @@ _LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_character
     st.integers(0, 10_000),
     st.sampled_from([1, 3, 0.1, 2.5, 1e-3]),
     st.lists(_LABEL, min_size=12, max_size=12),
+    st.sampled_from([None, 1.0, 0.5]),
 )
-@example(0, 1, [""] * 12)
-def test_renderers_write_one_row_per_piece(seed, weight, names):
+@example(0, 1, [""] * 12, None)
+# row 4 holds 2 and 2.0: equal counts of two types, written 2 and 2.0
+@example(50, 1, list("abcdefghijkl"), 1.0)
+def test_renderers_write_one_row_per_piece(seed, weight, names, then):
     """Joined, the CSV and text pieces equal the dense oracles' strings;
-    and no piece is longer than the label header plus the longest row."""
+    and no piece is longer than the label header plus the longest row.
+    With ``then``, every other event is counted again at that weight, so
+    a row may hold ints and floats side by side."""
     dataset = random_dataset(seed, max_vars=12, max_events=30)
     labels = names[: dataset.n]
-    sparse = count_events(CountMatrix.zeros(dataset.n), dataset.events, weight)
-    dense = dense_count_events(DenseGrid.zeros(dataset.n), dataset.events, weight)
+    sparse, dense = CountMatrix.zeros(dataset.n), DenseGrid.zeros(dataset.n)
+    for events, w in [(dataset.events, weight)] + ([(dataset.events[::2], then)] if then else []):
+        count_events(sparse, events, w)
+        dense_count_events(dense, events, w)
     csv_text, text = dense_matrix_csv(dense, labels), dense_matrix_text(dense, labels)
     # rows are lines, each piece holding its newline
     csv_head, csv_rows = csv_text.split("\n", 1)
