@@ -75,6 +75,10 @@ def _cli(argv: list[str]) -> tuple[int, str, list[str]]:
     return code, out.getvalue(), lines
 
 
+def _listed(title: str, rows: list[str]) -> list[str]:
+    return [f"{title}:", *(f"  {row}" for row in rows)] if rows else [f"{title}: (none)"]
+
+
 def _text(dataset, counts, bands, clusters, unassigned) -> str:
     labels = dataset.labels
     width = max(len(label) for label in labels)
@@ -83,10 +87,9 @@ def _text(dataset, counts, bands, clusters, unassigned) -> str:
     lines += [f"  {label.ljust(width)} {count}" for label, count in zip(labels, counts)]
     lines.append("bands:")
     lines += [f"  {value}: {','.join(members)}" for value, members in bands]
-    rows = [f"  {','.join(cluster)}" for cluster in clusters]
-    lines += ["clusters:", *rows] if rows else ["clusters: (none)"]
+    lines += _listed("clusters", [",".join(cluster) for cluster in clusters])
     lines.append(f"unassigned: {','.join(unassigned) or '(none)'}")
-    lines.append("links: (none)")
+    lines += _listed("links", [])
     return "\n".join(lines) + "\n"
 
 
@@ -169,10 +172,6 @@ def test_cluster_reinforce_matches_reference_pipeline(text, policy, transpose, o
                 argv.append("--transpose")
             expected = _reference(data, str(path), policy, transpose, omega_i, delta, fmt)
             assert _cli(argv) == expected, fmt
-
-
-def _listed(title: str, rows: list[str]) -> list[str]:
-    return [f"{title}:", *(f"  {row}" for row in rows)] if rows else [f"{title}: (none)"]
 
 
 def _grid_reference(data: bytes, path: str, policy, transpose, omega_i, tau, ties, singletons, fmt):
