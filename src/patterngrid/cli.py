@@ -383,34 +383,27 @@ def _parameters(args, source: str) -> dict:
     return params
 
 
+def _csv_section(header: str, lines, write) -> None:
+    """Write one CSV section: ``header``, then one line per row, each its
+    fields with a comma between, a label already quoted by ``grid.csv_field``."""
+    write("\n".join([header, *lines]) + "\n")
+
+
 def _counts_csv(state: reinforce.ReinforceState, labels, write) -> None:
-    rows = ["variable,count"] + [f"{grid.csv_field(l)},{c}" for l, c in zip(labels, state.counts)]
-    write("\n".join(rows) + "\n")
+    rows = [f"{grid.csv_field(l)},{c}" for l, c in zip(labels, state.counts)]
+    _csv_section("variable,count", rows, write)
 
 
 def _instances_csv(store: counting.InstanceStore, labels, write) -> None:
     """A pattern is one field: its members, sorted by label, as a CSV record
     of their own with ``;`` between them."""
     members = [grid.csv_field(label, ";") for label in labels]
-    rows = ["pattern,local,global,coherence"]
+    by_label = labels.__getitem__
+    rows = []
     for r in store.records:
-        pattern = ";".join(members[v] for v in sorted(r.pattern, key=labels.__getitem__))
-        rows.append(
-            f"{grid.csv_field(pattern)},{r.local_count},{r.global_count},{counting.coherence(r)}"
-        )
-    write("\n".join(rows) + "\n")
-
-
-def _assignment_csv(partition: Partition, links, labels) -> list[str]:
-    """The CSV sections after the engine's: the assignment and a grid's links."""
-    labels = list(map(grid.csv_field, labels))
-    rows = ["variable,cluster"]
-    for label, ci in zip(labels, partition.cluster_ids()):
-        rows.append(f"{label},{ci if ci >= 0 else ''}")
-    if links is not None:
-        rows += ["", "a,b,strength"]
-        rows.extend(f"{labels[l.a]},{labels[l.b]},{l.strength}" for l in links)
-    return rows
+        pattern = grid.csv_field(";".join(members[v] for v in sorted(r.pattern, key=by_label)))
+        rows.append(f"{pattern},{r.local_count},{r.global_count},{counting.coherence(r)}")
+    _csv_section("pattern,local,global,coherence", rows, write)
 
 
 def cmd_cluster(args) -> int:
@@ -446,7 +439,14 @@ def cmd_cluster(args) -> int:
         jsonout.write_payload(payload, fills, sys.stdout.write)
     elif args.format == "csv":
         run.csv(labels, sys.stdout.write)
-        print("\n" + "\n".join(_assignment_csv(partition, links, labels)))
+        quoted = list(map(grid.csv_field, labels))
+        ids = partition.cluster_ids()
+        # each section after the engine's has a blank line before its header
+        rows = [f"{label},{ci if ci >= 0 else ''}" for label, ci in zip(quoted, ids)]
+        _csv_section("\nvariable,cluster", rows, sys.stdout.write)
+        if links is not None:
+            rows = [f"{quoted[l.a]},{quoted[l.b]},{l.strength}" for l in links]
+            _csv_section("\na,b,strength", rows, sys.stdout.write)
     else:
         print(f"method: {args.method}\nvariables: {dataset.n}\nevents: {len(dataset.events)}")
         run.text(labels, sys.stdout.write)

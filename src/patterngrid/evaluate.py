@@ -21,7 +21,7 @@ intersection of every produced cluster with every reference cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import jsonout
@@ -133,18 +133,11 @@ def agreement_text(report: AgreementReport, labels: Sequence[str]) -> list[str]:
 
 
 def agreement_json(report: AgreementReport) -> dict:
-    """The report's scores, with a ``"best_matches": null`` slot for ``best_matches_json``."""
-    return {
-        "produced_pairs": report.produced_pairs,
-        "reference_pairs": report.reference_pairs,
-        "shared_pairs": report.shared_pairs,
-        "pairwise_precision": report.pairwise_precision,
-        "pairwise_recall": report.pairwise_recall,
-        "pairwise_f1": report.pairwise_f1,
-        "rand_index": report.rand_index,
-        "exact_cluster_matches": report.exact_cluster_matches,
-        "best_matches": None,
-    }
+    """The report's scores, every field but the per-cluster table in field
+    order, with a ``"best_matches": null`` slot for ``best_matches_json``."""
+    scores = {f.name: getattr(report, f.name) for f in fields(report)}
+    del scores["per_cluster_table"]
+    return {**scores, "best_matches": None}
 
 
 def best_matches_json(report: AgreementReport, labels: Sequence[str], write, depth: int) -> None:

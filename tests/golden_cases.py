@@ -10,7 +10,8 @@ process; run as a script, this module runs them through a command:
     PYTHONPATH=$PWD/src python3.12 tests/golden_cases.py "python3.12 -m patterngrid"
 
 Each case runs in a fresh temporary directory. The script names every file
-whose stdout bytes or exit code differ, and exits 1 if any does. It needs
+whose stdout bytes or exit code differ, with the first line that differs,
+expected and actual, and exits 1 if any does. It needs
 only the standard library and an importable ``patterngrid``, whose
 ``synth`` builds ``transpose80.data``.
 """
@@ -21,6 +22,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from patterngrid.synth import synthetic_plants_text
@@ -156,6 +158,20 @@ def write_inputs(argv, directory: Path) -> None:
             (directory / arg).write_bytes(INPUTS[arg])
 
 
+def first_difference(expected: bytes, actual: bytes) -> str:
+    """The first line at which ``actual`` differs from ``expected``: its
+    number and both lines, a missing one shown as the end of the output."""
+    pairs = zip_longest(expected.split(b"\n"), actual.split(b"\n"))
+    for number, lines in enumerate(pairs, 1):
+        if lines[0] != lines[1]:
+            want, got = (
+                "(end of output)" if line is None else repr(line.decode(errors="backslashreplace"))
+                for line in lines
+            )
+            return f"line {number}: expected {want}, got {got}"
+    return "no line differs"
+
+
 def main(args: list[str]) -> int:
     if len(args) != 1:
         print("usage: golden_cases.py COMMAND, e.g. patterngrid or 'python3 -m patterngrid'",
@@ -170,8 +186,8 @@ def main(args: list[str]) -> int:
         if done.returncode != 0:
             err = done.stderr.decode(errors="replace").rstrip()
             failed.append(f"{name}: exit code {done.returncode}\n{err}")
-        elif done.stdout != (GOLDEN / name).read_bytes():
-            failed.append(f"{name}: stdout differs")
+        elif done.stdout != (expected := (GOLDEN / name).read_bytes()):
+            failed.append(f"{name}: stdout differs at {first_difference(expected, done.stdout)}")
     for line in failed:
         print("FAIL " + line, file=sys.stderr)
     print(f"{len(CASES) - len(failed)} of {len(CASES)} golden files match")

@@ -104,6 +104,12 @@ class TestGolden:
         assert workflow.count('python tests/golden_cases.py "python -m patterngrid"\n') == 2
         assert "tests/golden/" not in workflow
 
+    def test_a_file_that_differs_is_shown_at_its_first_differing_line(self):
+        show = golden_cases.first_difference
+        assert show(b"a\nb\xc3\xa9\n", b"a\nc\n") == "line 2: expected 'bé', got 'c'"
+        assert show(b"a\n", b"a\nb\n") == "line 2: expected '', got 'b'"
+        assert show(b"a\n", b"a") == "line 2: expected '', got (end of output)"
+
     @pytest.mark.parametrize(
         "argv",
         [("cluster", "--method", "cm"), ("compare", "--reference", "ref.json"), ("hierarchy",)],
@@ -301,6 +307,9 @@ def _quoting_lines(draw):
     return draw(st.lists(members, min_size=1, max_size=8))
 
 
+_count_weight = st.sampled_from([1, 2, 3, 0.1, 0.3, 0.5, 1.5])
+
+
 def _read_patterns(sections):
     """The cm section with each pattern field read as a ';' record."""
     head, *rows = sections[0]
@@ -331,18 +340,25 @@ class TestCsv:
         assert instances.splitlines()[0] == "pattern,local,global,coherence"
         assert instances.splitlines()[1] == "A;B;C;D;E,1,7,6"
 
-    @given(_quoting_lines())
-    @example([['"a;b', "c"], ['"a;b', "c"], ["x", "y"]])
+    @given(_quoting_lines(), _count_weight, _count_weight)
+    @example([['"a;b', "c"], ['"a;b', "c"], ["x", "y"]], 1, 1)
+    # float counts, cm coherences among them, of unequal widths
+    @example([['"a;b', "c"], ['"a;b', "c", "x"], ["x", "c"], ["x", "c"]], 0.1, 0.3)
     @settings(max_examples=40, deadline=None)
-    def test_csv_reader_reads_each_section_back(self, lines):
+    def test_csv_reader_reads_each_section_back(self, lines, omega_i, omega_g):
         # labels holding '"' and ';' read back from every section, and each
-        # cm pattern's field, itself read as a ';' record, gives its members
+        # cm pattern's field, itself read as a ';' record, gives its members;
+        # every count, int or float, reads back as the JSON gives it
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "labels.data"
             path.write_text("".join(",".join(line) + "\n" for line in lines))
             labels = parse_transactions_path(str(path), LabelPolicy.MEMBERS).labels
+            weights = ["--omega-i", repr(omega_i), "--omega-g", repr(omega_g)]
             for method in ("reinforce", "cm", "grid"):
-                argv = ["cluster", "--method", method, "--label-policy", "members", "--input", str(path)]
+                argv = [
+                    "cluster", "--method", method, "--label-policy", "members", "--input", str(path),
+                    *weights,
+                ]
                 outputs = []
                 for fmt in ("csv", "json"):
                     out = io.StringIO()

@@ -1,15 +1,17 @@
 """The CLI end to end against a reference pipeline built from the oracles.
 
-``cluster --method reinforce`` and ``cluster --method grid`` run in process
-through ``cli.entry`` on small generated files, in every format, and their
-exit code, stdout bytes and stderr lines (all but the ``timing:`` line) must
-equal those of a pipeline that parses with ``parse_oracle`` and renders
-with the plain writers below and ``json.dumps(indent=2)``. For reinforce
+``cluster`` with each method runs in process through ``cli.entry`` on small
+generated files, in every format, and its exit code, stdout bytes and
+stderr lines (all but the ``timing:`` line) must equal those of a pipeline
+that parses with ``parse_oracle`` and renders with the plain writers below,
+``csv_line`` (``csv.writer``) and ``json.dumps(indent=2)``. For reinforce
 it counts by folding the one-event ``update`` and groups with
 ``sort_group_oracle``; for the grid it counts into a ``DenseGrid`` one
 event at a time, extracts with ``dense_extract_clusters`` and writes the
-matrix with ``dense_matrix_text``, ``dense_matrix_csv`` (``csv.writer``)
-and ``dense_matrix_json``.
+matrix with ``dense_matrix_text``, ``dense_matrix_csv`` and
+``dense_matrix_json``; for cm it counts with ``cm_replay_oracle`` and
+selects with ``lexmin_selection_oracle`` under the selection order that
+``counting`` documents.
 """
 
 import io
@@ -28,12 +30,14 @@ from patterngrid.reinforce import ReinforceState
 
 from .oracles import (
     DenseGrid,
+    cm_replay_oracle,
     csv_line,
     dense_count_events,
     dense_extract_clusters,
     dense_matrix_csv,
     dense_matrix_json,
     dense_matrix_text,
+    lexmin_selection_oracle,
     parse_oracle,
     sort_group_oracle,
     update,
@@ -278,5 +282,134 @@ def test_cluster_grid_matches_reference_pipeline(
                 argv.append("--transpose")
             expected = _grid_reference(
                 data, str(path), policy, transpose, omega_i, tau, ties, singletons, fmt
+            )
+            assert _cli(argv) == expected, fmt
+
+
+def _cm_reference(data: bytes, path: str, policy, transpose, omega_i, omega_g, singletons, fmt):
+    """The exit code, stdout and stderr lines ``cluster --method cm`` should give."""
+    try:
+        dataset = parse_oracle(io.BytesIO(data), policy, transpose=transpose)
+    except ConfigError as exc:
+        return 2, "", [f"config error: {exc}"]
+    except DataError as exc:
+        return 1, "", [f"input error: {exc}"]
+    diagnostics = dataset.diagnostics
+    err = [f"diagnostics: {len(diagnostics)} lines skipped", *(f"  {d}" for d in diagnostics)]
+    err = err if diagnostics else []
+    labels = dataset.labels
+    # (I, G) per distinct member set, keyed by its ascending id tuple, in
+    # the order the sets first appear
+    counts = cm_replay_oracle(dataset.events, omega_i, omega_g)
+
+    def key(pattern: frozenset[int]):
+        # best coherence (G - I, lowest first), then larger I, then the
+        # smaller pattern, then the ascending id tuple
+        ids = tuple(sorted(pattern))
+        local, global_ = counts[ids]
+        return (global_ - local, -local, len(ids), ids)
+
+    groups = [sorted(p) for p in lexmin_selection_oracle(list(map(frozenset, counts)), key)]
+    taken = {v for group in groups for v in group}
+    unassigned = [v for v in range(dataset.n) if v not in taken]
+    if singletons == "clusters":
+        groups += [[v] for v in unassigned]
+        unassigned = []
+    clusters = [sorted(labels[v] for v in group) for group in groups]
+    unassigned_labels = sorted(labels[v] for v in unassigned)
+    instances = [
+        (sorted(labels[v] for v in ids), local, global_, global_ - local)
+        for ids, (local, global_) in counts.items()
+    ]
+    if fmt == "text":
+        names = [",".join(pattern) for pattern, *_ in instances]
+        width = max(map(len, names), default=0)
+        rows = [
+            f"{name.ljust(width)}  I={local}  G={global_}  coherence={coherence}"
+            for name, (_, local, global_, coherence) in zip(names, instances)
+        ]
+        lines = ["method: cm", f"variables: {dataset.n}", f"events: {len(dataset.events)}"]
+        lines += _listed("instances", rows)
+        lines += _listed("clusters", [",".join(c) for c in clusters])
+        lines.append(f"unassigned: {','.join(unassigned_labels) or '(none)'}")
+        lines += _listed("links", [])
+        out = "\n".join(lines) + "\n"
+    elif fmt == "csv":
+        # a pattern is one field: its members as a ';' record of their own
+        lines = ["pattern,local,global,coherence"]
+        lines += [csv_line([csv_line(pattern, ";"), *numbers]) for pattern, *numbers in instances]
+        cluster_of = {v: str(ci) for ci, group in enumerate(groups) for v in group}
+        lines += ["", "variable,cluster"]
+        lines += [csv_line([label, cluster_of.get(v, "")]) for v, label in enumerate(labels)]
+        out = "\n".join(lines) + "\n"
+    else:
+        payload = {
+            "method": "cm",
+            "parameters": {
+                "source": path,
+                "label_policy": policy.value,
+                "transpose": transpose,
+                "omega_i": omega_i,
+                "omega_g": omega_g,
+                "delta": 0,
+                "tau_link": 2,
+                "gap_ties": "high",
+                "singletons": singletons,
+            },
+            "clusters": clusters,
+            "unassigned": unassigned_labels,
+            "links": [],
+            "detail": {
+                "instances": [
+                    {"pattern": pattern, "local": local, "global": global_, "coherence": coherence}
+                    for pattern, local, global_, coherence in instances
+                ]
+            },
+        }
+        out = json.dumps(payload, indent=2) + "\n"
+    return 0, out, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _transaction_text(_QUOTED_TOKENS, _QUOTED_RECORDS),
+    st.sampled_from(list(LabelPolicy)),
+    st.booleans(),
+    _weight,
+    _weight,
+    st.sampled_from(["unassigned", "clusters"]),
+)
+# patterns whose fields CSV quotes, a tie on coherence broken by the larger I
+@example(
+    '"a;b,c,d\n"a;b,c,d\n"a;b,c,d\nx;y,"q",z\nx;y,"q",z\nx;y,"q",z\n"a;b,x;y\n"a;b,x;y\nc,"q"\n',
+    LabelPolicy.MEMBERS, False, 1, 1, "unassigned",
+)
+# float counts pivoted, G below I where omega_g < omega_i
+@example(
+    'r1,a,"q"\n"r2",a,"q",x;y\nr;3,x;y,b\nü,b,a\nr1,b\n', LabelPolicy.RECORD_LABEL, True,
+    1.5, 0.1, "clusters",
+)
+# one-member patterns, one of them a label holding both '"' and ';', and a skipped line
+@example("r1,b\nr2,a,b\nr7,b,b\nr1,é\"f;g\n", LabelPolicy.RECORD_LABEL, False, 0.25, 3, "unassigned")
+# only bad lines, and a pivot the members policy refuses
+@example("r9\n,a\n", LabelPolicy.RECORD_LABEL, False, 1, 1, "unassigned")
+@example("a,b\n", LabelPolicy.MEMBERS, True, 1, 1, "unassigned")
+def test_cluster_cm_matches_reference_pipeline(
+    text, policy, transpose, omega_i, omega_g, singletons
+):
+    data = text.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.data"
+        path.write_bytes(data)
+        for fmt in ("text", "csv", "json"):
+            argv = [
+                "cluster", "--method", "cm", "--input", str(path),
+                "--label-policy", policy.value, "--omega-i", repr(omega_i),
+                "--omega-g", repr(omega_g), "--singletons", singletons, "--format", fmt,
+            ]
+            if transpose:
+                argv.append("--transpose")
+            expected = _cm_reference(
+                data, str(path), policy, transpose, omega_i, omega_g, singletons, fmt
             )
             assert _cli(argv) == expected, fmt
